@@ -196,10 +196,6 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def tensor(data, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
@@ -405,21 +401,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d_output_shape(in_hw, k_hw, stride, padding):
-    (H, W), (kH, kW), (sH, sW), (pH, pW) = in_hw, k_hw, stride, padding
-    return ((H + 2 * pH - kH) // sH + 1, (W + 2 * pW - kW) // sW + 1)
-
-
-def _conv_windows(xp: np.ndarray, kH: int, kW: int, sH: int, sW: int,
-                  Ho: int, Wo: int) -> np.ndarray:
-    sN, sC, sh, sw = xp.strides
-    return as_strided(
-        xp,
-        (xp.shape[0], xp.shape[1], kH, kW, Ho, Wo),
-        (sN, sC, sh, sw, sh * sH, sw * sW),
-    )
-
-
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """Strided 2D cross-correlation with zero padding.
@@ -427,6 +408,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     ``x`` is ``[N, Cin, H, W]``, ``kernel`` is ``[Cout, Cin, kH, kW]``,
     ``bias`` is ``[Cout]``; output is ``[N, Cout, H', W']`` with
     ``H' = floor((H + 2*pH - kH)/sH) + 1`` and likewise for ``W'``.
+
+    Lowered to GEMMs over the im2col matrix ``cols [Cin*kH*kW, N*H'*W']``
+    (Chellapilla et al. 2006). ``cols`` is rebuilt from the padded input in
+    the backward pass rather than kept on the tape, which would hold one
+    such matrix per layer call until the tape is replayed.
     """
     xd, kd = x.data, kernel.data
     if xd.ndim != 4 or kd.ndim != 4:
@@ -458,10 +444,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         xp[:, :, pH:pH + H, pW:pW + W] = xd
     else:
         xp = xd
-    win = _conv_windows(xp, kH, kW, sH, sW, Ho, Wo)
-    out_data = np.tensordot(kd, win, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
-    out_data = np.ascontiguousarray(out_data)
-    out_data += bias.data.reshape(1, Cout, 1, 1)
+    sN, sC, sh, sw = xp.strides
+    win_shape = (Cin, kH, kW, N, Ho, Wo)
+    K, P = Cin * kH * kW, N * Ho * Wo
+
+    def im2col():
+        # the reshape of the strided window view is the one copy
+        return as_strided(xp, win_shape,
+                          (sC, sh, sw, sN, sh * sH, sw * sW)).reshape(K, P)
+
+    w2 = kd.reshape(Cout, K)
+    out2 = w2 @ im2col()
+    out2 += bias.data.reshape(Cout, 1)
+    out_data = np.ascontiguousarray(
+        out2.reshape(Cout, N, Ho, Wo).transpose(1, 0, 2, 3))
     req = x.requires_grad or kernel.requires_grad or bias.requires_grad
     out = Tensor(out_data, requires_grad=req)
     if not out.requires_grad or _active_tape() is None:
@@ -469,13 +465,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     def vjp(g):
         gb = g.sum(axis=(0, 2, 3))
-        gk = np.tensordot(g, win, axes=([0, 2, 3], [0, 4, 5]))
-        t = np.tensordot(g, kd, axes=(1, 0))  # [N, Ho, Wo, Cin, kH, kW]
+        g2 = g.transpose(1, 0, 2, 3).reshape(Cout, P)
+        gk = (g2 @ im2col().T).reshape(kd.shape)
+        dcols = (w2.T @ g2).reshape(win_shape)
         canvas = np.zeros_like(xp)
         for i in range(kH):
             for j in range(kW):
                 canvas[:, :, i:i + sH * Ho:sH, j:j + sW * Wo:sW] += \
-                    t[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    dcols[:, i, j].transpose(1, 0, 2, 3)
         gx = canvas[:, :, pH:pH + H, pW:pW + W] if (pH or pW) else canvas
         return gx, gk, gb
 

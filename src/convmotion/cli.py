@@ -49,10 +49,22 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-adv", action="store_true", default=None, dest="no_adv")
 
 
+# config-file schedule keys a subcommand honours: key -> (flag dest, default)
+TRAIN_SCHEDULE = {"iterations": ("iters", 1000), "master_seed": ("seed", 0),
+                  "checkpoint_every": ("checkpoint_every", 1000)}
+ABLATE_SCHEDULE = {"iterations": ("iters", 200), "master_seed": ("seed", 0),
+                   "num_sequences": ("num_sequences", 4)}
+
+
 def _resolve_hyper(args) -> M.HyperParams:
+    """Resolve the hyperparameters, and set the subcommand's schedule flags
+    (``args.schedule``) on ``args``, with precedence flag > ``--config`` >
+    default. A config key the subcommand has no use for is rejected."""
+    schedule_keys = getattr(args, "schedule", {})
     mapping: dict = {}
     if getattr(args, "config", None):
-        mapping.update(C.load_config(args.config))
+        mapping.update(C.load_config(args.config,
+                                     {*C.HYPER_KEYS, *schedule_keys}))
     for key in C.HYPER_KEYS:
         if key == "adversarial":
             continue
@@ -61,8 +73,13 @@ def _resolve_hyper(args) -> M.HyperParams:
             mapping[key] = val
     if getattr(args, "no_adv", None):
         mapping["adversarial"] = False
+    schedule = {}
+    for key, (dest, default) in schedule_keys.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, mapping.get(key, default))
+        schedule[key] = getattr(args, dest)
     hp = C.hyperparams_from_mapping(mapping)
-    for line in C.format_config(hp).strip().split("\n"):
+    for line in C.format_config(hp, schedule).strip().split("\n"):
         log.info("config: %s", line)
     return hp
 
@@ -110,8 +127,6 @@ def cmd_train(args) -> int:
     schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
                                checkpoint_every=args.checkpoint_every,
                                out_dir=out_dir)
-    log.info("config: iterations=%d master_seed=%d checkpoint_every=%d",
-             args.iters, args.seed, args.checkpoint_every)
     result = T.train(sequences, stats, hp, schedule,
                      resume_from=args.resume)
     report_path = args.report or (out_dir / "report.csv")
@@ -263,14 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="checkpoint directory")
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint-every", type=int, default=1000,
-                   dest="checkpoint_every")
+    p.add_argument("--iters", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     p.add_argument("--resume", type=Path, help="checkpoint to resume from")
     p.add_argument("--report", type=Path, help="CSV report path")
     _add_hyper_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, schedule=TRAIN_SCHEDULE)
 
     p = sub.add_parser("predict", help="predict future frames from a seed file")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -312,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-sequences", type=int, default=4, dest="num_sequences")
+    p.add_argument("--iters", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--num-sequences", type=int, dest="num_sequences")
     _add_hyper_flags(p)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_ablate, schedule=ABLATE_SCHEDULE)
 
     return parser
 

@@ -62,8 +62,9 @@ SCHEDULE_KEYS = {
 ALL_KEYS = {**HYPER_KEYS, **SCHEDULE_KEYS}
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``key=value`` lines; unknown keys are rejected."""
+def parse_config_text(text: str, allowed=ALL_KEYS) -> dict:
+    """Parse ``key=value`` lines; unknown keys, and known keys outside
+    ``allowed`` (those the reading command has no use for), are rejected."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,6 +75,9 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in ALL_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key not in allowed:
+            raise ValueError(
+                f"config line {lineno}: key {key!r} is not used by this command")
         try:
             out[key] = ALL_KEYS[key](value)
         except ValueError as exc:
@@ -81,8 +85,8 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path) -> dict:
-    return parse_config_text(Path(path).read_text())
+def load_config(path, allowed=ALL_KEYS) -> dict:
+    return parse_config_text(Path(path).read_text(), allowed)
 
 
 def hyperparams_from_mapping(mapping: dict) -> HyperParams:

@@ -275,13 +275,15 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
                           pose_dim: int = TINY_POSE_DIM, seed: int = 0,
                           adversarial: bool = False, h: float = 1e-5,
                           tol: float = 1e-4, chunk: int = 1024,
-                          retry_steps=(1e-4, 1e-3, 4e-3, 2e-6)) -> GradCheckReport:
+                          retry_steps=(1e-4, 1e-3, 4e-3, 2e-6, 1e-7)
+                          ) -> GradCheckReport:
     """Check every generator parameter of the full objective at one seed.
 
     Elements failing at the primary step are re-differenced at the steps in
     ``retry_steps`` and keep their best agreement: a larger step escapes the
     64-bit cancellation floor on near-zero gradients, a smaller one escapes
-    activation-kink crossings. An actual gradient defect fails at every step.
+    activation-kink crossings (at seed 13 every step down to 2e-6 straddles
+    a leaky-ReLU kink). An actual gradient defect fails at every step.
     """
     hp = hp or tiny_hyperparams()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))

@@ -171,15 +171,28 @@ def test_conv2d_kernel_larger_than_padded_input_rejected():
         conv2d(x, k, b, stride=(1, 1), padding=(1, 0))
 
 
-def test_conv2d_gradients_match_finite_differences():
+CONV_GRAD_CASES = [
+    # (stride, padding, kernel hw)
+    ((2, 2), (1, 1), (2, 3)),
+    *[(stride, padding, khw)
+      for stride in ((1, 1), (1, 2), (2, 1), (2, 2))
+      for padding, khw in (((1, 3), (2, 7)), ((0, 2), (3, 1)), ((1, 3), (1, 1)))],
+]
+
+
+@pytest.mark.parametrize(
+    "stride,padding,khw", CONV_GRAD_CASES,
+    ids=[f"s{s[0]}x{s[1]}-p{p[0]}x{p[1]}-k{k[0]}x{k[1]}" for s, p, k in CONV_GRAD_CASES])
+def test_conv2d_gradients_match_finite_differences(stride, padding, khw):
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(2, 2, 5, 6)), requires_grad=True)
-    k = Tensor(rng.normal(size=(3, 2, 2, 3)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2) + khw), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
-    tgt = rng.normal(size=(2, 3, 3, 3))
+    out_shape = conv2d(x, k, b, stride=stride, padding=padding).shape
+    tgt = rng.normal(size=out_shape)
 
     def build():
-        out = conv2d(x, k, b, stride=(2, 2), padding=(1, 1))
+        out = conv2d(x, k, b, stride=stride, padding=padding)
         return tsum(square(ad.sub(out, Tensor(tgt))))
 
     check_vjp(build, [x, k, b])

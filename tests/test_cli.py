@@ -196,3 +196,49 @@ def test_flags_override_config_file(tmp_path):
     hp = cli._resolve_hyper(args)
     assert hp.window == 5      # flag wins
     assert hp.eta == 0.25      # config file survives where no flag given
+
+
+def test_config_schedule_keys_precedence(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations=7\nmaster_seed=5\nnum_sequences=3\n")
+    parser = cli.build_parser()
+    args = parser.parse_args(["ablate", "--axis", "kernel", "--data", "x",
+                              "--stats", "y", "--out", "z", "--config",
+                              str(cfg), "--seed", "2"])
+    cli._resolve_hyper(args)
+    assert args.iters == 7           # config beats default
+    assert args.seed == 2            # flag beats config
+    assert args.num_sequences == 3
+    args = parser.parse_args(["ablate", "--axis", "kernel", "--data", "x",
+                              "--stats", "y", "--out", "z"])
+    cli._resolve_hyper(args)
+    assert (args.iters, args.seed, args.num_sequences) == (200, 0, 4)
+
+
+@pytest.mark.parametrize("command,key", [("train", "eps_const"),
+                                         ("train", "num_sequences"),
+                                         ("ablate", "checkpoint_every")])
+def test_config_key_unused_by_command_rejected(tmp_path, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"window=10\n{key}=1\n")
+    argv = [command, "--data", "x", "--stats", "y", "--out", "z",
+            "--config", str(cfg)]
+    if command == "ablate":
+        argv += ["--axis", "kernel"]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ValueError, match=f"line 2: key '{key}' is not used"):
+        cli._resolve_hyper(args)
+
+
+def test_train_honours_config_schedule(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations=4\ncheckpoint_every=2\nadversarial=false\n")
+    out_dir = tmp_path / "run"
+    rc = cli.main(["train", "--data", str(manifest), "--stats", str(stats_path),
+                   "--out", str(out_dir), "--config", str(cfg)] + MICRO_FLAGS)
+    assert rc == 0
+    report_lines = (out_dir / "report.csv").read_text().strip().split("\n")
+    assert len(report_lines) == 5  # header + 4 iterations
+    assert sorted(p.name for p in out_dir.glob("*.ckpt")) == [
+        "ckpt_0000002.ckpt", "ckpt_0000004.ckpt"]
