@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
@@ -164,8 +161,10 @@ def _record(inputs, out, vjp):
 
 def backward(loss: Tensor, tape: GradTape) -> dict:
     """Reverse-replay the tape, returning ``{tensor: gradient}`` for every
-    gradient-requiring tensor reachable from ``loss``.
+    gradient-requiring leaf (a tensor no tape node produced) reachable from
+    ``loss``.
 
+    Each intermediate gradient is dropped as soon as its node's VJP has run.
     Deterministic: accumulation follows exact reverse execution order.
     """
     if loss.data.size != 1:
@@ -174,7 +173,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
         )
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(tape._nodes):
-        g_out = grads.get(node.output)
+        g_out = grads.pop(node.output, None)
         if g_out is None:
             continue
         partials = node.vjp(g_out)
@@ -187,7 +186,6 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
                 )
             acc = grads.get(tensor)
             grads[tensor] = g if acc is None else acc + g
-    grads.pop(loss, None)
     return grads
 
 
@@ -202,12 +200,6 @@ def zeros(shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
 
 def ones(shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def uniform(rng: np.random.Generator, low, high, shape, requires_grad=False,
-            dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(rng.uniform(low, high, size=shape).astype(dtype),
-                  requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +276,14 @@ def tmean(x: Tensor) -> Tensor:
     return out
 
 
-def sumsq(x: Tensor) -> Tensor:
-    """Sum of squared entries; the building block of the weight penalty."""
-    out = Tensor(np.asarray(np.square(x.data).sum(), dtype=x.data.dtype),
-                 requires_grad=x.requires_grad)
-    xd = x.data
-    _record((x,), out, lambda g: (2.0 * g * xd,))
+def sumsq(*xs: Tensor) -> Tensor:
+    """Sum of squared entries over one or more tensors, as one tape node: the
+    weight penalty. Per-tensor sums are added in argument order."""
+    datas = [x.data for x in xs]
+    total = sum(np.square(xd).sum() for xd in datas)
+    out = Tensor(np.asarray(total, dtype=datas[0].dtype),
+                 requires_grad=any(x.requires_grad for x in xs))
+    _record(xs, out, lambda g: tuple(2.0 * g * xd for xd in datas))
     return out
 
 

@@ -55,7 +55,6 @@ SCHEDULE_KEYS = {
     "iterations": int,
     "master_seed": int,
     "checkpoint_every": int,
-    "eps_const": float,
     "num_sequences": int,
 }
 

@@ -238,18 +238,10 @@ def taped_objective(params: M.ModelParams, gen_named: dict, seed: np.ndarray,
                     mask_seed: int):
     """One tape evaluation of the objective; returns (loss tensor, tape)."""
     rng = np.random.Generator(np.random.PCG64(mask_seed))
-    seed_t = Tensor(seed)
-    target_t = Tensor(target)
     with GradTape() as tape:
-        pred = M.predict_sequence(seed_t, params, hp, teacher=target_t,
-                                  mode="train", rng=rng)
-        fake_prob = None
-        if adversarial:
-            full = ad.concat([seed_t, pred], axis=0)
-            fake_prob = M.discriminate(full, params.discriminator, hp,
-                                       mode="train")
-        loss, _terms = T.loss_generator(pred, target_t, gen_named, fake_prob,
-                                        replace(hp, adversarial=adversarial))
+        _pred, loss, _terms = T.generator_objective(
+            params, gen_named, Tensor(seed), Tensor(target),
+            replace(hp, adversarial=adversarial), rng)
     return loss, tape
 
 

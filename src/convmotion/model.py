@@ -14,6 +14,7 @@ regularizer.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -406,8 +407,7 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
 
     seed_frames = [x[:, i, :] for i in range(t - C, t)]
     short_cfg = hp.short_cem(L)
-    predictions: list = []  # raw model outputs, the residual chain
-    blended: list = []      # what the window sees for generated positions
+    blended: list = []  # what the window sees for generated positions
     prev = seed_frames[-1]
     outputs = []
     for k in range(1, T + 1):
@@ -420,13 +420,11 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
         zs = cem_forward(win, params.short_encoder, short_cfg, mode=mode, rng=rng)
         x_hat = decode_step(zl, zs, prev, params.decoder, hp, mode=mode, rng=rng)
         outputs.append(x_hat)
-        predictions.append(x_hat)
-        if teacher is not None:
-            mix = ad.add(ad.mul(x_hat, hp.eta),
-                         ad.mul(teacher[:, k - 1, :], 1.0 - hp.eta))
-            blended.append(mix)
+        if teacher is not None and hp.eta < 1.0:
+            blended.append(ad.add(ad.mul(x_hat, hp.eta),
+                                  ad.mul(teacher[:, k - 1, :], 1.0 - hp.eta)))
         else:
-            blended.append(x_hat)
+            blended.append(x_hat)  # at eta = 1 the blend is the identity
         prev = x_hat
     out = ad.stack(outputs, axis=1)
     return out if batched else ad.reshape(out, (T, L))
@@ -499,13 +497,24 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
 
 
 def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpoint:
+    """Read a checkpoint; a truncated or corrupt file raises ``ValueError``."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
+    if len(data) < 12:
+        raise ValueError(f"{path}: truncated checkpoint ({len(data)} bytes)")
     version, header_len = struct.unpack("<II", data[4:12])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(data[12:12 + header_len].decode("utf-8"))
+    base = 12 + header_len
+    if base > len(data):
+        raise ValueError(
+            f"{path}: truncated checkpoint header ({header_len} bytes declared, "
+            f"{len(data) - 12} present)")
+    try:
+        header = json.loads(data[12:base].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     if (expected_fingerprint is not None
             and header["stats_fingerprint"] != expected_fingerprint):
         raise ValueError(
@@ -513,13 +522,27 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
             f"stats (fingerprint {header['stats_fingerprint'][:12]}... != "
             f"{expected_fingerprint[:12]}...)"
         )
-    base = 12 + header_len
     tensors = {}
+    end = base
     for e in header["tensors"]:
+        dtype = np.dtype(e["dtype"])
         start = base + e["offset"]
-        arr = np.frombuffer(data[start:start + e["nbytes"]],
-                            dtype=np.dtype(e["dtype"])).reshape(e["shape"])
+        stop = start + e["nbytes"]
+        need = math.prod(e["shape"]) * dtype.itemsize
+        if e["nbytes"] != need:
+            raise ValueError(
+                f"{path}: tensor {e['name']!r} has {e['nbytes']} bytes, but "
+                f"shape {e['shape']} of {dtype} needs {need}")
+        if start < base or stop > len(data):
+            raise ValueError(
+                f"{path}: truncated checkpoint: tensor {e['name']!r} spans bytes "
+                f"{start}-{stop} of {len(data)}")
+        arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(e["shape"])
         tensors[e["name"]] = arr.copy()
+        end = max(end, stop)
+    if end != len(data):
+        raise ValueError(
+            f"{path}: {len(data) - end} unexpected bytes after the last tensor")
     return Checkpoint(
         hyper=HyperParams.from_dict(header["hyper"]),
         pose_dim=int(header["pose_dim"]),

@@ -75,14 +75,11 @@ class LossTerms:
 
 
 def weight_penalty(named_params: dict) -> Tensor:
-    """Sum of squared entries over every given parameter tensor."""
-    total = None
-    for name in sorted(named_params):
-        term = ad.sumsq(named_params[name])
-        total = term if total is None else ad.add(total, term)
-    if total is None:
+    """Sum of squared entries over every given parameter tensor, summed in
+    sorted-name order."""
+    if not named_params:
         raise ValueError("weight_penalty needs at least one parameter")
-    return total
+    return ad.sumsq(*(named_params[name] for name in sorted(named_params)))
 
 
 def loss_generator(pred: Tensor, target, gen_params: dict,
@@ -106,6 +103,22 @@ def loss_generator(pred: Tensor, target, gen_params: dict,
     terms = LossTerms(mse=mse_t.item(), l2=l2_t.item(), adv=adv_val,
                       total=loss.item())
     return loss, terms
+
+
+def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
+                        targets: Tensor, hp: M.HyperParams,
+                        rng: np.random.Generator):
+    """Closed-loop prediction and the combined objective, recorded on the
+    active tape; returns ``(pred, loss, terms)``. ``seeds``/``targets`` are
+    ``[B, n, L]`` batches or single ``[n, L]`` sequences."""
+    pred = M.predict_sequence(seeds, params, hp, teacher=targets, mode="train",
+                              rng=rng)
+    fake_prob = None
+    if hp.effective_lambda_adv > 0.0:
+        fake_prob = M.discriminate(ad.concat([seeds, pred], axis=-2),
+                                   params.discriminator, hp, mode="train")
+    loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
+    return pred, loss, terms
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +346,8 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
         # generator step on the combined objective
         with GradTape() as tape:
-            pred = M.predict_sequence(seeds_t, params, hp, teacher=targets_t,
-                                      mode="train", rng=gen_rng)
-            fake_prob = None
-            if hp.adversarial and hp.lambda_adv > 0.0:
-                full_fake = ad.concat([seeds_t, pred], axis=1)
-                fake_prob = M.discriminate(full_fake, params.discriminator, hp,
-                                           mode="train")
-            loss, terms = loss_generator(pred, targets_t, gen_named, fake_prob, hp)
+            pred, loss, terms = generator_objective(params, gen_named, seeds_t,
+                                                    targets_t, hp, gen_rng)
         if not np.isfinite(terms.total):
             raise FloatingPointError(
                 f"non-finite generator loss at iteration {it}: {terms}"
@@ -351,7 +358,7 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
         # discriminator step on the classification loss, fake detached
         d_loss_val = None
-        if hp.adversarial and hp.lambda_adv > 0.0:
+        if hp.effective_lambda_adv > 0.0:
             fake_frames = Tensor(pred.data.copy())
             with GradTape() as dtape:
                 real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),

@@ -330,6 +330,16 @@ def test_least_squares_closed_form_gradient():
     np.testing.assert_allclose(g, closed_form, atol=1e-12)
 
 
+def test_backward_returns_leaf_gradients_only():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with GradTape() as tape:
+        h = mul(w, 3.0)
+        loss = tsum(square(h))
+    grads = backward(loss, tape)
+    assert list(grads) == [w]  # neither the intermediate h nor the loss
+    np.testing.assert_allclose(grads[w], 18.0 * w.data)
+
+
 def test_gradient_accumulates_over_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with GradTape() as tape:
@@ -388,6 +398,7 @@ def test_primitive_vjps_match_finite_differences(seed):
         "scale": lambda: tsum(mul(a, 3.5)),
         "square": lambda: tsum(square(a)),
         "sumsq": lambda: sumsq(a),
+        "sumsq_multi": lambda: sumsq(a, b),
         "mean": lambda: tmean(mul(a, b)),
         "sigmoid": lambda: tsum(sigmoid(a)),
         "log": lambda: tsum(tlog(a)),

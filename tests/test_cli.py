@@ -215,8 +215,7 @@ def test_config_schedule_keys_precedence(tmp_path):
     assert (args.iters, args.seed, args.num_sequences) == (200, 0, 4)
 
 
-@pytest.mark.parametrize("command,key", [("train", "eps_const"),
-                                         ("train", "num_sequences"),
+@pytest.mark.parametrize("command,key", [("train", "num_sequences"),
                                          ("ablate", "checkpoint_every")])
 def test_config_key_unused_by_command_rejected(tmp_path, command, key):
     cfg = tmp_path / "run.cfg"
@@ -227,6 +226,18 @@ def test_config_key_unused_by_command_rejected(tmp_path, command, key):
         argv += ["--axis", "kernel"]
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(ValueError, match=f"line 2: key '{key}' is not used"):
+        cli._resolve_hyper(args)
+
+
+def test_config_eps_const_is_unknown_key(tmp_path):
+    # no subcommand that reads --config can use eps_const (prep takes
+    # --eps-const but no --config), so the key is not in the config schema
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=10\neps_const=1\n")
+    args = cli.build_parser().parse_args(
+        ["train", "--data", "x", "--stats", "y", "--out", "z",
+         "--config", str(cfg)])
+    with pytest.raises(ValueError, match="line 2: unknown key 'eps_const'"):
         cli._resolve_hyper(args)
 
 

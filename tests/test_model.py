@@ -1,5 +1,8 @@
 """Model tests: encoder shapes, residual decoding, window bookkeeping, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -400,6 +403,38 @@ def test_checkpoint_bytes_deterministic(tmp_path, params):
     M.save_checkpoint(a, hp, POSE_DIM, "0" * 64, tensors)
     M.save_checkpoint(b, hp, POSE_DIM, "0" * 64, tensors)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _corrupted(good: bytes, what: str) -> bytes:
+    header_len = struct.unpack("<I", good[8:12])[0]
+    body = good[12 + header_len:]
+    if what == "nbytes vs shape":
+        header = json.loads(good[12:12 + header_len])
+        header["tensors"][0]["shape"][0] += 1
+        raw = json.dumps(header).encode()
+        return good[:8] + struct.pack("<I", len(raw)) + raw + body
+    return {
+        "short file": good[:6],
+        "no header length": good[:11],
+        "header cut": good[:12 + header_len // 2],
+        "header not JSON": good[:12] + b"x" + good[13:],
+        "first tensor cut": good[:12 + header_len + 5],
+        "last tensor cut": good[:-1],
+        "trailing bytes": good + b"junk",
+    }[what]
+
+
+@pytest.mark.parametrize("what", [
+    "short file", "no header length", "header cut", "header not JSON",
+    "first tensor cut", "last tensor cut", "trailing bytes", "nbytes vs shape"])
+def test_checkpoint_truncated_or_corrupt_rejected(tmp_path, params, what):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64,
+                      M.tensors_from_params(params))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_corrupted(path.read_bytes(), what))
+    with pytest.raises(ValueError, match="bad.ckpt"):
+        M.load_checkpoint(bad)
 
 
 def test_checkpoint_fingerprint_mismatch_rejected(tmp_path, params):

@@ -10,6 +10,7 @@ from convmotion import mocap
 from convmotion import model as M
 from convmotion import training as T
 from convmotion.autodiff import GradTape, Tensor, backward
+from convmotion.gradcheck import TINY_POSE_DIM, tiny_hyperparams
 
 
 def micro_hp(**overrides):
@@ -159,6 +160,24 @@ def test_weight_penalty_gradient_adds_2_lambda_w():
 
     diff = grad_with(lam) - grad_with(0.0)
     np.testing.assert_allclose(diff, 2.0 * lam * w.data, atol=1e-12)
+
+
+def test_generator_objective_tape_one_penalty_node_no_blend_at_eta_one():
+    def tape_nodes(eta):
+        hp = tiny_hyperparams(eta=eta)
+        params = M.init_params(hp, TINY_POSE_DIM, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        seeds = Tensor(rng.normal(size=(hp.seed_frames, TINY_POSE_DIM)))
+        targets = Tensor(rng.normal(size=(hp.target_frames, TINY_POSE_DIM)))
+        with GradTape() as tape:
+            T.generator_objective(params, params.generator_named(), seeds,
+                                  targets, hp, np.random.default_rng(2))
+        return [node.vjp.__qualname__.split(".")[0] for node in tape._nodes]
+
+    closed, blended = tape_nodes(1.0), tape_nodes(0.5)
+    assert closed.count("sumsq") == 1
+    # eta < 1 blends each prediction with the teacher: one mul, one add
+    assert len(blended) - len(closed) == 2 * tiny_hyperparams().target_frames
 
 
 # ---------------------------------------------------------------------------
