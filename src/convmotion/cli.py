@@ -157,24 +157,19 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, stats, sequences = _load_dataset(args.data, args.stats, "test")
+    manifest, stats, sequences = _load_dataset(args.data, args.stats, "test")
     ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint())
     horizons = tuple(int(x) for x in args.horizons.split(","))
     report = E.evaluate_checkpoint(ckpt, sequences, stats,
                                    num_sequences=args.num_sequences,
                                    seed=args.seed, horizons_ms=horizons,
-                                   frame_ms=stats_frame_ms(args),
+                                   frame_ms=manifest.frame_ms,
                                    dump_dir=args.dump)
     if args.out:
         Path(args.out).write_text(report.to_csv())
         log.info("wrote report to %s", args.out)
     print(report.format_table(), end="")
     return 0
-
-
-def stats_frame_ms(args) -> float:
-    manifest = mocap.DatasetManifest.load(args.data)
-    return manifest.frame_ms
 
 
 def cmd_gradcheck(args) -> int:
@@ -210,8 +205,7 @@ ABLATION_AXES = {
 
 def cmd_ablate(args) -> int:
     base_hp = _resolve_hyper(args)
-    _, stats, train_seqs = _load_dataset(args.data, args.stats, "train")
-    manifest = mocap.DatasetManifest.load(args.data)
+    manifest, stats, train_seqs = _load_dataset(args.data, args.stats, "train")
     test_trials = mocap.load_split(manifest, "test")
     test_seqs = [mocap.normalize(t, stats) for t in test_trials]
 

@@ -257,7 +257,7 @@ def generic_params(hp: M.HyperParams, pose_dim: int,
     finite-difference cancellation noise grows with the loss magnitude, and
     gradient correctness is independent of the operating point."""
     params = M.init_params(hp, pose_dim, rng)
-    for tensor in params.all_named().values():
+    for tensor in params.values():
         tensor.assign_(0.5 * tensor.data
                        + rng.normal(scale=0.05, size=tensor.shape))
     return params
@@ -290,7 +290,7 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
                                  hp, adversarial, mask_seed)
     grads = backward(loss, tape)
 
-    arrays = {name: t.data for name, t in params.all_named().items()}
+    arrays = M.tensors_from_params(params)
     masks = draw_mask_factors(hp, pose_dim,
                               np.random.Generator(np.random.PCG64(mask_seed)))
 

@@ -18,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -76,21 +76,22 @@ class HyperParams:
     def effective_lambda_adv(self) -> float:
         return self.lambda_adv if self.adversarial else 0.0
 
-    def long_cem(self, pose_dim: int) -> "CemConfig":
-        return CemConfig(self.seed_frames, pose_dim, tuple(self.channels),
+    def _cem(self, prefix: str, frames: int, pose_dim: int,
+             dropout: float) -> "CemConfig":
+        return CemConfig(frames, pose_dim, tuple(self.channels),
                          tuple(self.kernel), tuple(self.stride), self.fc_out,
-                         self.dropout, self.leaky_slope)
+                         dropout, self.leaky_slope, prefix)
+
+    def long_cem(self, pose_dim: int) -> "CemConfig":
+        return self._cem("long", self.seed_frames, pose_dim, self.dropout)
 
     def short_cem(self, pose_dim: int) -> "CemConfig":
-        return CemConfig(self.window, pose_dim, tuple(self.channels),
-                         tuple(self.kernel), tuple(self.stride), self.fc_out,
-                         self.dropout, self.leaky_slope)
+        return self._cem("short", self.window, pose_dim, self.dropout)
 
     def discriminator_cem(self, pose_dim: int) -> "CemConfig":
         # scores [seed, target] as one grid; no dropout in the discriminator
-        return CemConfig(self.seed_frames + self.target_frames, pose_dim,
-                         tuple(self.channels), tuple(self.kernel),
-                         tuple(self.stride), self.fc_out, 0.0, self.leaky_slope)
+        return self._cem("disc.cem", self.seed_frames + self.target_frames,
+                         pose_dim, 0.0)
 
     def to_dict(self) -> dict:
         out = {}
@@ -110,7 +111,8 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class CemConfig:
-    """Shape contract for one convolutional encoding module."""
+    """Shape contract for one convolutional encoding module; ``prefix`` names
+    its tensors in ``ModelParams``."""
 
     input_frames: int
     pose_dim: int
@@ -120,6 +122,7 @@ class CemConfig:
     fc_out: int = 512
     dropout: float = 0.5
     leaky_slope: float = 0.2
+    prefix: str = "long"
 
     def grid_trace(self):
         """Per-layer (height, width) grids, input first."""
@@ -149,114 +152,33 @@ def same_padding(extent: int, kernel: int, stride: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CemParams:
-    """Three conv kernel+bias pairs and one affine pair."""
-
-    conv_kernels: list
-    conv_biases: list
-    fc_weight: Tensor
-    fc_bias: Tensor
-
-    @classmethod
-    def init(cls, cfg: CemConfig, rng: np.random.Generator,
-             dtype=np.float64) -> "CemParams":
-        kernels, biases = [], []
-        cin = 1
-        for cout in cfg.channels:
-            kernels.append(_uniform_fan_in(rng, (cout, cin, *cfg.kernel),
-                                           cin * cfg.kernel[0] * cfg.kernel[1],
-                                           dtype))
-            biases.append(ad.zeros(cout, requires_grad=True, dtype=dtype))
-            cin = cout
-        fc_w = _uniform_fan_in(rng, (cfg.fc_out, cfg.flat_dim), cfg.flat_dim, dtype)
-        fc_b = ad.zeros(cfg.fc_out, requires_grad=True, dtype=dtype)
-        return cls(kernels, biases, fc_w, fc_b)
-
-    def named(self, prefix: str) -> dict:
-        out = {}
-        for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases), 1):
-            out[f"{prefix}.conv{i}.kernel"] = k
-            out[f"{prefix}.conv{i}.bias"] = b
-        out[f"{prefix}.fc.weight"] = self.fc_weight
-        out[f"{prefix}.fc.bias"] = self.fc_bias
-        return out
+def _cem_names(prefix: str) -> tuple:
+    return (*(f"{prefix}.conv{i}.{kind}" for i in (1, 2, 3)
+              for kind in ("kernel", "bias")),
+            f"{prefix}.fc.weight", f"{prefix}.fc.bias")
 
 
-@dataclass
-class DecoderParams:
-    """Two affine pairs: 2*fc_out -> fc_out -> pose_dim."""
-
-    fc1_weight: Tensor
-    fc1_bias: Tensor
-    fc2_weight: Tensor
-    fc2_bias: Tensor
-
-    @classmethod
-    def init(cls, fc_out: int, pose_dim: int, rng: np.random.Generator,
-             dtype=np.float64) -> "DecoderParams":
-        w1 = _uniform_fan_in(rng, (fc_out, 2 * fc_out), 2 * fc_out, dtype)
-        b1 = ad.zeros(fc_out, requires_grad=True, dtype=dtype)
-        # final layer starts at zero: the untrained model is the
-        # zero-velocity baseline (pure residual identity)
-        w2 = ad.zeros((pose_dim, fc_out), requires_grad=True, dtype=dtype)
-        b2 = ad.zeros(pose_dim, requires_grad=True, dtype=dtype)
-        return cls(w1, b1, w2, b2)
-
-    def named(self, prefix: str = "decoder") -> dict:
-        return {
-            f"{prefix}.fc1.weight": self.fc1_weight,
-            f"{prefix}.fc1.bias": self.fc1_bias,
-            f"{prefix}.fc2.weight": self.fc2_weight,
-            f"{prefix}.fc2.bias": self.fc2_bias,
-        }
+# every model tensor by its checkpoint name, in initialisation (RNG draw) order
+PARAM_NAMES = (*_cem_names("long"), *_cem_names("short"),
+               "decoder.fc1.weight", "decoder.fc1.bias",
+               "decoder.fc2.weight", "decoder.fc2.bias",
+               *_cem_names("disc.cem"), "disc.head.weight", "disc.head.bias")
 
 
-@dataclass
-class DiscriminatorParams:
-    """Encoder-shaped conv trunk plus a single-logit affine head."""
-
-    cem: CemParams
-    head_weight: Tensor
-    head_bias: Tensor
-
-    @classmethod
-    def init(cls, cfg: CemConfig, rng: np.random.Generator,
-             dtype=np.float64) -> "DiscriminatorParams":
-        cem = CemParams.init(cfg, rng, dtype)
-        w = _uniform_fan_in(rng, (1, cfg.fc_out), cfg.fc_out, dtype)
-        b = ad.zeros(1, requires_grad=True, dtype=dtype)
-        return cls(cem, w, b)
-
-    def named(self, prefix: str = "disc") -> dict:
-        out = self.cem.named(f"{prefix}.cem")
-        out[f"{prefix}.head.weight"] = self.head_weight
-        out[f"{prefix}.head.bias"] = self.head_bias
-        return out
-
-
-@dataclass
-class ModelParams:
-    long_encoder: CemParams
-    short_encoder: CemParams
-    decoder: DecoderParams
-    discriminator: DiscriminatorParams
+class ModelParams(dict):
+    """Every model tensor, keyed by its checkpoint name: the long- and
+    short-term encoders (``long.*``, ``short.*``), the decoder
+    (``decoder.*``) and the discriminator (``disc.*``)."""
 
     def generator_named(self, include_long: bool = True) -> dict:
-        out = {}
-        if include_long:
-            out.update(self.long_encoder.named("long"))
-        out.update(self.short_encoder.named("short"))
-        out.update(self.decoder.named("decoder"))
-        return out
+        return {n: t for n, t in self.items() if not n.startswith("disc.")
+                and (include_long or not n.startswith("long."))}
 
     def discriminator_named(self) -> dict:
-        return self.discriminator.named("disc")
+        return {n: t for n, t in self.items() if n.startswith("disc.")}
 
     def all_named(self) -> dict:
-        out = self.generator_named(include_long=True)
-        out.update(self.discriminator_named())
-        return out
+        return dict(self)
 
 
 def _uniform_fan_in(rng, shape, fan_in, dtype) -> Tensor:
@@ -269,11 +191,38 @@ def _uniform_fan_in(rng, shape, fan_in, dtype) -> Tensor:
 
 def init_params(hp: HyperParams, pose_dim: int, rng: np.random.Generator,
                 dtype=np.float64) -> ModelParams:
-    long_p = CemParams.init(hp.long_cem(pose_dim), rng, dtype)
-    short_p = CemParams.init(hp.short_cem(pose_dim), rng, dtype)
-    dec_p = DecoderParams.init(hp.fc_out, pose_dim, rng, dtype)
-    disc_p = DiscriminatorParams.init(hp.discriminator_cem(pose_dim), rng, dtype)
-    return ModelParams(long_p, short_p, dec_p, disc_p)
+    """Fan-in uniform weights and zero biases, drawn in ``PARAM_NAMES``
+    order: long encoder, short encoder, decoder, discriminator."""
+    params = ModelParams()
+
+    def zeros(name, shape):
+        params[name] = ad.zeros(shape, requires_grad=True, dtype=dtype)
+
+    def affine(prefix, fan_out, fan_in):
+        params[f"{prefix}.weight"] = _uniform_fan_in(rng, (fan_out, fan_in),
+                                                     fan_in, dtype)
+        zeros(f"{prefix}.bias", fan_out)
+
+    def cem(cfg):
+        cin = 1
+        for i, cout in enumerate(cfg.channels, 1):
+            params[f"{cfg.prefix}.conv{i}.kernel"] = _uniform_fan_in(
+                rng, (cout, cin, *cfg.kernel),
+                cin * cfg.kernel[0] * cfg.kernel[1], dtype)
+            zeros(f"{cfg.prefix}.conv{i}.bias", cout)
+            cin = cout
+        affine(f"{cfg.prefix}.fc", cfg.fc_out, cfg.flat_dim)
+
+    cem(hp.long_cem(pose_dim))
+    cem(hp.short_cem(pose_dim))
+    affine("decoder.fc1", hp.fc_out, 2 * hp.fc_out)
+    # final layer starts at zero: the untrained model is the
+    # zero-velocity baseline (pure residual identity)
+    zeros("decoder.fc2.weight", (pose_dim, hp.fc_out))
+    zeros("decoder.fc2.bias", pose_dim)
+    cem(hp.discriminator_cem(pose_dim))
+    affine("disc.head", 1, hp.fc_out)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +241,10 @@ def _as_batched(frames) -> tuple:
     raise ad.ShapeError(f"expected [n, L] or [B, n, L] frames, got {frames.shape}")
 
 
-def cem_forward(frames, params: CemParams, cfg: CemConfig, mode: str = "eval",
+def cem_forward(frames, params: ModelParams, cfg: CemConfig, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Encode a frame grid into a fixed-width code.
+    """Encode a frame grid into a fixed-width code with the ``cfg.prefix``
+    tensors of ``params``.
 
     The frames form a one-channel image, time along the height axis and pose
     dimension along the width axis. Each conv layer applies symmetric
@@ -312,18 +262,21 @@ def cem_forward(frames, params: CemParams, cfg: CemConfig, mode: str = "eval",
     h = ad.reshape(x, (B, 1, n, L))
     kH, kW = cfg.kernel
     sH, sW = cfg.stride
-    for kern, bias in zip(params.conv_kernels, params.conv_biases):
+    for i in range(1, len(cfg.channels) + 1):
         _, _, gh, gw = h.shape
         pad = (same_padding(gh, kH, sH), same_padding(gw, kW, sW))
-        h = ad.conv2d(h, kern, bias, stride=(sH, sW), padding=pad)
+        h = ad.conv2d(h, params[f"{cfg.prefix}.conv{i}.kernel"],
+                      params[f"{cfg.prefix}.conv{i}.bias"], stride=(sH, sW),
+                      padding=pad)
         h = ad.leaky_relu(h, cfg.leaky_slope)
     h = ad.dropout(h, cfg.dropout, mode=mode, rng=rng)
     h = ad.reshape(h, (B, -1))
-    code = ad.linear(h, params.fc_weight, params.fc_bias)
+    code = ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
+                     params[f"{cfg.prefix}.fc.bias"])
     return code if batched else ad.reshape(code, (cfg.fc_out,))
 
 
-def decode_step(zl: Tensor, zs: Tensor, prev: Tensor, params: DecoderParams,
+def decode_step(zl: Tensor, zs: Tensor, prev: Tensor, params: ModelParams,
                 hp: HyperParams, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> Tensor:
     """One residual decoding step: concat codes -> affine -> leaky ReLU ->
@@ -335,10 +288,10 @@ def decode_step(zl: Tensor, zs: Tensor, prev: Tensor, params: DecoderParams,
         prev_b = ad.reshape(prev, (1, -1))
     else:
         prev_b = prev
-    h = ad.linear(h, params.fc1_weight, params.fc1_bias)
+    h = ad.linear(h, params["decoder.fc1.weight"], params["decoder.fc1.bias"])
     h = ad.leaky_relu(h, hp.leaky_slope)
     h = ad.dropout(h, hp.dropout, mode=mode, rng=rng)
-    h = ad.linear(h, params.fc2_weight, params.fc2_bias)
+    h = ad.linear(h, params["decoder.fc2.weight"], params["decoder.fc2.bias"])
     out = ad.add(h, prev_b)
     return ad.reshape(out, prev.shape) if squeeze else out
 
@@ -403,41 +356,38 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
         # ablation: the long-term code is zero-filled, shapes preserved
         zl = ad.zeros((B, hp.fc_out), dtype=x.dtype)
     else:
-        zl = cem_forward(x, params.long_encoder, hp.long_cem(L), mode=mode, rng=rng)
+        zl = cem_forward(x, params, hp.long_cem(L), mode=mode, rng=rng)
 
-    seed_frames = [x[:, i, :] for i in range(t - C, t)]
+    # the seed tail, then what the window sees of each generated frame; step
+    # k stacks the last C entries, the layout ``window_frame_ids`` specifies
+    frames = [x[:, i, :] for i in range(t - C, t)]
     short_cfg = hp.short_cem(L)
-    blended: list = []  # what the window sees for generated positions
-    prev = seed_frames[-1]
+    prev = frames[-1]
     outputs = []
     for k in range(1, T + 1):
-        ids = window_frame_ids(t, C, k)
-        window = [seed_frames[idx - (t - C)] if kind == "seed" else blended[idx - 1]
-                  for kind, idx in ids]
-        win = ad.stack(window, axis=1)
+        win = ad.stack(frames[-C:], axis=1)
         if trace is not None:
-            trace.append(StepTrace(k, ids, win.data.copy()))
-        zs = cem_forward(win, params.short_encoder, short_cfg, mode=mode, rng=rng)
-        x_hat = decode_step(zl, zs, prev, params.decoder, hp, mode=mode, rng=rng)
+            trace.append(StepTrace(k, window_frame_ids(t, C, k), win.data.copy()))
+        zs = cem_forward(win, params, short_cfg, mode=mode, rng=rng)
+        x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
         outputs.append(x_hat)
         if teacher is not None and hp.eta < 1.0:
-            blended.append(ad.add(ad.mul(x_hat, hp.eta),
-                                  ad.mul(teacher[:, k - 1, :], 1.0 - hp.eta)))
+            frames.append(ad.add(ad.mul(x_hat, hp.eta),
+                                 ad.mul(teacher[:, k - 1, :], 1.0 - hp.eta)))
         else:
-            blended.append(x_hat)  # at eta = 1 the blend is the identity
+            frames.append(x_hat)  # at eta = 1 the blend is the identity
         prev = x_hat
     out = ad.stack(outputs, axis=1)
     return out if batched else ad.reshape(out, (T, L))
 
 
-def discriminate(full, params: DiscriminatorParams, hp: HyperParams,
+def discriminate(full, params: ModelParams, hp: HyperParams,
                  mode: str = "eval") -> Tensor:
     """Score a full [seed, target] sequence; returns probabilities in (0, 1)."""
     x, batched = _as_batched(full)
     B, n, L = x.shape
-    cfg = hp.discriminator_cem(L)
-    code = cem_forward(x, params.cem, cfg, mode=mode)
-    logit = ad.linear(code, params.head_weight, params.head_bias)
+    code = cem_forward(x, params, hp.discriminator_cem(L), mode=mode)
+    logit = ad.linear(code, params["disc.head.weight"], params["disc.head.bias"])
     prob = ad.sigmoid(ad.reshape(logit, (B,)))
     return prob if batched else ad.reshape(prob, ())
 
@@ -513,65 +463,60 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
             f"{len(data) - 12} present)")
     try:
         header = json.loads(data[12:base].decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
-    if (expected_fingerprint is not None
-            and header["stats_fingerprint"] != expected_fingerprint):
+        if not isinstance(header, dict):
+            raise TypeError(f"header is a JSON {type(header).__name__}, "
+                            f"not an object")
+        hyper = HyperParams.from_dict(header["hyper"])
+        pose_dim = int(header["pose_dim"])
+        fingerprint = str(header["stats_fingerprint"])
+        entries = [(str(e["name"]), np.dtype(e["dtype"]),
+                    [int(n) for n in e["shape"]], int(e["offset"]),
+                    int(e["nbytes"])) for e in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise ValueError(
+            f"{path}: corrupt checkpoint header: {exc!r}") from None
+    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise ValueError(
             f"{path}: checkpoint was trained against different normalization "
-            f"stats (fingerprint {header['stats_fingerprint'][:12]}... != "
+            f"stats (fingerprint {fingerprint[:12]}... != "
             f"{expected_fingerprint[:12]}...)"
         )
     tensors = {}
     end = base
-    for e in header["tensors"]:
-        dtype = np.dtype(e["dtype"])
-        start = base + e["offset"]
-        stop = start + e["nbytes"]
-        need = math.prod(e["shape"]) * dtype.itemsize
-        if e["nbytes"] != need:
+    for name, dtype, shape, offset, nbytes in entries:
+        start = base + offset
+        stop = start + nbytes
+        need = math.prod(shape) * dtype.itemsize
+        if nbytes != need:
             raise ValueError(
-                f"{path}: tensor {e['name']!r} has {e['nbytes']} bytes, but "
-                f"shape {e['shape']} of {dtype} needs {need}")
+                f"{path}: tensor {name!r} has {nbytes} bytes, but "
+                f"shape {shape} of {dtype} needs {need}")
         if start < base or stop > len(data):
             raise ValueError(
-                f"{path}: truncated checkpoint: tensor {e['name']!r} spans bytes "
+                f"{path}: truncated checkpoint: tensor {name!r} spans bytes "
                 f"{start}-{stop} of {len(data)}")
-        arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(e["shape"])
-        tensors[e["name"]] = arr.copy()
+        arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(shape)
+        tensors[name] = arr.copy()
         end = max(end, stop)
     if end != len(data):
         raise ValueError(
             f"{path}: {len(data) - end} unexpected bytes after the last tensor")
-    return Checkpoint(
-        hyper=HyperParams.from_dict(header["hyper"]),
-        pose_dim=int(header["pose_dim"]),
-        stats_fingerprint=header["stats_fingerprint"],
-        tensors=tensors,
-        extra=header.get("extra", {}),
-    )
+    return Checkpoint(hyper=hyper, pose_dim=pose_dim,
+                      stats_fingerprint=fingerprint, tensors=tensors,
+                      extra=header.get("extra", {}))
 
 
 def tensors_from_params(params: ModelParams) -> dict:
-    return {name: t.data for name, t in params.all_named().items()}
+    return {name: t.data for name, t in params.items()}
 
 
 def params_from_tensors(tensors: dict, requires_grad: bool = True) -> ModelParams:
-    def grab(name):
+    """The ``PARAM_NAMES`` entries of ``tensors`` (optimizer moments and any
+    other entries are ignored), copied into fresh tensors."""
+    for name in PARAM_NAMES:
         if name not in tensors:
             raise KeyError(f"checkpoint is missing tensor {name!r}")
-        return Tensor(tensors[name].copy(), requires_grad=requires_grad)
-
-    def cem(prefix):
-        kernels, biases = [], []
-        for i in (1, 2, 3):
-            kernels.append(grab(f"{prefix}.conv{i}.kernel"))
-            biases.append(grab(f"{prefix}.conv{i}.bias"))
-        return CemParams(kernels, biases, grab(f"{prefix}.fc.weight"),
-                         grab(f"{prefix}.fc.bias"))
-
-    decoder = DecoderParams(grab("decoder.fc1.weight"), grab("decoder.fc1.bias"),
-                            grab("decoder.fc2.weight"), grab("decoder.fc2.bias"))
-    disc = DiscriminatorParams(cem("disc.cem"), grab("disc.head.weight"),
-                               grab("disc.head.bias"))
-    return ModelParams(cem("long"), cem("short"), decoder, disc)
+    return ModelParams({name: Tensor(tensors[name].copy(),
+                                     requires_grad=requires_grad)
+                        for name in PARAM_NAMES})

@@ -116,7 +116,7 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
     fake_prob = None
     if hp.effective_lambda_adv > 0.0:
         fake_prob = M.discriminate(ad.concat([seeds, pred], axis=-2),
-                                   params.discriminator, hp, mode="train")
+                                   params, hp, mode="train")
     loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
     return pred, loss, terms
 
@@ -275,9 +275,9 @@ def reports_to_csv(reports, path=None, include_timing: bool = True) -> str:
 
 
 def _iteration_rngs(master_seed: int, iteration: int):
-    """Independent per-iteration streams: (sampling, generator dropout, spare)."""
+    """Independent per-iteration streams: (sampling, generator dropout)."""
     ss = np.random.SeedSequence([int(master_seed), int(iteration)])
-    children = ss.spawn(3)
+    children = ss.spawn(2)
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
@@ -297,7 +297,8 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
     ``resume_from`` may be a checkpoint path or ``Checkpoint``; training
     continues from its stored iteration with restored optimizer moments and
-    reproduces the uninterrupted trajectory exactly.
+    reproduces the uninterrupted trajectory exactly. ``schedule.iterations``
+    must exceed that iteration (0 for a fresh run), or ``ValueError``.
     """
     sequences = list(sequences)
     if not sequences:
@@ -317,7 +318,11 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         start_iteration = int(ckpt.extra.get("iteration", 0))
         master_seed = int(ckpt.extra.get("master_seed", master_seed))
         gen_state, disc_state = _optimizer_from_tensors(ckpt, params, hp)
-    elif params is None:
+    if schedule.iterations <= start_iteration:
+        raise ValueError(
+            f"nothing to train: {schedule.iterations} iterations requested, "
+            f"but the run starts after iteration {start_iteration}")
+    if params is None:
         init_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(master_seed), 0])))
         params = M.init_params(hp, pose_dim, init_rng)
@@ -339,7 +344,7 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
     for it in range(start_iteration + 1, schedule.iterations + 1):
         t0 = time.perf_counter()
-        sample_rng, gen_rng, _spare = _iteration_rngs(master_seed, it)
+        sample_rng, gen_rng = _iteration_rngs(master_seed, it)
         batch = sampler.sample(sample_rng, hp.batch_size)
         seeds_t = Tensor(batch.seeds)
         targets_t = Tensor(batch.targets)
@@ -362,9 +367,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
             fake_frames = Tensor(pred.data.copy())
             with GradTape() as dtape:
                 real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
-                                        params.discriminator, hp, mode="train")
+                                        params, hp, mode="train")
                 fake_p = M.discriminate(ad.concat([seeds_t, fake_frames], axis=1),
-                                        params.discriminator, hp, mode="train")
+                                        params, hp, mode="train")
                 d_loss = loss_discriminator(real_p, fake_p)
             d_loss_val = d_loss.item()
             if not np.isfinite(d_loss_val):

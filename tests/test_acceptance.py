@@ -216,8 +216,8 @@ def test_criterion_5_window_semantics():
                        channels=(2, 3, 3), fc_out=8, dropout=0.0)
     rng = np.random.default_rng(0)
     params = M.init_params(hp, 6, rng)
-    params.decoder.fc2_weight.assign_(
-        rng.normal(scale=0.05, size=params.decoder.fc2_weight.shape))
+    params["decoder.fc2.weight"].assign_(
+        rng.normal(scale=0.05, size=params["decoder.fc2.weight"].shape))
     seed = rng.normal(size=(t, 6))
     teacher = rng.normal(size=(T_, 6))
 
@@ -300,9 +300,9 @@ def test_criterion_7_adversarial_loop():
         real = np.repeat(levels, full_len, axis=1)
         fake = rng.normal(size=(16, full_len, L))
         with GradTape() as tape:
-            rp = M.discriminate(Tensor(real), params.discriminator, hp,
+            rp = M.discriminate(Tensor(real), params, hp,
                                 mode="train")
-            fp = M.discriminate(Tensor(fake), params.discriminator, hp,
+            fp = M.discriminate(Tensor(fake), params, hp,
                                 mode="train")
             d_loss = T.loss_discriminator(rp, fp)
         if d_loss.item() < 0.1:
@@ -315,14 +315,10 @@ def test_criterion_7_adversarial_loop():
     # term pinned at its minimum (target = detached current prediction), so
     # the step direction is the adversarial component alone
     gen_rng = np.random.default_rng(7)
-    gparams = M.ModelParams(
-        long_encoder=M.CemParams.init(hp.long_cem(L), gen_rng),
-        short_encoder=M.CemParams.init(hp.short_cem(L), gen_rng),
-        decoder=M.DecoderParams.init(hp.fc_out, L, gen_rng),
-        discriminator=params.discriminator,  # the trained one
-    )
-    gparams.decoder.fc2_weight.assign_(
-        gen_rng.normal(scale=0.1, size=gparams.decoder.fc2_weight.shape))
+    gparams = M.init_params(hp, L, gen_rng)
+    gparams.update(params.discriminator_named())  # the trained one
+    gparams["decoder.fc2.weight"].assign_(
+        gen_rng.normal(scale=0.1, size=gparams["decoder.fc2.weight"].shape))
     gen_named = gparams.generator_named()
     gstate = T.AdamState.for_params(gen_named)
     seeds = Tensor(gen_rng.normal(size=(16, hp.seed_frames, L)))
@@ -330,7 +326,7 @@ def test_criterion_7_adversarial_loop():
     def adv_term():
         pred = M.predict_sequence(seeds, gparams, hp, mode="eval")
         fp = M.discriminate(ad.concat([seeds, pred], axis=1),
-                            gparams.discriminator, hp)
+                            gparams, hp)
         clipped = ad.clip(fp, T.PROB_EPS, 1.0 - T.PROB_EPS)
         return -ad.tmean(ad.tlog(clipped)).item()
 
@@ -339,7 +335,7 @@ def test_criterion_7_adversarial_loop():
         pred = M.predict_sequence(seeds, gparams, hp, mode="train")
         target = Tensor(pred.data.copy())
         fp = M.discriminate(ad.concat([seeds, pred], axis=1),
-                            gparams.discriminator, hp, mode="train")
+                            gparams, hp, mode="train")
         loss, _ = T.loss_generator(pred, target, gen_named, fp, hp)
     grads = backward(loss, tape)
     T.adam_step(gen_named, T.grads_by_name(gen_named, grads), gstate,

@@ -253,3 +253,19 @@ def test_train_honours_config_schedule(corpus, tmp_path, capsys):
     assert len(report_lines) == 5  # header + 4 iterations
     assert sorted(p.name for p in out_dir.glob("*.ckpt")) == [
         "ckpt_0000002.ckpt", "ckpt_0000004.ckpt"]
+
+
+def test_train_rejects_finished_run_before_writing(corpus, tmp_path):
+    manifest, stats_path = corpus
+    out_dir = tmp_path / "run"
+    base = ["train", "--data", str(manifest), "--stats", str(stats_path),
+            "--out", str(out_dir), "--no-adv"] + MICRO_FLAGS
+    assert cli.main(base + ["--iters", "2", "--checkpoint-every", "2"]) == 0
+    report = (out_dir / "report.csv").read_text()
+    with pytest.raises(ValueError, match="2 iterations requested.*iteration 2"):
+        cli.main(base + ["--iters", "2", "--resume",
+                         str(out_dir / "ckpt_0000002.ckpt")])
+    assert (out_dir / "report.csv").read_text() == report
+    with pytest.raises(ValueError, match="0 iterations requested.*iteration 0"):
+        cli.main(base + ["--iters", "0"])
+    assert (out_dir / "report.csv").read_text() == report

@@ -131,12 +131,13 @@ def test_reference_chunk_consistency():
 def test_encoder_passes_serial_grad_check():
     hp = M.HyperParams(seed_frames=8, target_frames=2, window=4,
                        channels=(2, 3, 3), fc_out=8, dropout=0.5)
-    cfg = M.CemConfig(input_frames=8, pose_dim=10, channels=(2, 3, 3),
-                      fc_out=8, dropout=0.5)
+    cfg = hp.long_cem(10)
     rng = np.random.default_rng(0)
-    p = M.CemParams.init(cfg, rng)
-    for t in p.conv_biases + [p.fc_bias]:
-        t.assign_(rng.normal(scale=0.1, size=t.shape))
+    p = M.init_params(hp, 10, rng)
+    encoder = {n: t for n, t in p.items() if n.startswith("long.")}
+    for name, t in encoder.items():
+        if name.endswith(".bias"):
+            t.assign_(rng.normal(scale=0.1, size=t.shape))
     frames = rng.normal(size=(8, 10))
 
     def f():
@@ -144,7 +145,7 @@ def test_encoder_passes_serial_grad_check():
         code = M.cem_forward(frames, p, cfg, mode="train", rng=mask_rng)
         return ad.tsum(ad.square(code))
 
-    report = ad.grad_check(f, p.named("enc"), h=1e-5, tol=1e-4)
+    report = ad.grad_check(f, encoder, h=1e-5, tol=1e-4)
     assert report.passed, report.summary()
 
 
@@ -156,8 +157,8 @@ def test_discriminator_bce_passes_serial_grad_check():
     fake = rng.normal(size=(hp.seed_frames + hp.target_frames, POSE))
 
     def f():
-        rp = M.discriminate(real, params.discriminator, hp)
-        fp = M.discriminate(fake, params.discriminator, hp)
+        rp = M.discriminate(real, params, hp)
+        fp = M.discriminate(fake, params, hp)
         return T.loss_discriminator(ad.reshape(rp, (1,)), ad.reshape(fp, (1,)))
 
     report = ad.grad_check(f, params.discriminator_named(), h=1e-5, tol=1e-4)

@@ -60,8 +60,51 @@ def test_hyperparams_validation():
 def test_decoder_input_width_is_two_codes():
     hp = M.HyperParams()
     p = M.init_params(hp, 54, np.random.default_rng(0))
-    assert p.decoder.fc1_weight.shape == (512, 1024)
-    assert p.decoder.fc2_weight.shape == (54, 512)
+    assert p["decoder.fc1.weight"].shape == (512, 1024)
+    assert p["decoder.fc2.weight"].shape == (54, 512)
+
+
+# ---------------------------------------------------------------------------
+# the parameter map
+# ---------------------------------------------------------------------------
+
+
+def test_init_params_fills_param_names_in_order():
+    p = M.init_params(tiny_hp(), POSE_DIM, np.random.default_rng(0))
+    assert list(p) == list(M.PARAM_NAMES)
+    assert len(M.PARAM_NAMES) == 8 + 8 + 4 + 8 + 2
+
+
+def test_generator_named_can_leave_out_the_long_encoder(params):
+    gen = params.generator_named(include_long=False)
+    assert not any(n.startswith("long.") for n in gen)
+    assert set(gen) == set(params.generator_named()) - {
+        n for n in params if n.startswith("long.")}
+    assert len(gen) == 8 + 4
+
+
+def test_discriminator_named_is_exactly_the_disc_tensors(params):
+    disc = params.discriminator_named()
+    assert set(disc) == {n for n in M.PARAM_NAMES if n.startswith("disc.")}
+    assert len(disc) == 8 + 2
+    assert not set(disc) & set(params.generator_named())
+
+
+def test_params_from_tensors_ignores_optimizer_moments(params):
+    tensors = M.tensors_from_params(params)
+    tensors["optim.gen.m.decoder.fc1.bias"] = np.ones(64)
+    restored = M.params_from_tensors(tensors)
+    assert list(restored) == list(M.PARAM_NAMES)
+    for name, t in params.items():
+        np.testing.assert_array_equal(restored[name].data, t.data)
+        assert restored[name] is not t
+
+
+def test_params_from_tensors_names_a_missing_tensor(params):
+    tensors = M.tensors_from_params(params)
+    del tensors["short.conv2.bias"]
+    with pytest.raises(KeyError, match="short.conv2.bias"):
+        M.params_from_tensors(tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -72,44 +115,41 @@ def test_decoder_input_width_is_two_codes():
 def test_cem_zero_params_gives_bias_only(params):
     hp = tiny_hp()
     cfg = hp.long_cem(POSE_DIM)
-    for k in params.long_encoder.conv_kernels:
-        k.assign_(np.zeros(k.shape))
-    for b in params.long_encoder.conv_biases:
-        b.assign_(np.zeros(b.shape))
-    params.long_encoder.fc_weight.assign_(np.zeros(params.long_encoder.fc_weight.shape))
-    params.long_encoder.fc_bias.assign_(np.zeros(params.long_encoder.fc_bias.shape))
+    for name, t in params.items():
+        if name.startswith("long."):
+            t.assign_(np.zeros(t.shape))
     code = M.cem_forward(np.random.default_rng(1).normal(size=(16, POSE_DIM)),
-                         params.long_encoder, cfg)
+                         params, cfg)
     np.testing.assert_array_equal(code.data, np.zeros(64))
 
     bias = np.random.default_rng(2).normal(size=64)
-    params.long_encoder.fc_bias.assign_(bias)
-    code = M.cem_forward(np.zeros((16, POSE_DIM)), params.long_encoder, cfg)
+    params["long.fc.bias"].assign_(bias)
+    code = M.cem_forward(np.zeros((16, POSE_DIM)), params, cfg)
     np.testing.assert_array_equal(code.data, bias)
 
 
 def test_cem_forward_shapes_match_trace(params):
     hp = tiny_hp()
     cfg = hp.long_cem(POSE_DIM)
-    code = M.cem_forward(np.zeros((16, POSE_DIM)), params.long_encoder, cfg)
+    code = M.cem_forward(np.zeros((16, POSE_DIM)), params, cfg)
     assert code.shape == (64,)
-    batch = M.cem_forward(np.zeros((5, 16, POSE_DIM)), params.long_encoder, cfg)
+    batch = M.cem_forward(np.zeros((5, 16, POSE_DIM)), params, cfg)
     assert batch.shape == (5, 64)
 
 
 def test_cem_rejects_wrong_frame_count(params):
     cfg = tiny_hp().long_cem(POSE_DIM)
     with pytest.raises(ShapeError, match="frames"):
-        M.cem_forward(np.zeros((10, POSE_DIM)), params.long_encoder, cfg)
+        M.cem_forward(np.zeros((10, POSE_DIM)), params, cfg)
 
 
 def test_cem_full_size_shape_trace():
     hp = M.HyperParams()
     rng = np.random.default_rng(0)
-    p = M.CemParams.init(hp.long_cem(54), rng)
+    p = M.init_params(hp, 54, rng)
     code = M.cem_forward(rng.normal(size=(50, 54)), p, hp.long_cem(54))
     assert code.shape == (512,)
-    assert p.fc_weight.shape == (512, 6272)  # 128 * 7 * 7
+    assert p["long.fc.weight"].shape == (512, 6272)  # 128 * 7 * 7
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +162,7 @@ def test_decode_zero_params_is_identity(params):
     zl = Tensor(np.random.default_rng(0).normal(size=64))
     zs = Tensor(np.random.default_rng(1).normal(size=64))
     prev = Tensor(np.random.default_rng(2).normal(size=POSE_DIM))
-    out = M.decode_step(zl, zs, prev, params.decoder, hp)
+    out = M.decode_step(zl, zs, prev, params, hp)
     # final layer is zero-initialized, so the step is a pure residual identity
     np.testing.assert_array_equal(out.data, prev.data)
 
@@ -130,29 +170,30 @@ def test_decode_zero_params_is_identity(params):
 def test_decode_zero_codes_second_bias(params):
     hp = tiny_hp()
     b2 = np.random.default_rng(3).normal(size=POSE_DIM)
-    params.decoder.fc2_bias.assign_(b2)
+    params["decoder.fc2.bias"].assign_(b2)
     zl = Tensor(np.zeros(64))
     zs = Tensor(np.zeros(64))
     prev = Tensor(np.random.default_rng(4).normal(size=POSE_DIM))
-    out = M.decode_step(zl, zs, prev, params.decoder, hp)
+    out = M.decode_step(zl, zs, prev, params, hp)
     np.testing.assert_allclose(out.data, prev.data + b2, atol=1e-15)
 
 
 def test_decode_matches_straight_line_oracle():
     hp = tiny_hp()
     rng = np.random.default_rng(5)
-    dec = M.DecoderParams.init(64, POSE_DIM, rng)
-    dec.fc2_weight.assign_(rng.normal(size=(POSE_DIM, 64)) * 0.1)
-    dec.fc2_bias.assign_(rng.normal(size=POSE_DIM) * 0.1)
+    p = M.init_params(hp, POSE_DIM, rng)
+    p["decoder.fc2.weight"].assign_(rng.normal(size=(POSE_DIM, 64)) * 0.1)
+    p["decoder.fc2.bias"].assign_(rng.normal(size=POSE_DIM) * 0.1)
     zl = rng.normal(size=64)
     zs = rng.normal(size=64)
     prev = rng.normal(size=POSE_DIM)
-    out = M.decode_step(Tensor(zl), Tensor(zs), Tensor(prev), dec, hp)
+    out = M.decode_step(Tensor(zl), Tensor(zs), Tensor(prev), p, hp)
 
     # independent re-implementation of the two affine maps
-    h = np.concatenate([zl, zs]) @ dec.fc1_weight.data.T + dec.fc1_bias.data
+    d = M.tensors_from_params(p)
+    h = np.concatenate([zl, zs]) @ d["decoder.fc1.weight"].T + d["decoder.fc1.bias"]
     h = np.where(h >= 0, h, hp.leaky_slope * h)
-    expect = h @ dec.fc2_weight.data.T + dec.fc2_bias.data + prev
+    expect = h @ d["decoder.fc2.weight"].T + d["decoder.fc2.bias"] + prev
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
@@ -232,8 +273,9 @@ def _rich_params(hp, seed=8):
     """Parameters with a non-zero final decoder layer so predictions move."""
     rng = np.random.default_rng(seed)
     p = M.init_params(hp, POSE_DIM, rng)
-    p.decoder.fc2_weight.assign_(rng.normal(size=p.decoder.fc2_weight.shape) * 0.05)
-    p.decoder.fc2_bias.assign_(rng.normal(size=POSE_DIM) * 0.05)
+    p["decoder.fc2.weight"].assign_(
+        rng.normal(size=p["decoder.fc2.weight"].shape) * 0.05)
+    p["decoder.fc2.bias"].assign_(rng.normal(size=POSE_DIM) * 0.05)
     return p
 
 
@@ -288,10 +330,9 @@ def test_long_code_computed_exactly_once(monkeypatch):
     calls = {"long": 0, "short": 0}
     real = M.cem_forward
 
-    def counting(frames, cem_params, cfg, **kw):
-        key = "long" if cem_params is p.long_encoder else "short"
-        calls[key] += 1
-        return real(frames, cem_params, cfg, **kw)
+    def counting(frames, params, cfg, **kw):
+        calls[cfg.prefix] += 1
+        return real(frames, params, cfg, **kw)
 
     monkeypatch.setattr(M, "cem_forward", counting)
     M.predict_sequence(np.zeros((16, POSE_DIM)), p, hp)
@@ -317,10 +358,10 @@ def test_no_long_term_zero_fills_code(monkeypatch):
     calls = {"n": 0}
     real = M.cem_forward
 
-    def counting(frames, cem_params, cfg, **kw):
-        if cem_params is p.long_encoder:
+    def counting(frames, params, cfg, **kw):
+        if cfg.prefix == "long":
             calls["n"] += 1
-        return real(frames, cem_params, cfg, **kw)
+        return real(frames, params, cfg, **kw)
 
     monkeypatch.setattr(M, "cem_forward", counting)
     out = M.predict_sequence(np.random.default_rng(0).normal(size=(16, POSE_DIM)),
@@ -358,21 +399,19 @@ def test_train_mode_dropout_changes_outputs():
 
 def test_discriminator_zero_params_gives_half(params):
     hp = tiny_hp()
-    d = params.discriminator
-    for k in d.cem.conv_kernels:
-        k.assign_(np.zeros(k.shape))
-    d.cem.fc_weight.assign_(np.zeros(d.cem.fc_weight.shape))
-    d.head_weight.assign_(np.zeros(d.head_weight.shape))
+    for name in ("disc.cem.conv1.kernel", "disc.cem.conv2.kernel",
+                 "disc.cem.conv3.kernel", "disc.cem.fc.weight",
+                 "disc.head.weight"):
+        params[name].assign_(np.zeros(params[name].shape))
     full = np.random.default_rng(0).normal(size=(22, POSE_DIM))
-    prob = M.discriminate(full, d, hp)
+    prob = M.discriminate(full, params, hp)
     assert prob.item() == pytest.approx(0.5)
 
 
 def test_discriminator_outputs_probabilities(params):
     hp = tiny_hp()
     rng = np.random.default_rng(1)
-    probs = M.discriminate(rng.normal(size=(5, 22, POSE_DIM)),
-                           params.discriminator, hp)
+    probs = M.discriminate(rng.normal(size=(5, 22, POSE_DIM)), params, hp)
     assert probs.shape == (5,)
     assert np.all(probs.data > 0.0) and np.all(probs.data < 1.0)
 
@@ -405,12 +444,32 @@ def test_checkpoint_bytes_deterministic(tmp_path, params):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _edited_header(header: dict, what: str):
+    """A valid-JSON but malformed variant of a checkpoint header."""
+    if what == "nbytes vs shape":
+        header["tensors"][0]["shape"][0] += 1
+    elif what == "no stats_fingerprint":
+        del header["stats_fingerprint"]
+    elif what == "no tensors":
+        del header["tensors"]
+    elif what == "unknown hyper key":
+        header["hyper"]["not_a_field"] = 1
+    elif what == "bad dtype":
+        header["tensors"][0]["dtype"] = "float99"
+    elif what == "header is a list":
+        return [header]
+    return header
+
+
+HEADER_EDITS = ("nbytes vs shape", "no stats_fingerprint", "no tensors",
+                "unknown hyper key", "bad dtype", "header is a list")
+
+
 def _corrupted(good: bytes, what: str) -> bytes:
     header_len = struct.unpack("<I", good[8:12])[0]
     body = good[12 + header_len:]
-    if what == "nbytes vs shape":
-        header = json.loads(good[12:12 + header_len])
-        header["tensors"][0]["shape"][0] += 1
+    if what in HEADER_EDITS:
+        header = _edited_header(json.loads(good[12:12 + header_len]), what)
         raw = json.dumps(header).encode()
         return good[:8] + struct.pack("<I", len(raw)) + raw + body
     return {
@@ -426,7 +485,7 @@ def _corrupted(good: bytes, what: str) -> bytes:
 
 @pytest.mark.parametrize("what", [
     "short file", "no header length", "header cut", "header not JSON",
-    "first tensor cut", "last tensor cut", "trailing bytes", "nbytes vs shape"])
+    "first tensor cut", "last tensor cut", "trailing bytes", *HEADER_EDITS])
 def test_checkpoint_truncated_or_corrupt_rejected(tmp_path, params, what):
     path = tmp_path / "model.ckpt"
     M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64,

@@ -339,7 +339,7 @@ def test_gradient_isolation_between_players():
         pred = M.predict_sequence(seeds_t, params, hp, teacher=targets_t,
                                   mode="train", rng=np.random.default_rng(2))
         fake_prob = M.discriminate(ad.concat([seeds_t, pred], axis=1),
-                                   params.discriminator, hp, mode="train")
+                                   params, hp, mode="train")
         loss, _ = T.loss_generator(pred, targets_t, gen_named, fake_prob, hp)
     grads = backward(loss, tape)
     T.adam_step(gen_named, T.grads_by_name(gen_named, grads), gen_state,
@@ -352,9 +352,9 @@ def test_gradient_isolation_between_players():
     fake_const = Tensor(pred.data.copy())
     with GradTape() as dtape:
         real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
-                                params.discriminator, hp, mode="train")
+                                params, hp, mode="train")
         fake_p = M.discriminate(ad.concat([seeds_t, fake_const], axis=1),
-                                params.discriminator, hp, mode="train")
+                                params, hp, mode="train")
         d_loss = T.loss_discriminator(real_p, fake_p)
     dgrads = backward(d_loss, dtape)
     T.adam_step(disc_named, T.grads_by_name(disc_named, dgrads), disc_state,
@@ -406,9 +406,9 @@ def test_discriminator_separates_constant_vs_noise():
         real = np.repeat(levels, full_len, axis=1)
         fake = rng.normal(size=(16, full_len, L))
         with GradTape() as tape:
-            rp = M.discriminate(Tensor(real), params.discriminator, hp,
+            rp = M.discriminate(Tensor(real), params, hp,
                                 mode="train")
-            fp = M.discriminate(Tensor(fake), params.discriminator, hp,
+            fp = M.discriminate(Tensor(fake), params, hp,
                                 mode="train")
             loss = T.loss_discriminator(rp, fp)
         grads = backward(loss, tape)
@@ -418,8 +418,8 @@ def test_discriminator_separates_constant_vs_noise():
     levels = eval_rng.normal(size=(50, 1, L))
     real = np.repeat(levels, full_len, axis=1)
     fake = eval_rng.normal(size=(50, full_len, L))
-    rp = M.discriminate(Tensor(real), params.discriminator, hp).data
-    fp = M.discriminate(Tensor(fake), params.discriminator, hp).data
+    rp = M.discriminate(Tensor(real), params, hp).data
+    fp = M.discriminate(Tensor(fake), params, hp).data
     accuracy = (np.sum(rp > 0.5) + np.sum(fp < 0.5)) / 100.0
     assert accuracy > 0.95, f"accuracy {accuracy}"
 
