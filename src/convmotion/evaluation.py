@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .mocap import (
 
 HORIZONS_MS_DEFAULT = (80, 160, 320, 400, 1000)
 # joints start after the leading translation triple
-JOINT_START_DEFAULT = 3
+JOINT_START = 3
 
 
 def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
@@ -48,19 +48,17 @@ def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
     return frames
 
 
-def frame_to_euler(frame: np.ndarray,
-                   joint_start: int = JOINT_START_DEFAULT) -> np.ndarray:
+def frame_to_euler(frame: np.ndarray) -> np.ndarray:
     """Convert each joint triple of a raw-width frame to Euler angles."""
     out = np.array(frame, dtype=np.float64, copy=True)
     width = out.shape[0]
-    for j in range(joint_start, width - 2, 3):
+    for j in range(JOINT_START, width - 2, 3):
         out[j:j + 3] = rotmat_to_euler(expmap_to_rotmat(frame[j:j + 3]))
     return out
 
 
 def euler_error(pred_frames: np.ndarray, truth_frames: np.ndarray,
-                frame_idx: int, stats: NormalizationStats,
-                joint_start: int = JOINT_START_DEFAULT) -> float:
+                frame_idx: int, stats: NormalizationStats) -> float:
     """Euler-angle distance between prediction and truth at one frame.
 
     Both inputs are denormalized ``[num_frames, raw_dim]`` arrays; the error
@@ -79,8 +77,8 @@ def euler_error(pred_frames: np.ndarray, truth_frames: np.ndarray,
         )
     if not 0 <= frame_idx < min(pred_frames.shape[0], truth_frames.shape[0]):
         raise IndexError(f"frame index {frame_idx} out of range")
-    pe = frame_to_euler(pred_frames[frame_idx], joint_start)
-    te = frame_to_euler(truth_frames[frame_idx], joint_start)
+    pe = frame_to_euler(pred_frames[frame_idx])
+    te = frame_to_euler(truth_frames[frame_idx])
     diff = (pe - te)[stats.kept]
     return float(np.sqrt(np.sum(diff * diff)))
 
@@ -146,7 +144,6 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
              num_sequences: int = 8, seed: int = 0,
              horizons_ms=HORIZONS_MS_DEFAULT,
              frame_ms: float = FRAME_MS_DEFAULT,
-             joint_start: int = JOINT_START_DEFAULT,
              dump_dir=None) -> HorizonReport:
     """Score a predictor on randomly drawn windows, per action and horizon.
 
@@ -154,6 +151,8 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
     prediction. Windows are drawn deterministically from ``seed``; the same
     seed always yields the same report.
     """
+    if num_sequences < 1:
+        raise ValueError(f"num_sequences must be at least 1, got {num_sequences}")
     frames_at = horizon_frames(horizons_ms, frame_ms)
     if max(frames_at) > target_frames:
         raise ValueError(
@@ -189,8 +188,7 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
             pred_raw = denormalize_frames(pred_norm, stats)
             truth_raw = denormalize_frames(truth_norm, stats)
             for ms, f in zip(horizons_ms, frames_at):
-                sums[ms] += euler_error(pred_raw, truth_raw, f - 1, stats,
-                                        joint_start)
+                sums[ms] += euler_error(pred_raw, truth_raw, f - 1, stats)
             if dump_dir is not None:
                 out = Path(dump_dir)
                 out.mkdir(parents=True, exist_ok=True)

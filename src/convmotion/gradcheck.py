@@ -31,6 +31,13 @@ PROB_EPS = T.PROB_EPS
 # desk-scale configuration used by the verification suite
 TINY_POSE_DIM = 12
 
+# primary central-difference step and the parameter entries differenced per
+# reference call
+FD_STEP = 1e-5
+FD_CHUNK = 1024
+# steps at which elements failing at FD_STEP are re-differenced
+RETRY_STEPS = (1e-4, 1e-3, 4e-3, 2e-6, 1e-7)
+
 
 def tiny_hyperparams(**overrides) -> M.HyperParams:
     base = dict(seed_frames=16, target_frames=6, window=8,
@@ -236,11 +243,12 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
 def taped_objective(params: M.ModelParams, gen_named: dict, seed: np.ndarray,
                     target: np.ndarray, hp: M.HyperParams, adversarial: bool,
                     mask_seed: int):
-    """One tape evaluation of the objective; returns (loss tensor, tape)."""
+    """One tape evaluation of the objective on a single ``[t, L]`` seed and
+    ``[T, L]`` target; returns (loss tensor, tape)."""
     rng = np.random.Generator(np.random.PCG64(mask_seed))
     with GradTape() as tape:
         _pred, loss, _terms = T.generator_objective(
-            params, gen_named, Tensor(seed), Tensor(target),
+            params, gen_named, Tensor(seed[None]), Tensor(target[None]),
             replace(hp, adversarial=adversarial), rng)
     return loss, tape
 
@@ -265,14 +273,12 @@ def generic_params(hp: M.HyperParams, pose_dim: int,
 
 def full_model_grad_check(hp: Optional[M.HyperParams] = None,
                           pose_dim: int = TINY_POSE_DIM, seed: int = 0,
-                          adversarial: bool = False, h: float = 1e-5,
-                          tol: float = 1e-4, chunk: int = 1024,
-                          retry_steps=(1e-4, 1e-3, 4e-3, 2e-6, 1e-7)
-                          ) -> GradCheckReport:
+                          adversarial: bool = False,
+                          tol: float = 1e-4) -> GradCheckReport:
     """Check every generator parameter of the full objective at one seed.
 
-    Elements failing at the primary step are re-differenced at the steps in
-    ``retry_steps`` and keep their best agreement: a larger step escapes the
+    Elements failing at ``FD_STEP`` are re-differenced at each of
+    ``RETRY_STEPS`` and keep their best agreement: a larger step escapes the
     64-bit cancellation floor on near-zero gradients, a smaller one escapes
     activation-kink crossings (at seed 13 every step down to 2e-6 straddles
     a leaky-ReLU kink). An actual gradient defect fails at every step.
@@ -310,15 +316,15 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
             analytic = np.zeros_like(p.data)
         a_flat = analytic.reshape(-1)
         numeric = _fd_gradient(arrays, name, np.arange(p.size), seed_frames,
-                               target_frames, masks, hp, adversarial, h, chunk)
+                               target_frames, masks, hp, adversarial, FD_STEP)
         rel = _rel_err(a_flat, numeric)
-        for h_alt in retry_steps:
+        for h_alt in RETRY_STEPS:
             bad = np.flatnonzero(rel > tol)
             if bad.size == 0:
                 break
             numeric_alt = _fd_gradient(arrays, name, bad, seed_frames,
                                        target_frames, masks, hp, adversarial,
-                                       h_alt, chunk)
+                                       h_alt)
             rel_alt = _rel_err(a_flat[bad], numeric_alt)
             better = rel_alt < rel[bad]
             numeric[bad[better]] = numeric_alt[better]
@@ -336,13 +342,13 @@ def _rel_err(a, n):
 
 
 def _fd_gradient(arrays, name, indices, seed, target, masks, hp, adversarial,
-                 h, chunk):
+                 h):
     """Central differences of the reference objective at selected flat indices."""
     base = arrays[name]
     flat = base.reshape(-1)
     grad = np.empty(indices.size)
-    for start in range(0, indices.size, chunk):
-        idxs = indices[start:start + chunk]
+    for start in range(0, indices.size, FD_CHUNK):
+        idxs = indices[start:start + FD_CHUNK]
         P = 2 * idxs.size
         stack = np.repeat(flat[None, :], P, axis=0)
         rows = np.arange(idxs.size)
@@ -357,7 +363,7 @@ def _fd_gradient(arrays, name, indices, seed, target, masks, hp, adversarial,
 
 def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
               hp: Optional[M.HyperParams] = None, pose_dim: int = TINY_POSE_DIM,
-              h: float = 1e-5, verbose: bool = False, jobs: int = 1) -> list:
+              verbose: bool = False, jobs: int = 1) -> list:
     """Run the full check over several seeds and objective variants.
 
     Returns ``[(seed, adversarial, GradCheckReport), ...]``; the suite passes
@@ -366,13 +372,10 @@ def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
     """
     grid = [(seed, adversarial) for seed in seeds for adversarial in variants]
     if jobs > 1:
-        results = _run_grid_parallel(grid, tol, hp, pose_dim, h, jobs)
+        results = _run_grid_parallel(grid, tol, hp, pose_dim, jobs)
     else:
-        results = []
-        for seed, adversarial in grid:
-            report = full_model_grad_check(hp=hp, pose_dim=pose_dim, seed=seed,
-                                           adversarial=adversarial, h=h, tol=tol)
-            results.append((seed, adversarial, report))
+        results = [_grid_job((seed, adversarial, tol, hp, pose_dim))
+                   for seed, adversarial in grid]
     if verbose:
         for seed, adversarial, report in results:
             tag = "full" if adversarial else "mse+l2"
@@ -382,13 +385,13 @@ def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
 
 
 def _grid_job(args):
-    seed, adversarial, tol, hp, pose_dim, h = args
+    seed, adversarial, tol, hp, pose_dim = args
     report = full_model_grad_check(hp=hp, pose_dim=pose_dim, seed=seed,
-                                   adversarial=adversarial, h=h, tol=tol)
+                                   adversarial=adversarial, tol=tol)
     return seed, adversarial, report
 
 
-def _run_grid_parallel(grid, tol, hp, pose_dim, h, jobs):
+def _run_grid_parallel(grid, tol, hp, pose_dim, jobs):
     """Spawned workers each pin their BLAS pool to one thread: the small
     GEMMs here gain nothing from threads, and unpinned workers contend."""
     import multiprocessing as mp
@@ -403,7 +406,7 @@ def _run_grid_parallel(grid, tol, hp, pose_dim, h, jobs):
         with ctx.Pool(processes=jobs) as pool:
             results = pool.map(
                 _grid_job,
-                [(seed, adv, tol, hp, pose_dim, h) for seed, adv in grid])
+                [(seed, adv, tol, hp, pose_dim) for seed, adv in grid])
     finally:
         for k, v in saved.items():
             if v is None:

@@ -190,14 +190,10 @@ class NormalizationStats:
 
 @dataclass
 class MotionSequence:
-    """Frames in normalized reduced space, tied to the stats that produced them."""
+    """One trial's frames in normalized reduced space."""
 
     frames: np.ndarray  # [num_frames, reduced_dim]
-    stats: NormalizationStats
-    action: str = "unknown"
-    subject: str = "unknown"
-    trial_id: int = 0
-    frame_ms: float = FRAME_MS_DEFAULT
+    action: str
 
     @property
     def num_frames(self) -> int:
@@ -231,10 +227,7 @@ def fit_stats(trials: Sequence[RawTrial], eps_const: float = EPS_CONST_DEFAULT,
 
 
 def normalize(trial: RawTrial, stats: NormalizationStats) -> MotionSequence:
-    frames = normalize_frames(trial.frames, stats)
-    return MotionSequence(frames, stats, action=trial.action,
-                          subject=trial.subject, trial_id=trial.trial_id,
-                          frame_ms=trial.frame_ms)
+    return MotionSequence(normalize_frames(trial.frames, stats), trial.action)
 
 
 def normalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -363,13 +356,6 @@ class DatasetManifest:
     test: list
     frame_ms: float = FRAME_MS_DEFAULT
     root: Optional[Path] = None  # set when loaded from disk
-
-    def actions(self) -> list:
-        seen = []
-        for ref in self.train + self.test:
-            if ref.action not in seen:
-                seen.append(ref.action)
-        return seen
 
     def to_json(self) -> str:
         def encode(refs):

@@ -112,17 +112,17 @@ class HyperParams:
 @dataclass(frozen=True)
 class CemConfig:
     """Shape contract for one convolutional encoding module; ``prefix`` names
-    its tensors in ``ModelParams``."""
+    its tensors in ``ModelParams``. Built by ``HyperParams._cem``."""
 
     input_frames: int
     pose_dim: int
-    channels: tuple = (64, 128, 128)
-    kernel: tuple = (2, 7)
-    stride: tuple = (2, 2)
-    fc_out: int = 512
-    dropout: float = 0.5
-    leaky_slope: float = 0.2
-    prefix: str = "long"
+    channels: tuple
+    kernel: tuple
+    stride: tuple
+    fc_out: int
+    dropout: float
+    leaky_slope: float
+    prefix: str
 
     def grid_trace(self):
         """Per-layer (height, width) grids, input first."""
@@ -241,25 +241,27 @@ def _as_batched(frames) -> tuple:
     raise ad.ShapeError(f"expected [n, L] or [B, n, L] frames, got {frames.shape}")
 
 
-def cem_forward(frames, params: ModelParams, cfg: CemConfig, mode: str = "eval",
+def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
+                mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Encode a frame grid into a fixed-width code with the ``cfg.prefix``
-    tensors of ``params``.
+    """Encode a ``[B, n, L]`` batch of frame grids into ``[B, fc_out]`` codes
+    with the ``cfg.prefix`` tensors of ``params``.
 
     The frames form a one-channel image, time along the height axis and pose
     dimension along the width axis. Each conv layer applies symmetric
     "same"-style zero padding, stride-2 subsampling, and a leaky ReLU; dropout
     sits between the last conv layer and the affine map.
     """
-    x, batched = _as_batched(frames)
-    B, n, L = x.shape
+    if frames.ndim != 3:
+        raise ad.ShapeError(f"encoder expects [B, n, L] frames, got {frames.shape}")
+    B, n, L = frames.shape
     if n != cfg.input_frames:
         raise ad.ShapeError(
             f"encoder expects {cfg.input_frames} frames, got {n}"
         )
     if L != cfg.pose_dim:
         raise ad.ShapeError(f"encoder expects pose dim {cfg.pose_dim}, got {L}")
-    h = ad.reshape(x, (B, 1, n, L))
+    h = ad.reshape(frames, (B, 1, n, L))
     kH, kW = cfg.kernel
     sH, sW = cfg.stride
     for i in range(1, len(cfg.channels) + 1):
@@ -271,29 +273,22 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig, mode: str = "eval",
         h = ad.leaky_relu(h, cfg.leaky_slope)
     h = ad.dropout(h, cfg.dropout, mode=mode, rng=rng)
     h = ad.reshape(h, (B, -1))
-    code = ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
+    return ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
                      params[f"{cfg.prefix}.fc.bias"])
-    return code if batched else ad.reshape(code, (cfg.fc_out,))
 
 
 def decode_step(zl: Tensor, zs: Tensor, prev: Tensor, params: ModelParams,
                 hp: HyperParams, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-    """One residual decoding step: concat codes -> affine -> leaky ReLU ->
-    dropout -> affine -> add previous frame."""
-    h = ad.concat([zl, zs], axis=-1)
-    squeeze = h.ndim == 1
-    if squeeze:
-        h = ad.reshape(h, (1, -1))
-        prev_b = ad.reshape(prev, (1, -1))
-    else:
-        prev_b = prev
-    h = ad.linear(h, params["decoder.fc1.weight"], params["decoder.fc1.bias"])
+    """One residual decoding step on ``[B, fc_out]`` codes and the ``[B, L]``
+    previous frames: concat codes -> affine -> leaky ReLU -> dropout ->
+    affine -> add previous frame."""
+    h = ad.linear(ad.concat([zl, zs], axis=-1), params["decoder.fc1.weight"],
+                  params["decoder.fc1.bias"])
     h = ad.leaky_relu(h, hp.leaky_slope)
     h = ad.dropout(h, hp.dropout, mode=mode, rng=rng)
     h = ad.linear(h, params["decoder.fc2.weight"], params["decoder.fc2.bias"])
-    out = ad.add(h, prev_b)
-    return ad.reshape(out, prev.shape) if squeeze else out
+    return ad.add(h, prev)
 
 
 def window_frame_ids(t: int, C: int, k: int) -> list:
@@ -315,20 +310,11 @@ def window_frame_ids(t: int, C: int, k: int) -> list:
     return ids
 
 
-@dataclass
-class StepTrace:
-    """Per-step snapshot of the decoding window, for bookkeeping checks."""
-
-    step: int
-    ids: list
-    window: np.ndarray  # [B, C, L] values the short encoder saw
-
-
 def predict_sequence(seed, params: ModelParams, hp: HyperParams,
                      teacher=None, mode: str = "eval",
-                     rng: Optional[np.random.Generator] = None,
-                     trace: Optional[list] = None) -> Tensor:
-    """Generate ``target_frames`` future poses from a seed sequence.
+                     rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Generate ``target_frames`` future poses from a ``[t, L]`` seed (or a
+    ``[B, t, L]`` batch of seeds), shaped like the seed.
 
     The long-term code is computed once from the full seed and reused at
     every step. The short-term window slides one frame per step; window slots
@@ -366,8 +352,6 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     outputs = []
     for k in range(1, T + 1):
         win = ad.stack(frames[-C:], axis=1)
-        if trace is not None:
-            trace.append(StepTrace(k, window_frame_ids(t, C, k), win.data.copy()))
         zs = cem_forward(win, params, short_cfg, mode=mode, rng=rng)
         x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
         outputs.append(x_hat)
@@ -381,15 +365,14 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     return out if batched else ad.reshape(out, (T, L))
 
 
-def discriminate(full, params: ModelParams, hp: HyperParams,
+def discriminate(full: Tensor, params: ModelParams, hp: HyperParams,
                  mode: str = "eval") -> Tensor:
-    """Score a full [seed, target] sequence; returns probabilities in (0, 1)."""
-    x, batched = _as_batched(full)
-    B, n, L = x.shape
-    code = cem_forward(x, params, hp.discriminator_cem(L), mode=mode)
+    """Score a ``[B, t+T, L]`` batch of full [seed, target] sequences; returns
+    ``[B]`` probabilities in (0, 1)."""
+    code = cem_forward(full, params, hp.discriminator_cem(full.shape[-1]),
+                       mode=mode)
     logit = ad.linear(code, params["disc.head.weight"], params["disc.head.bias"])
-    prob = ad.sigmoid(ad.reshape(logit, (B,)))
-    return prob if batched else ad.reshape(prob, ())
+    return ad.sigmoid(ad.reshape(logit, (full.shape[0],)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +455,10 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
         entries = [(str(e["name"]), np.dtype(e["dtype"]),
                     [int(n) for n in e["shape"]], int(e["offset"]),
                     int(e["nbytes"])) for e in header["tensors"]]
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra is a JSON {type(extra).__name__}, "
+                            f"not an object")
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ValueError(
@@ -504,7 +491,7 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
             f"{path}: {len(data) - end} unexpected bytes after the last tensor")
     return Checkpoint(hyper=hyper, pose_dim=pose_dim,
                       stats_fingerprint=fingerprint, tensors=tensors,
-                      extra=header.get("extra", {}))
+                      extra=extra)
 
 
 def tensors_from_params(params: ModelParams) -> dict:

@@ -37,21 +37,18 @@ ADAM_EPS = 1e-8
 
 
 def loss_mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Per-sequence mean over time of squared pose error, averaged over the batch."""
+    """Per-sequence mean over time of squared pose error, averaged over the
+    batch; ``pred`` is ``[T, L]`` or ``[B, T, L]``."""
     if not isinstance(target, Tensor):
         target = Tensor(np.asarray(target, dtype=np.float64))
     if pred.shape != target.shape:
         raise ad.ShapeError(
             f"loss_mse: prediction {pred.shape} vs target {target.shape}"
         )
-    if pred.ndim == 2:
-        B, T = 1, pred.shape[0]
-    elif pred.ndim == 3:
-        B, T = pred.shape[0], pred.shape[1]
-    else:
+    if pred.ndim not in (2, 3):
         raise ad.ShapeError(f"loss_mse expects [T, L] or [B, T, L], got {pred.shape}")
-    diff = ad.sub(pred, target)
-    return ad.mul(ad.tsum(ad.square(diff)), 1.0 / (B * T))
+    return ad.mul(ad.sumsq(ad.sub(pred, target)),
+                  1.0 / (pred.size // pred.shape[-1]))
 
 
 def loss_discriminator(real_prob: Tensor, fake_prob: Tensor) -> Tensor:
@@ -110,12 +107,12 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
                         rng: np.random.Generator):
     """Closed-loop prediction and the combined objective, recorded on the
     active tape; returns ``(pred, loss, terms)``. ``seeds``/``targets`` are
-    ``[B, n, L]`` batches or single ``[n, L]`` sequences."""
+    ``[B, t, L]`` and ``[B, T, L]`` batches."""
     pred = M.predict_sequence(seeds, params, hp, teacher=targets, mode="train",
                               rng=rng)
     fake_prob = None
     if hp.effective_lambda_adv > 0.0:
-        fake_prob = M.discriminate(ad.concat([seeds, pred], axis=-2),
+        fake_prob = M.discriminate(ad.concat([seeds, pred], axis=1),
                                    params, hp, mode="train")
     loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
     return pred, loss, terms
@@ -133,9 +130,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
@@ -148,8 +142,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     entry are left untouched; non-finite gradients abort with the name."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name in params:
         g = grads.get(name)
         if g is None:
@@ -161,11 +155,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         p = params[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        update = (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.assign_(p.data - lr * update)
 
 
@@ -230,7 +224,6 @@ class TrainSchedule:
     master_seed: int = 0
     checkpoint_every: int = 1000
     out_dir: Optional[Path] = None
-    validation: Optional[Sequence] = None  # MotionSequences for best-checkpoint
 
 
 @dataclass
@@ -253,7 +246,6 @@ class TrainResult:
     params: M.ModelParams
     reports: list
     checkpoints: list = field(default_factory=list)
-    best_checkpoint: Optional[Path] = None
 
 
 REPORT_COLUMNS = ("iteration", "mse", "l2", "adv", "d_loss", "total", "ms_per_iter")
@@ -281,24 +273,18 @@ def _iteration_rngs(master_seed: int, iteration: int):
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
-def _validation_mse(params, hp, sampler, master_seed) -> float:
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(master_seed), 987654321])))
-    batch = sampler.sample(rng, min(8, hp.batch_size))
-    pred = M.predict_sequence(Tensor(batch.seeds), params, hp, mode="eval")
-    return loss_mse(pred, Tensor(batch.targets)).item()
-
-
 def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
           hp: M.HyperParams, schedule: TrainSchedule,
           params: Optional[M.ModelParams] = None,
           resume_from=None) -> TrainResult:
     """Run the alternating optimization; returns parameters and the report stream.
 
-    ``resume_from`` may be a checkpoint path or ``Checkpoint``; training
-    continues from its stored iteration with restored optimizer moments and
-    reproduces the uninterrupted trajectory exactly. ``schedule.iterations``
-    must exceed that iteration (0 for a fresh run), or ``ValueError``.
+    ``resume_from`` is a checkpoint path; training continues from its stored
+    iteration with restored optimizer moments and reproduces the
+    uninterrupted trajectory exactly. The checkpoint must hold optimizer
+    moments and have been trained with ``hp``, and ``schedule.iterations``
+    must exceed its iteration (0 for a fresh run), or ``ValueError`` is
+    raised before anything is written.
     """
     sequences = list(sequences)
     if not sequences:
@@ -310,14 +296,18 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     gen_state = disc_state = None
     master_seed = schedule.master_seed
     if resume_from is not None:
-        ckpt = (resume_from if isinstance(resume_from, M.Checkpoint)
-                else M.load_checkpoint(resume_from, stats.fingerprint()))
-        if ckpt.stats_fingerprint != stats.fingerprint():
-            raise ValueError("checkpoint stats fingerprint does not match dataset")
+        ckpt = M.load_checkpoint(resume_from, stats.fingerprint())
+        theirs = ckpt.hyper.to_dict()
+        differ = [f"{k}={v!r} (checkpoint: {theirs[k]!r})"
+                  for k, v in hp.to_dict().items() if theirs[k] != v]
+        if differ:
+            raise ValueError(f"{resume_from}: checkpoint was trained with other "
+                             f"hyperparameters: {', '.join(differ)}")
         params = ckpt.to_params()
         start_iteration = int(ckpt.extra.get("iteration", 0))
         master_seed = int(ckpt.extra.get("master_seed", master_seed))
-        gen_state, disc_state = _optimizer_from_tensors(ckpt, params, hp)
+        gen_state, disc_state = _optimizer_from_tensors(resume_from, ckpt,
+                                                        params, hp)
     if schedule.iterations <= start_iteration:
         raise ValueError(
             f"nothing to train: {schedule.iterations} iterations requested, "
@@ -336,11 +326,6 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
     reports: list = []
     checkpoints: list = []
-    best_path = None
-    best_val = np.inf
-    val_sampler = (WindowSampler(list(schedule.validation), hp.seed_frames,
-                                 hp.target_frames)
-                   if schedule.validation else None)
 
     for it in range(start_iteration + 1, schedule.iterations + 1):
         t0 = time.perf_counter()
@@ -390,17 +375,8 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
             _save_training_checkpoint(path, params, hp, pose_dim, stats, it,
                                       master_seed, gen_state, disc_state)
             checkpoints.append(path)
-            if val_sampler is not None:
-                val = _validation_mse(params, hp, val_sampler, master_seed)
-                if val < best_val:
-                    best_val = val
-                    best_path = Path(schedule.out_dir) / "best.ckpt"
-                    _save_training_checkpoint(best_path, params, hp, pose_dim,
-                                              stats, it, master_seed, gen_state,
-                                              disc_state)
 
-    return TrainResult(params=params, reports=reports, checkpoints=checkpoints,
-                       best_checkpoint=best_path)
+    return TrainResult(params=params, reports=reports, checkpoints=checkpoints)
 
 
 def _save_training_checkpoint(path, params, hp, pose_dim, stats, iteration,
@@ -420,14 +396,19 @@ def _save_training_checkpoint(path, params, hp, pose_dim, stats, iteration,
     M.save_checkpoint(path, hp, pose_dim, stats.fingerprint(), tensors, extra)
 
 
-def _optimizer_from_tensors(ckpt: M.Checkpoint, params: M.ModelParams,
+def _optimizer_from_tensors(path, ckpt: M.Checkpoint, params: M.ModelParams,
                             hp: M.HyperParams):
     gen_named = params.generator_named(include_long=not hp.no_long_term)
     disc_named = params.discriminator_named()
 
     def restore(prefix, named, step):
-        m = {n: ckpt.tensors[f"{prefix}.m.{n}"].copy() for n in named}
-        v = {n: ckpt.tensors[f"{prefix}.v.{n}"].copy() for n in named}
+        try:
+            m = {n: ckpt.tensors[f"{prefix}.m.{n}"].copy() for n in named}
+            v = {n: ckpt.tensors[f"{prefix}.v.{n}"].copy() for n in named}
+        except KeyError as exc:
+            raise ValueError(
+                f"{path}: cannot resume a checkpoint without optimizer "
+                f"moments (missing tensor {exc.args[0]!r})") from None
         return AdamState(m=m, v=v, step=step)
 
     gen = restore("optim.gen", gen_named, int(ckpt.extra.get("adam_gen_step", 0)))

@@ -206,7 +206,7 @@ def _window_ids_oracle(t, C, T_):
     return per_step
 
 
-def test_criterion_5_window_semantics():
+def test_criterion_5_window_semantics(monkeypatch):
     t, C, T_ = 50, 20, 25
     oracle = _window_ids_oracle(t, C, T_)
     ids_ok = all(M.window_frame_ids(t, C, k) == oracle[k - 1]
@@ -221,16 +221,27 @@ def test_criterion_5_window_semantics():
     seed = rng.normal(size=(t, 6))
     teacher = rng.normal(size=(T_, 6))
 
+    # the windows the short-term encoder sees, one [1, C, L] grid per step
+    windows = []
+    real_cem = M.cem_forward
+
+    def recording(frames, params, cfg, **kw):
+        if cfg.prefix == "short":
+            windows.append(frames.data.copy())
+        return real_cem(frames, params, cfg, **kw)
+
+    monkeypatch.setattr(M, "cem_forward", recording)
     blend_ok = True
     outs = {}
     for eta in (0.0, 0.5, 1.0):
         hp_eta = replace(hp, eta=eta)
-        trace = []
+        windows.clear()
         out = M.predict_sequence(seed, params, hp_eta, teacher=teacher,
-                                 mode="train", trace=trace)
+                                 mode="train")
         outs[eta] = out.data
-        for st in trace:
-            for j, (kind, idx) in enumerate(st.ids):
+        blend_ok = blend_ok and len(windows) == T_
+        for k, window in enumerate(windows, 1):
+            for j, (kind, idx) in enumerate(M.window_frame_ids(t, C, k)):
                 if kind == "seed":
                     expect = seed[idx]
                 elif eta == 0.0:
@@ -239,7 +250,7 @@ def test_criterion_5_window_semantics():
                     expect = out.data[idx - 1]
                 else:
                     expect = eta * out.data[idx - 1] + (1 - eta) * teacher[idx - 1]
-                if not np.allclose(st.window[0, j], expect, atol=1e-12):
+                if not np.allclose(window[0, j], expect, atol=1e-12):
                     blend_ok = False
     _report(
         "criterion 5: decoding-window indices match the enumeration oracle "

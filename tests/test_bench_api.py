@@ -1,0 +1,57 @@
+"""The package API the benchmark in ``perfbench/`` relies on.
+
+Each workload sets up and passes its own checks at a tiny configuration, the
+training and inference workloads run one operation under the per-layer
+tracer, and removing the tracer puts every patched attribute back. A name
+the benchmark calls or patches that goes missing fails here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from convmotion import autodiff as ad
+from convmotion import evaluation as E
+from convmotion import gradcheck as G
+from convmotion import mocap
+from convmotion import model as M
+from convmotion import training as T
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads as W  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+# the evaluation horizons reach 1000 ms, the 25th predicted frame
+TINY_HP = G.tiny_hyperparams(target_frames=25, batch_size=2)
+PATCHED = (ad, ad.GradTape, M, T, T.WindowSampler, G, E, mocap)
+
+
+def _attributes():
+    return {owner: dict(vars(owner)) for owner in PATCHED}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: W.TrainWorkload(TINY_HP, joints=3, iters_per_call=1),
+    lambda: W.PredictEvalWorkload(TINY_HP, joints=3, predicts_per_round=2),
+], ids=["train", "predict_eval"])
+def test_workload_checks_and_traced_op(tmp_path, make):
+    workload = make()
+    state = workload.setup(tmp_path / "work", 0)
+    assert workload.check(state) == []
+    before = _attributes()
+    tracer = Tracer(workload.cem_names)
+    tracer.install()
+    try:
+        record = workload.op(state, tracer)
+    finally:
+        tracer.remove()
+    assert record.failed == 0, record.problems
+    assert tracer.take()["calls"]["fwd.conv2d"] > 0
+    assert _attributes() == before
+
+
+def test_gradcheck_workload_checks(tmp_path):
+    workload = W.GradcheckWorkload()
+    state = workload.setup(tmp_path / "work", 0)
+    assert workload.check(state) == []

@@ -138,6 +138,15 @@ def test_evaluate_average_is_mean_of_actions():
         assert abs(avg[ms] - manual) < 1e-12
 
 
+@pytest.mark.parametrize("num_sequences", [0, -1])
+def test_evaluate_rejects_fewer_than_one_sequence(num_sequences):
+    seqs, stats = make_test_sequences()
+    with pytest.raises(ValueError, match="num_sequences"):
+        E.evaluate(lambda s: E.zero_velocity_predict(s, 4), seqs, stats,
+                   seed_frames=6, target_frames=4,
+                   num_sequences=num_sequences, horizons_ms=(80, 160))
+
+
 def test_zero_decoder_model_matches_zero_velocity_baseline():
     seqs, stats = make_test_sequences(joints=2)
     hp = M.HyperParams(seed_frames=6, target_frames=4, window=4,

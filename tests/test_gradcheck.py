@@ -138,7 +138,7 @@ def test_encoder_passes_serial_grad_check():
     for name, t in encoder.items():
         if name.endswith(".bias"):
             t.assign_(rng.normal(scale=0.1, size=t.shape))
-    frames = rng.normal(size=(8, 10))
+    frames = Tensor(rng.normal(size=(1, 8, 10)))
 
     def f():
         mask_rng = np.random.Generator(np.random.PCG64(21))
@@ -153,13 +153,12 @@ def test_discriminator_bce_passes_serial_grad_check():
     hp = micro_hp(dropout=0.0)
     rng = np.random.default_rng(1)
     params = G.generic_params(hp, POSE, rng)
-    real = rng.normal(size=(hp.seed_frames + hp.target_frames, POSE))
-    fake = rng.normal(size=(hp.seed_frames + hp.target_frames, POSE))
+    real = Tensor(rng.normal(size=(1, hp.seed_frames + hp.target_frames, POSE)))
+    fake = Tensor(rng.normal(size=(1, hp.seed_frames + hp.target_frames, POSE)))
 
     def f():
-        rp = M.discriminate(real, params, hp)
-        fp = M.discriminate(fake, params, hp)
-        return T.loss_discriminator(ad.reshape(rp, (1,)), ad.reshape(fp, (1,)))
+        return T.loss_discriminator(M.discriminate(real, params, hp),
+                                    M.discriminate(fake, params, hp))
 
     report = ad.grad_check(f, params.discriminator_named(), h=1e-5, tol=1e-4)
     assert report.passed, report.summary()

@@ -271,7 +271,8 @@ def test_generate_corpus_layout_and_manifest(tmp_path):
     manifest = DatasetManifest.load(manifest_path)
     assert len(manifest.train) == 4
     assert len(manifest.test) == 2
-    assert manifest.actions() == ["walk", "wave"]
+    actions = {ref.action for ref in manifest.train + manifest.test}
+    assert actions == {"walk", "wave"}
     assert (tmp_path / "data" / "S1" / "walk_1.txt").exists()
     assert (tmp_path / "data" / "S5" / "wave_1.txt").exists()
 

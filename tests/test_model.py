@@ -32,13 +32,13 @@ def params():
 
 
 def test_default_grid_trace_full_seed():
-    cfg = M.CemConfig(input_frames=50, pose_dim=54)
+    cfg = M.HyperParams().long_cem(54)
     assert cfg.grid_trace() == [(50, 54), (25, 27), (13, 14), (7, 7)]
     assert cfg.flat_dim == 128 * 7 * 7
 
 
 def test_default_grid_trace_short_window():
-    cfg = M.CemConfig(input_frames=20, pose_dim=54)
+    cfg = M.HyperParams().short_cem(54)
     assert [g[0] for g in cfg.grid_trace()] == [20, 10, 5, 3]
 
 
@@ -118,37 +118,53 @@ def test_cem_zero_params_gives_bias_only(params):
     for name, t in params.items():
         if name.startswith("long."):
             t.assign_(np.zeros(t.shape))
-    code = M.cem_forward(np.random.default_rng(1).normal(size=(16, POSE_DIM)),
-                         params, cfg)
-    np.testing.assert_array_equal(code.data, np.zeros(64))
+    code = M.cem_forward(
+        Tensor(np.random.default_rng(1).normal(size=(1, 16, POSE_DIM))),
+        params, cfg)
+    np.testing.assert_array_equal(code.data, np.zeros((1, 64)))
 
     bias = np.random.default_rng(2).normal(size=64)
     params["long.fc.bias"].assign_(bias)
-    code = M.cem_forward(np.zeros((16, POSE_DIM)), params, cfg)
-    np.testing.assert_array_equal(code.data, bias)
+    code = M.cem_forward(Tensor(np.zeros((1, 16, POSE_DIM))), params, cfg)
+    np.testing.assert_array_equal(code.data, bias[None])
 
 
 def test_cem_forward_shapes_match_trace(params):
     hp = tiny_hp()
     cfg = hp.long_cem(POSE_DIM)
-    code = M.cem_forward(np.zeros((16, POSE_DIM)), params, cfg)
-    assert code.shape == (64,)
-    batch = M.cem_forward(np.zeros((5, 16, POSE_DIM)), params, cfg)
+    code = M.cem_forward(Tensor(np.zeros((1, 16, POSE_DIM))), params, cfg)
+    assert code.shape == (1, 64)
+    batch = M.cem_forward(Tensor(np.zeros((5, 16, POSE_DIM))), params, cfg)
     assert batch.shape == (5, 64)
 
 
 def test_cem_rejects_wrong_frame_count(params):
     cfg = tiny_hp().long_cem(POSE_DIM)
     with pytest.raises(ShapeError, match="frames"):
-        M.cem_forward(np.zeros((10, POSE_DIM)), params, cfg)
+        M.cem_forward(Tensor(np.zeros((1, 10, POSE_DIM))), params, cfg)
+
+
+def test_model_internals_reject_unbatched_input(params):
+    hp = tiny_hp()
+    with pytest.raises(ShapeError, match=r"\[B, n, L\]"):
+        M.cem_forward(Tensor(np.zeros((16, POSE_DIM))), params,
+                      hp.long_cem(POSE_DIM))
+    with pytest.raises(ShapeError):
+        M.decode_step(Tensor(np.zeros(64)), Tensor(np.zeros(64)),
+                      Tensor(np.zeros(POSE_DIM)), params, hp)
+    with pytest.raises(ShapeError, match=r"\[B, n, L\]"):
+        M.discriminate(Tensor(np.zeros((22, POSE_DIM))), params, hp)
+    # a single seed is still a single prediction
+    out = M.predict_sequence(np.zeros((16, POSE_DIM)), params, hp)
+    assert out.shape == (6, POSE_DIM)
 
 
 def test_cem_full_size_shape_trace():
     hp = M.HyperParams()
     rng = np.random.default_rng(0)
     p = M.init_params(hp, 54, rng)
-    code = M.cem_forward(rng.normal(size=(50, 54)), p, hp.long_cem(54))
-    assert code.shape == (512,)
+    code = M.cem_forward(Tensor(rng.normal(size=(1, 50, 54))), p, hp.long_cem(54))
+    assert code.shape == (1, 512)
     assert p["long.fc.weight"].shape == (512, 6272)  # 128 * 7 * 7
 
 
@@ -159,9 +175,9 @@ def test_cem_full_size_shape_trace():
 
 def test_decode_zero_params_is_identity(params):
     hp = tiny_hp()
-    zl = Tensor(np.random.default_rng(0).normal(size=64))
-    zs = Tensor(np.random.default_rng(1).normal(size=64))
-    prev = Tensor(np.random.default_rng(2).normal(size=POSE_DIM))
+    zl = Tensor(np.random.default_rng(0).normal(size=(1, 64)))
+    zs = Tensor(np.random.default_rng(1).normal(size=(1, 64)))
+    prev = Tensor(np.random.default_rng(2).normal(size=(1, POSE_DIM)))
     out = M.decode_step(zl, zs, prev, params, hp)
     # final layer is zero-initialized, so the step is a pure residual identity
     np.testing.assert_array_equal(out.data, prev.data)
@@ -171,9 +187,9 @@ def test_decode_zero_codes_second_bias(params):
     hp = tiny_hp()
     b2 = np.random.default_rng(3).normal(size=POSE_DIM)
     params["decoder.fc2.bias"].assign_(b2)
-    zl = Tensor(np.zeros(64))
-    zs = Tensor(np.zeros(64))
-    prev = Tensor(np.random.default_rng(4).normal(size=POSE_DIM))
+    zl = Tensor(np.zeros((1, 64)))
+    zs = Tensor(np.zeros((1, 64)))
+    prev = Tensor(np.random.default_rng(4).normal(size=(1, POSE_DIM)))
     out = M.decode_step(zl, zs, prev, params, hp)
     np.testing.assert_allclose(out.data, prev.data + b2, atol=1e-15)
 
@@ -184,14 +200,15 @@ def test_decode_matches_straight_line_oracle():
     p = M.init_params(hp, POSE_DIM, rng)
     p["decoder.fc2.weight"].assign_(rng.normal(size=(POSE_DIM, 64)) * 0.1)
     p["decoder.fc2.bias"].assign_(rng.normal(size=POSE_DIM) * 0.1)
-    zl = rng.normal(size=64)
-    zs = rng.normal(size=64)
-    prev = rng.normal(size=POSE_DIM)
+    zl = rng.normal(size=(1, 64))
+    zs = rng.normal(size=(1, 64))
+    prev = rng.normal(size=(1, POSE_DIM))
     out = M.decode_step(Tensor(zl), Tensor(zs), Tensor(prev), p, hp)
 
     # independent re-implementation of the two affine maps
     d = M.tensors_from_params(p)
-    h = np.concatenate([zl, zs]) @ d["decoder.fc1.weight"].T + d["decoder.fc1.bias"]
+    h = (np.concatenate([zl, zs], axis=1) @ d["decoder.fc1.weight"].T
+         + d["decoder.fc1.bias"])
     h = np.where(h >= 0, h, hp.leaky_slope * h)
     expect = h @ d["decoder.fc2.weight"].T + d["decoder.fc2.bias"] + prev
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
@@ -279,49 +296,70 @@ def _rich_params(hp, seed=8):
     return p
 
 
-def test_eta_zero_window_holds_teacher_frames_exactly():
+def _record_short_windows(monkeypatch) -> list:
+    """Record the [B, C, L] grid the short-term encoder sees at each step."""
+    windows = []
+    real = M.cem_forward
+
+    def recording(frames, params, cfg, **kw):
+        if cfg.prefix == "short":
+            windows.append(frames.data.copy())
+        return real(frames, params, cfg, **kw)
+
+    monkeypatch.setattr(M, "cem_forward", recording)
+    return windows
+
+
+def _steps(windows, hp):
+    """(ids, window) per decoding step, ids as ``window_frame_ids`` gives them."""
+    assert len(windows) == hp.target_frames
+    return [(M.window_frame_ids(hp.seed_frames, hp.window, k), w)
+            for k, w in enumerate(windows, 1)]
+
+
+def test_eta_zero_window_holds_teacher_frames_exactly(monkeypatch):
     hp = tiny_hp(eta=0.0)
     p = _rich_params(hp)
     rng = np.random.default_rng(9)
     seed = rng.normal(size=(16, POSE_DIM))
     teacher = rng.normal(size=(6, POSE_DIM))
-    trace = []
-    M.predict_sequence(seed, p, hp, teacher=teacher, mode="train", trace=trace)
-    for st in trace:
-        for j, (kind, idx) in enumerate(st.ids):
+    windows = _record_short_windows(monkeypatch)
+    M.predict_sequence(seed, p, hp, teacher=teacher, mode="train")
+    for ids, window in _steps(windows, hp):
+        for j, (kind, idx) in enumerate(ids):
             if kind == "pred":
-                np.testing.assert_array_equal(st.window[0, j], teacher[idx - 1])
+                np.testing.assert_array_equal(window[0, j], teacher[idx - 1])
             else:
-                np.testing.assert_array_equal(st.window[0, j], seed[idx])
+                np.testing.assert_array_equal(window[0, j], seed[idx])
 
 
-def test_eta_one_window_holds_predictions_exactly():
+def test_eta_one_window_holds_predictions_exactly(monkeypatch):
     hp = tiny_hp(eta=1.0)
     p = _rich_params(hp)
     rng = np.random.default_rng(10)
     seed = rng.normal(size=(16, POSE_DIM))
     teacher = rng.normal(size=(6, POSE_DIM))
-    trace = []
-    out = M.predict_sequence(seed, p, hp, teacher=teacher, mode="train", trace=trace)
-    for st in trace:
-        for j, (kind, idx) in enumerate(st.ids):
+    windows = _record_short_windows(monkeypatch)
+    out = M.predict_sequence(seed, p, hp, teacher=teacher, mode="train")
+    for ids, window in _steps(windows, hp):
+        for j, (kind, idx) in enumerate(ids):
             if kind == "pred":
-                np.testing.assert_array_equal(st.window[0, j], out.data[idx - 1])
+                np.testing.assert_array_equal(window[0, j], out.data[idx - 1])
 
 
-def test_eta_half_window_blends():
+def test_eta_half_window_blends(monkeypatch):
     hp = tiny_hp(eta=0.5)
     p = _rich_params(hp)
     rng = np.random.default_rng(11)
     seed = rng.normal(size=(16, POSE_DIM))
     teacher = rng.normal(size=(6, POSE_DIM))
-    trace = []
-    out = M.predict_sequence(seed, p, hp, teacher=teacher, mode="train", trace=trace)
-    for st in trace:
-        for j, (kind, idx) in enumerate(st.ids):
+    windows = _record_short_windows(monkeypatch)
+    out = M.predict_sequence(seed, p, hp, teacher=teacher, mode="train")
+    for ids, window in _steps(windows, hp):
+        for j, (kind, idx) in enumerate(ids):
             if kind == "pred":
                 expect = 0.5 * out.data[idx - 1] + 0.5 * teacher[idx - 1]
-                np.testing.assert_allclose(st.window[0, j], expect, atol=1e-12)
+                np.testing.assert_allclose(window[0, j], expect, atol=1e-12)
 
 
 def test_long_code_computed_exactly_once(monkeypatch):
@@ -403,15 +441,16 @@ def test_discriminator_zero_params_gives_half(params):
                  "disc.cem.conv3.kernel", "disc.cem.fc.weight",
                  "disc.head.weight"):
         params[name].assign_(np.zeros(params[name].shape))
-    full = np.random.default_rng(0).normal(size=(22, POSE_DIM))
+    full = Tensor(np.random.default_rng(0).normal(size=(1, 22, POSE_DIM)))
     prob = M.discriminate(full, params, hp)
-    assert prob.item() == pytest.approx(0.5)
+    assert prob.shape == (1,)
+    assert prob.data[0] == pytest.approx(0.5)
 
 
 def test_discriminator_outputs_probabilities(params):
     hp = tiny_hp()
     rng = np.random.default_rng(1)
-    probs = M.discriminate(rng.normal(size=(5, 22, POSE_DIM)), params, hp)
+    probs = M.discriminate(Tensor(rng.normal(size=(5, 22, POSE_DIM))), params, hp)
     assert probs.shape == (5,)
     assert np.all(probs.data > 0.0) and np.all(probs.data < 1.0)
 
@@ -458,11 +497,14 @@ def _edited_header(header: dict, what: str):
         header["tensors"][0]["dtype"] = "float99"
     elif what == "header is a list":
         return [header]
+    elif what == "extra is a list":
+        header["extra"] = [1, 2]
     return header
 
 
 HEADER_EDITS = ("nbytes vs shape", "no stats_fingerprint", "no tensors",
-                "unknown hyper key", "bad dtype", "header is a list")
+                "unknown hyper key", "bad dtype", "header is a list",
+                "extra is a list")
 
 
 def _corrupted(good: bytes, what: str) -> bytes:

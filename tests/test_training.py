@@ -167,15 +167,17 @@ def test_generator_objective_tape_one_penalty_node_no_blend_at_eta_one():
         hp = tiny_hyperparams(eta=eta)
         params = M.init_params(hp, TINY_POSE_DIM, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        seeds = Tensor(rng.normal(size=(hp.seed_frames, TINY_POSE_DIM)))
-        targets = Tensor(rng.normal(size=(hp.target_frames, TINY_POSE_DIM)))
+        seeds = Tensor(rng.normal(size=(1, hp.seed_frames, TINY_POSE_DIM)))
+        targets = Tensor(rng.normal(size=(1, hp.target_frames, TINY_POSE_DIM)))
         with GradTape() as tape:
             T.generator_objective(params, params.generator_named(), seeds,
                                   targets, hp, np.random.default_rng(2))
-        return [node.vjp.__qualname__.split(".")[0] for node in tape._nodes]
+        return [(node.vjp.__qualname__.split(".")[0], len(node.inputs))
+                for node in tape._nodes]
 
     closed, blended = tape_nodes(1.0), tape_nodes(0.5)
-    assert closed.count("sumsq") == 1
+    # one over the prediction error, one over the 20 generator tensors
+    assert sorted(n for kind, n in closed if kind == "sumsq") == [1, 20]
     # eta < 1 blends each prediction with the teacher: one mul, one add
     assert len(blended) - len(closed) == 2 * tiny_hyperparams().target_frames
 
@@ -448,17 +450,43 @@ def test_resume_reproduces_trajectory(tmp_path):
         np.testing.assert_array_equal(resumed.params.all_named()[n].data, p.data)
 
 
-def test_validation_best_checkpoint_written(tmp_path):
+def _trained_checkpoint(tmp_path, hp):
     seqs, stats = make_dataset(frames=30)
-    val_seqs, _ = make_dataset(frames=30, seed=5)
+    run = tmp_path / "run"
+    run.mkdir()
+    T.train(seqs, stats, hp, T.TrainSchedule(iterations=2, master_seed=5,
+                                              out_dir=run))
+    return seqs, stats, run / "ckpt_0000002.ckpt"
+
+
+def test_resume_without_optimizer_moments_rejected(tmp_path):
     hp = micro_hp()
-    sched = T.TrainSchedule(iterations=4, master_seed=2, checkpoint_every=2,
-                            out_dir=tmp_path, validation=seqs)
-    result = T.train(seqs, stats, hp, sched)
-    assert result.best_checkpoint is not None
-    assert result.best_checkpoint.exists()
-    ckpt = M.load_checkpoint(result.best_checkpoint)
-    assert ckpt.extra["iteration"] in (2, 4)
+    seqs, stats, path = _trained_checkpoint(tmp_path, hp)
+    bare = tmp_path / "bare.ckpt"
+    M.save_checkpoint(bare, hp, seqs[0].pose_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.load_checkpoint(path).to_params()))
+    out = tmp_path / "resume"
+    out.mkdir()
+    with pytest.raises(ValueError,
+                       match=r"bare\.ckpt.*'optim\.gen\.m\.long\.conv1\.kernel'"):
+        T.train(seqs, stats, hp, T.TrainSchedule(iterations=4, out_dir=out),
+                resume_from=bare)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("change, named", [
+    (dict(learning_rate=0.5), r"learning_rate=0\.5 \(checkpoint: 0\.0002\)"),
+    (dict(channels=(2, 4, 4)), r"channels=\[2, 4, 4\] \(checkpoint: \[2, 3, 3\]\)"),
+], ids=["learning_rate", "channels"])
+def test_resume_with_other_hyperparameters_rejected(tmp_path, change, named):
+    hp = micro_hp()
+    seqs, stats, path = _trained_checkpoint(tmp_path, hp)
+    out = tmp_path / "resume"
+    out.mkdir()
+    with pytest.raises(ValueError, match=f"ckpt_0000002.ckpt.*{named}"):
+        T.train(seqs, stats, micro_hp(**change),
+                T.TrainSchedule(iterations=4, out_dir=out), resume_from=path)
+    assert list(out.iterdir()) == []
 
 
 def test_train_empty_dataset_rejected():
