@@ -463,10 +463,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         gk = (g2 @ im2col().T).reshape(kd.shape)
         dcols = (w2.T @ g2).reshape(win_shape)
         canvas = np.zeros_like(xp)
-        for i in range(kH):
+        cN, cC, ch, cw = canvas.strides
+        for i in range(0, kH, sH):
+            # kernel rows i .. i+m-1 land on disjoint input rows, so one add
+            # per kernel column covers them, over a [N, Cin, Ho, m, W] view
+            m = min(sH, kH - i)
+            rows = as_strided(canvas[:, :, i:], (N, Cin, Ho, m, canvas.shape[3]),
+                              (cN, cC, ch * sH, ch, cw))
             for j in range(kW):
-                canvas[:, :, i:i + sH * Ho:sH, j:j + sW * Wo:sW] += \
-                    dcols[:, i, j].transpose(1, 0, 2, 3)
+                rows[..., j:j + sW * Wo:sW] += \
+                    dcols[:, i:i + m, j].transpose(2, 0, 3, 1, 4)
         gx = canvas[:, :, pH:pH + H, pW:pW + W] if (pH or pW) else canvas
         return gx, gk, gb
 
@@ -500,11 +506,17 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     req = any(t.requires_grad for t in tensors)
     out = Tensor(out_data, requires_grad=req)
     if out.requires_grad and _active_tape() is not None:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
+        # each input's extent along ``axis``, as one index into the output;
+        # constant inputs (zero padding rows, data) get no partial
+        lead, parts, lo = (slice(None),) * (axis % rank), [], 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
+            parts.append(lead + (slice(lo, hi),) if t.requires_grad else None)
+            lo = hi
 
         def vjp(g):
-            return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+            return tuple(None if part is None else np.ascontiguousarray(g[part])
+                         for part in parts)
 
         _record(tensors, out, vjp)
     return out

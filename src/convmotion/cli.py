@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,7 +335,14 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # ValueError covers mocap.ParseError and autodiff.ShapeError
+        if args.verbose:
+            traceback.print_exc()
+        print(f"convmotion: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

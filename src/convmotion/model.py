@@ -3,8 +3,10 @@
 Two convolutional encoders share one architecture (three stride-2 conv layers
 with a rectangular 2x7 kernel, then one affine layer to a 512-dim code): the
 long-term encoder digests the whole seed sequence once, the short-term encoder
-re-encodes a sliding window of the most recent ``C`` frames at every decoding
-step. A two-layer spatial decoder maps the concatenated codes to a pose
+encodes a sliding window of the most recent ``C`` frames at every decoding
+step. Consecutive windows share ``C - 1`` frames, so a per-sequence
+``RowCache`` lets each step convolve only the conv rows that its new frame
+reaches. A two-layer spatial decoder maps the concatenated codes to a pose
 residual added onto the previous frame, so a zeroed decoder reproduces the
 last seed frame forever (the zero-velocity baseline). A discriminator with the
 same convolutional trunk scores full sequences for the adversarial
@@ -13,6 +15,7 @@ regularizer.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -62,6 +65,9 @@ class HyperParams:
     adversarial: bool = True
 
     def __post_init__(self):
+        for name in ("seed_frames", "target_frames", "batch_size", "fc_out"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.window <= self.seed_frames:
             raise ValueError(
                 f"window must satisfy 0 < C <= seed_frames, got C={self.window} "
@@ -69,8 +75,27 @@ class HyperParams:
             )
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if len(self.channels) != 3:
-            raise ValueError(f"exactly three conv layers expected, got {self.channels}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError(
+                f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+        if len(self.channels) != 3 or min(self.channels) < 1:
+            raise ValueError(
+                f"channels must be three conv widths >= 1, got {self.channels}")
+        for name in ("kernel", "stride"):
+            value = getattr(self, name)
+            if len(value) != 2 or min(value) < 1:
+                raise ValueError(
+                    f"{name} must be a (height, width) pair of values >= 1, "
+                    f"got {value}")
+        for axis, k, s in zip(("height", "width"), self.kernel, self.stride):
+            # symmetric padding adds k - 1 rows, so an even k at stride 1
+            # grows the grid by one row per layer
+            if s == 1 and k % 2 == 0:
+                raise ValueError(
+                    f"kernel {self.kernel} with stride {self.stride}: an even "
+                    f"kernel {axis} needs a stride >= 2 along the {axis}")
 
     @property
     def effective_lambda_adv(self) -> float:
@@ -241,9 +266,69 @@ def _as_batched(frames) -> tuple:
     raise ad.ShapeError(f"expected [n, L] or [B, n, L] frames, got {frames.shape}")
 
 
+class RowCache(dict):
+    """The conv rows of one sequence's sliding windows, for ``cem_forward``.
+
+    Every window encoded with the cache starts one frame after the previous
+    one; ``start`` is the global index of the next window's first frame. A
+    conv row whose receptive field holds no zero padding is a function of
+    the frames it covers, so it is keyed by its layer and the global index
+    of its first frame; the value is ``(block, r)``, row ``r`` of the
+    leaky-ReLU output of the conv call that made it. A row that reads
+    padding belongs to one window and is not cached.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.start = 0
+
+
+@functools.lru_cache(maxsize=None)
+def _first_frames(cfg: CemConfig) -> tuple:
+    """Per conv layer, per output row: the window index of the first frame
+    the row covers, or ``None`` when its receptive field holds padding."""
+    kH, sH = cfg.kernel[0], cfg.stride[0]
+    first = list(range(cfg.input_frames))
+    layers = []
+    for gh, _ in cfg.grid_trace()[:-1]:
+        pH = same_padding(gh, kH, sH)
+        starts = range(-pH, gh + pH - kH + 1, sH)
+        first = [first[a] if a >= 0 and a + kH <= gh
+                 and None not in first[a:a + kH] else None for a in starts]
+        layers.append(tuple(first))
+    return tuple(layers)
+
+
+_PAD_ROW = (None, 0)
+
+
+def _join_rows(rows: list) -> Tensor:
+    """Concatenate ``(block, r)`` rows along the height axis, ``_PAD_ROW``
+    as a zero row; consecutive rows of one block are taken as one slice."""
+    runs = []
+    for block, r in rows:
+        if runs and runs[-1][0] is block and (block is None or runs[-1][2] == r):
+            runs[-1][2] += 1
+        else:
+            runs.append([block, r, r + 1])
+    ref = next(block for block, _ in rows if block is not None)
+    B, ch, _, w = ref.shape
+    pieces = []
+    for block, lo, hi in runs:
+        if block is None:
+            pieces.append(Tensor(np.zeros((B, ch, hi - lo, w), dtype=ref.dtype)))
+        elif lo == 0 and hi == block.shape[2]:
+            pieces.append(block)
+        else:
+            pieces.append(ad.tslice(block, (slice(None), slice(None),
+                                            slice(lo, hi))))
+    return pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=2)
+
+
 def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
                 mode: str = "eval",
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+                rng: Optional[np.random.Generator] = None,
+                cache: Optional[RowCache] = None) -> Tensor:
     """Encode a ``[B, n, L]`` batch of frame grids into ``[B, fc_out]`` codes
     with the ``cfg.prefix`` tensors of ``params``.
 
@@ -251,6 +336,12 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
     dimension along the width axis. Each conv layer applies symmetric
     "same"-style zero padding, stride-2 subsampling, and a leaky ReLU; dropout
     sits between the last conv layer and the affine map.
+
+    With a ``cache``, each conv layer computes only the output rows that no
+    earlier window of the sequence produced (dense sliding-window
+    evaluation, Sermanet et al. 2014): their ``kH``-row input groups are
+    concatenated and convolved in one call at height stride ``kH``. A layer
+    with no cached rows is one conv over its whole padded input.
     """
     if frames.ndim != 3:
         raise ad.ShapeError(f"encoder expects [B, n, L] frames, got {frames.shape}")
@@ -261,17 +352,38 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
         )
     if L != cfg.pose_dim:
         raise ad.ShapeError(f"encoder expects pose dim {cfg.pose_dim}, got {L}")
-    h = ad.reshape(frames, (B, 1, n, L))
+    if cache is None:
+        cache = RowCache()
+    start = cache.start
+    cache.start += 1
     kH, kW = cfg.kernel
     sH, sW = cfg.stride
-    for i in range(1, len(cfg.channels) + 1):
-        _, _, gh, gw = h.shape
-        pad = (same_padding(gh, kH, sH), same_padding(gw, kW, sW))
-        h = ad.conv2d(h, params[f"{cfg.prefix}.conv{i}.kernel"],
-                      params[f"{cfg.prefix}.conv{i}.bias"], stride=(sH, sW),
-                      padding=pad)
-        h = ad.leaky_relu(h, cfg.leaky_slope)
-    h = ad.dropout(h, cfg.dropout, mode=mode, rng=rng)
+    h = ad.reshape(frames, (B, 1, n, L))
+    rows = [(h, j) for j in range(n)]  # the current layer's rows, in order
+    layers = zip(cfg.grid_trace(), _first_frames(cfg))
+    for i, ((gh, gw), first) in enumerate(layers, 1):
+        pH, pW = same_padding(gh, kH, sH), same_padding(gw, kW, sW)
+        keys = [None if f is None else (i, start + f) for f in first]
+        out_rows = [cache.get(key) for key in keys]
+        missing = [j for j, row in enumerate(out_rows) if row is None]
+        if missing:
+            if len(missing) == len(keys):
+                x, stride, pad = _join_rows(rows), (sH, sW), (pH, pW)
+            else:
+                padded = [_PAD_ROW] * pH + rows + [_PAD_ROW] * pH
+                x = _join_rows([row for j in missing
+                                for row in padded[j * sH:j * sH + kH]])
+                stride, pad = (kH, sW), (0, pW)
+            out = ad.conv2d(x, params[f"{cfg.prefix}.conv{i}.kernel"],
+                            params[f"{cfg.prefix}.conv{i}.bias"],
+                            stride=stride, padding=pad)
+            out = ad.leaky_relu(out, cfg.leaky_slope)
+            for r, j in enumerate(missing):
+                out_rows[j] = (out, r)
+                if keys[j] is not None:
+                    cache[keys[j]] = out_rows[j]
+        rows = out_rows
+    h = ad.dropout(_join_rows(rows), cfg.dropout, mode=mode, rng=rng)
     h = ad.reshape(h, (B, -1))
     return ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
                      params[f"{cfg.prefix}.fc.bias"])
@@ -327,6 +439,9 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     B, t, L = x.shape
     if t != hp.seed_frames:
         raise ad.ShapeError(f"seed must have {hp.seed_frames} frames, got {t}")
+    if L != params["decoder.fc2.bias"].shape[0]:
+        raise ad.ShapeError(f"seed has pose dim {L}, but the model predicts "
+                            f"{params['decoder.fc2.bias'].shape[0]}")
     if teacher is not None:
         if mode != "train":
             raise ValueError("a teacher sequence is only valid in train mode")
@@ -348,11 +463,13 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     # k stacks the last C entries, the layout ``window_frame_ids`` specifies
     frames = [x[:, i, :] for i in range(t - C, t)]
     short_cfg = hp.short_cem(L)
+    cache = RowCache()
     prev = frames[-1]
     outputs = []
     for k in range(1, T + 1):
         win = ad.stack(frames[-C:], axis=1)
-        zs = cem_forward(win, params, short_cfg, mode=mode, rng=rng)
+        zs = cem_forward(win, params, short_cfg, mode=mode, rng=rng,
+                         cache=cache)
         x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
         outputs.append(x_hat)
         if teacher is not None and hp.eta < 1.0:

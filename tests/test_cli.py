@@ -1,5 +1,7 @@
 """Config-file handling and end-to-end CLI flows."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -145,16 +147,25 @@ def test_predict_zero_decoder_repeats_last_frame(corpus, tmp_path):
         np.testing.assert_allclose(row, expected, atol=1e-12)
 
 
-def test_eval_checkpoint_stats_mismatch_fails(corpus, tmp_path):
+def _error_line(capsys) -> str:
+    """The one stderr line a refused command prints."""
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("convmotion: error: ")]
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+def test_eval_checkpoint_stats_mismatch_fails(corpus, tmp_path, capsys):
     manifest, stats_path = corpus
     hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
                        channels=(2, 3, 3), fc_out=8)
     params = M.init_params(hp, 6, np.random.default_rng(0))
     bad = tmp_path / "bad.ckpt"
     M.save_checkpoint(bad, hp, 6, "0" * 64, M.tensors_from_params(params))
-    with pytest.raises(ValueError, match="stats"):
-        cli.main(["eval", "--checkpoint", str(bad), "--data", str(manifest),
-                  "--stats", str(stats_path), "--horizons", "80"])
+    rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(manifest),
+                   "--stats", str(stats_path), "--horizons", "80"])
+    assert rc == 1
+    assert "normalization stats" in _error_line(capsys)
 
 
 def test_ablate_kernel_axis_three_rows(corpus, tmp_path, capsys):
@@ -255,17 +266,74 @@ def test_train_honours_config_schedule(corpus, tmp_path, capsys):
         "ckpt_0000002.ckpt", "ckpt_0000004.ckpt"]
 
 
-def test_train_rejects_finished_run_before_writing(corpus, tmp_path):
+def test_train_rejects_finished_run_before_writing(corpus, tmp_path, capsys):
     manifest, stats_path = corpus
     out_dir = tmp_path / "run"
     base = ["train", "--data", str(manifest), "--stats", str(stats_path),
             "--out", str(out_dir), "--no-adv"] + MICRO_FLAGS
     assert cli.main(base + ["--iters", "2", "--checkpoint-every", "2"]) == 0
     report = (out_dir / "report.csv").read_text()
-    with pytest.raises(ValueError, match="2 iterations requested.*iteration 2"):
-        cli.main(base + ["--iters", "2", "--resume",
-                         str(out_dir / "ckpt_0000002.ckpt")])
+    capsys.readouterr()
+    assert cli.main(base + ["--iters", "2", "--resume",
+                            str(out_dir / "ckpt_0000002.ckpt")]) == 1
+    assert re.search("2 iterations requested.*iteration 2", _error_line(capsys))
     assert (out_dir / "report.csv").read_text() == report
-    with pytest.raises(ValueError, match="0 iterations requested.*iteration 0"):
-        cli.main(base + ["--iters", "0"])
+    assert cli.main(base + ["--iters", "0"]) == 1
+    assert re.search("0 iterations requested.*iteration 0", _error_line(capsys))
     assert (out_dir / "report.csv").read_text() == report
+
+
+def test_missing_data_file_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    rc = cli.main(["train", "--data", str(missing), "--stats", "y",
+                   "--out", str(tmp_path / "run")] + MICRO_FLAGS)
+    assert rc == 1
+    line = _error_line(capsys)
+    assert str(missing) in line
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_parse_error_is_one_error_line(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    ckpt = tmp_path / "m.ckpt"
+    hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
+                       channels=(2, 3, 3), fc_out=8)
+    stats = mocap.NormalizationStats.load(stats_path)
+    M.save_checkpoint(ckpt, hp, stats.reduced_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, stats.reduced_dim, np.random.default_rng(0))))
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text("1.0,2.0\n3.0,oops\n")
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--stats",
+                   str(stats_path), "--seed-file", str(seed_file),
+                   "--out", str(tmp_path / "pred.txt")])
+    assert rc == 1
+    assert "line 2: invalid number 'oops'" in _error_line(capsys)
+
+
+def test_width_shape_error_is_one_error_line(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    stats = mocap.NormalizationStats.load(stats_path)
+    hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
+                       channels=(2, 3, 3), fc_out=8)
+    # a checkpoint for one pose dimension more than the stats reduce to
+    wide = stats.reduced_dim + 1
+    ckpt = tmp_path / "wide.ckpt"
+    M.save_checkpoint(ckpt, hp, wide, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, wide, np.random.default_rng(0))))
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--stats",
+                   str(stats_path), "--seed-file",
+                   str(manifest.parent / "S5" / "walk_1.txt"),
+                   "--out", str(tmp_path / "pred.txt")])
+    assert rc == 1
+    assert "pose dim" in _error_line(capsys)
+
+
+def test_verbose_error_keeps_traceback(tmp_path, capsys):
+    rc = cli.main(["-v", "train", "--data", str(tmp_path / "nonexistent.json"),
+                   "--stats", "y", "--out", str(tmp_path / "run")] + MICRO_FLAGS)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1].startswith("convmotion: error: ")

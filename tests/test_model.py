@@ -57,6 +57,38 @@ def test_hyperparams_validation():
         M.HyperParams(eta=1.5)
 
 
+MALFORMED_HYPER = [
+    ("kernel", (2,)), ("stride", (0, 2)), ("channels", (0, 4, 4)),
+    ("fc_out", 0), ("target_frames", 0), ("batch_size", 0),
+    ("dropout", 1.5), ("leaky_slope", 2.0),
+]
+
+
+@pytest.mark.parametrize("name,value", MALFORMED_HYPER)
+def test_hyperparams_reject_malformed_geometry(name, value):
+    with pytest.raises(ValueError, match=name):
+        M.HyperParams(**{name: value})
+
+
+@pytest.mark.parametrize("kernel,stride", [((2, 7), (1, 2)), ((4, 4), (1, 2)),
+                                           ((3, 4), (2, 1))])
+def test_even_kernel_at_stride_one_rejected(kernel, stride):
+    # symmetric padding would grow the grid by one row or column per layer,
+    # so grid_trace, flat_dim and the affine layer would disagree
+    with pytest.raises(ValueError, match=r"kernel \(.*\) with stride \(.*\)"):
+        M.HyperParams(kernel=kernel, stride=stride)
+
+
+@pytest.mark.parametrize("kernel,stride", [((7, 2), (1, 2)), ((3, 3), (1, 2)),
+                                           ((2, 3), (2, 1))])
+def test_stride_one_forward_matches_grid_trace(kernel, stride):
+    hp = tiny_hp(kernel=kernel, stride=stride)
+    p = M.init_params(hp, POSE_DIM, np.random.default_rng(0))
+    code = M.cem_forward(Tensor(np.zeros((2, 16, POSE_DIM))), p,
+                         hp.long_cem(POSE_DIM))
+    assert code.shape == (2, hp.fc_out)
+
+
 def test_decoder_input_width_is_two_codes():
     hp = M.HyperParams()
     p = M.init_params(hp, 54, np.random.default_rng(0))
@@ -377,6 +409,76 @@ def test_long_code_computed_exactly_once(monkeypatch):
     assert calls == {"long": 1, "short": hp.target_frames}
 
 
+def _per_window(monkeypatch):
+    """Make ``predict_sequence`` encode every window from scratch: the
+    oracle for the row cache."""
+    real = M.cem_forward
+
+    def uncached(frames, params, cfg, cache=None, **kw):
+        return real(frames, params, cfg, **kw)
+
+    monkeypatch.setattr(M, "cem_forward", uncached)
+
+
+def _predict_and_grads(hp, p, seed, teacher):
+    with GradTape() as tape:
+        out = M.predict_sequence(seed, p, hp, teacher=teacher, mode="train",
+                                 rng=np.random.default_rng(3))
+        loss = ad.sumsq(out)
+    grads = backward(loss, tape)
+    return out.data, {n: grads[t] for n, t in p.generator_named().items()}
+
+
+CACHE_GEOMETRIES = [
+    (window, kernel, stride)
+    for window in (5, 7, 10, 20, 24)
+    for kernel in ((2, 7), (7, 2), (4, 4), (3, 3))
+    for stride in ((2, 2), (1, 2))
+    if stride[0] == 2 or kernel[0] % 2
+]
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+@pytest.mark.parametrize("window,kernel,stride", CACHE_GEOMETRIES)
+def test_row_cache_matches_per_window_encoding(monkeypatch, window, kernel,
+                                               stride, eta):
+    # t = 24, so window 24 is C = t; T = 12 steps reach the first reuse of
+    # a padded last-layer row at C = 20
+    hp = M.HyperParams(seed_frames=24, target_frames=12, window=window,
+                       channels=(2, 3, 3), fc_out=8, kernel=kernel,
+                       stride=stride, eta=eta, dropout=0.5)
+    p = _rich_params(hp)
+    rng = np.random.default_rng(window)
+    seed = rng.normal(size=(2, 24, POSE_DIM))
+    teacher = rng.normal(size=(2, 12, POSE_DIM))
+    out, grads = _predict_and_grads(hp, p, seed, teacher)
+    _per_window(monkeypatch)
+    want_out, want_grads = _predict_and_grads(hp, p, seed, teacher)
+    assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
+    assert any(n.startswith("short.") for n in want_grads)
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_short_encoder_conv_macs_per_sequence(monkeypatch):
+    """Paper config, one sequence, closed loop: each conv row is computed
+    once per sequence (about 190M MACs), not once per window (about 360M)."""
+    hp = M.HyperParams()
+    p = M.init_params(hp, 54, np.random.default_rng(0))
+    macs = []
+    real = ad.conv2d
+
+    def counting(x, kernel, bias, *args, **kwargs):
+        out = real(x, kernel, bias, *args, **kwargs)
+        n, cout, ho, wo = out.shape
+        macs.append(n * cout * ho * wo * int(np.prod(kernel.shape[1:])))
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", counting)
+    M.predict_sequence(np.random.default_rng(1).normal(size=(50, 54)), p, hp)
+    assert sum(macs) <= 210e6
+
+
 def test_gradient_flows_from_first_seed_frame_to_last_output():
     hp = tiny_hp()
     p = _rich_params(hp)
@@ -535,6 +637,24 @@ def test_checkpoint_truncated_or_corrupt_rejected(tmp_path, params, what):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_corrupted(path.read_bytes(), what))
     with pytest.raises(ValueError, match="bad.ckpt"):
+        M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name,value", MALFORMED_HYPER)
+def test_checkpoint_with_malformed_hyper_rejected(tmp_path, params, name, value):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64,
+                      M.tensors_from_params(params))
+    good = path.read_bytes()
+    header_len = struct.unpack("<I", good[8:12])[0]
+    header = json.loads(good[12:12 + header_len])
+    header["hyper"][name] = value
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(good[:8] + struct.pack("<I", len(raw)) + raw
+                    + good[12 + header_len:])
+    with pytest.raises(ValueError, match=f"bad.ckpt: corrupt checkpoint "
+                                         f"header: .*{name}"):
         M.load_checkpoint(bad)
 
 
