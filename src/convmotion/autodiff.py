@@ -8,6 +8,14 @@ differentiation driven by an explicit gradient tape.
 Tensors are immutable values during a taped computation; parameter updates
 happen between passes via ``Tensor.assign_``. A ``GradTape`` is single-owner:
 one forward/backward pass at a time per tape.
+
+``backward`` does only the gradient work whose result is used. A VJP returns
+``None`` for an input that needs no gradient (data, or a detached copy of a
+parameter), so ``conv2d`` and ``linear`` skip the products for it. ``linear``
+returns its weight partial as a deferred ``Outer`` factor pair, and
+``backward`` sums all uses of one weight in a single GEMM when the weight's
+gradient is settled. A tensor's third and later dense partials are added in
+place into an accumulator that ``backward`` allocated itself.
 """
 
 from __future__ import annotations
@@ -159,21 +167,72 @@ def _record(inputs, out, vjp):
         tape.record(inputs, out, vjp)
 
 
+class Outer:
+    """A weight partial ``g.T @ x`` kept as its two factors, ``g [n, out]``
+    and ``x [n, in]``, so that ``backward`` can sum every use of one weight
+    in a single GEMM. ``shape`` and ``size`` are those of the product."""
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g: np.ndarray, x: np.ndarray):
+        self.g = g
+        self.x = x
+
+    @property
+    def shape(self):
+        return (self.g.shape[1], self.x.shape[1])
+
+    @property
+    def size(self):
+        return self.g.shape[1] * self.x.shape[1]
+
+
 def backward(loss: Tensor, tape: GradTape) -> dict:
     """Reverse-replay the tape, returning ``{tensor: gradient}`` for every
     gradient-requiring leaf (a tensor no tape node produced) reachable from
     ``loss``.
 
+    A VJP returns one partial per input: a dense array, ``None`` when the
+    input needs no gradient, or an ``Outer`` factor pair for a weight. A
+    tensor's gradient is settled when it is final: a non-leaf just before
+    its own node's VJP runs, a leaf at the end. Settling forms one GEMM over
+    all of the tensor's ``Outer`` pairs stacked (a weight shared by the T
+    decoding steps gets one ``[out, T*B] @ [T*B, in]`` product, not T) and
+    adds the sum of its dense partials. The first dense partial is kept as
+    the VJP returned it; the second is added into a new array, and every
+    later one is added into that array in place, never into an array a VJP
+    returned (``add`` returns one array twice, ``reshape`` a view).
+
     Each intermediate gradient is dropped as soon as its node's VJP has run.
-    Deterministic: accumulation follows exact reverse execution order.
+    Deterministic: dense partials accumulate in exact reverse execution
+    order, and ``Outer`` pairs are stacked in that order.
     """
     if loss.data.size != 1:
         raise ValueError(
             f"backward requires a scalar loss, got shape {loss.data.shape}"
         )
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    outers: dict[Tensor, list] = {}
+    owned: set = set()  # tensors whose dense sum is an array backward made
+
+    def settle(tensor):
+        g = grads.pop(tensor, None)
+        owned.discard(tensor)
+        pairs = outers.pop(tensor, None)
+        if pairs is None:
+            return g
+        if len(pairs) == 1:
+            gs, xs = pairs[0].g, pairs[0].x
+        else:
+            gs = np.concatenate([p.g for p in pairs])
+            xs = np.concatenate([p.x for p in pairs])
+        w = gs.T @ xs
+        if g is not None:
+            w += g
+        return w
+
     for node in reversed(tape._nodes):
-        g_out = grads.pop(node.output, None)
+        g_out = settle(node.output)
         if g_out is None:
             continue
         partials = node.vjp(g_out)
@@ -184,8 +243,19 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
                 raise ShapeError(
                     f"vjp produced gradient of shape {g.shape} for input of shape {shape}"
                 )
+            if isinstance(g, Outer):
+                outers.setdefault(tensor, []).append(g)
+                continue
             acc = grads.get(tensor)
-            grads[tensor] = g if acc is None else acc + g
+            if acc is None:
+                grads[tensor] = g
+            elif tensor in owned:
+                np.add(acc, g, out=acc)
+            else:
+                grads[tensor] = np.add(acc, g, out=np.empty_like(acc))
+                owned.add(tensor)
+    for tensor in list(outers):
+        grads[tensor] = settle(tensor)
     return grads
 
 
@@ -370,7 +440,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise affine map: ``x @ weight.T + bias`` with weight ``[out, in]``."""
+    """Row-wise affine map: ``x @ weight.T + bias`` with weight ``[out, in]``.
+
+    The VJP returns the weight partial as the ``Outer`` pair ``(g, x)``;
+    ``backward`` contracts all pairs of one weight in one GEMM."""
     if x.data.ndim != 2:
         raise ShapeError(f"linear expects a 2-D input, got {x.data.shape}")
     if weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[1]:
@@ -385,8 +458,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     req = x.requires_grad or weight.requires_grad or bias.requires_grad
     out = Tensor(out_data, requires_grad=req)
     xd, wd = x.data, weight.data
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_b = bias.requires_grad
     _record((x, weight, bias), out,
-            lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
+            lambda g: (g @ wd if need_x else None,
+                       Outer(g, xd) if need_w else None,
+                       g.sum(axis=0) if need_b else None))
     return out
 
 
@@ -406,7 +483,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     Lowered to GEMMs over the im2col matrix ``cols [Cin*kH*kW, N*H'*W']``
     (Chellapilla et al. 2006). ``cols`` is rebuilt from the padded input in
     the backward pass rather than kept on the tape, which would hold one
-    such matrix per layer call until the tape is replayed.
+    such matrix per layer call until the tape is replayed. For the same
+    reason the kernel gradient is formed in the VJP, not deferred as an
+    ``Outer`` pair like ``linear``'s weight gradient.
     """
     xd, kd = x.data, kernel.data
     if xd.ndim != 4 or kd.ndim != 4:
@@ -457,10 +536,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     if not out.requires_grad or _active_tape() is None:
         return out
 
+    need_x, need_k = x.requires_grad, kernel.requires_grad
+    need_b = bias.requires_grad
+
     def vjp(g):
-        gb = g.sum(axis=(0, 2, 3))
+        # an input that needs no gradient gets None and costs nothing: a
+        # constant kernel skips the gk GEMM, a data input the dcols GEMM
+        # and the col2im
+        gb = g.sum(axis=(0, 2, 3)) if need_b else None
         g2 = g.transpose(1, 0, 2, 3).reshape(Cout, P)
-        gk = (g2 @ im2col().T).reshape(kd.shape)
+        gk = (g2 @ im2col().T).reshape(kd.shape) if need_k else None
+        if not need_x:
+            return None, gk, gb
         dcols = (w2.T @ g2).reshape(win_shape)
         canvas = np.zeros_like(xp)
         cN, cC, ch, cw = canvas.strides
@@ -535,8 +622,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(out_data, requires_grad=req)
     if out.requires_grad and _active_tape() is not None:
         def vjp(g):
+            # constant inputs (seed frames in a decoding window) get no partial
             moved = np.moveaxis(g, axis, 0)
-            return tuple(np.ascontiguousarray(moved[i]) for i in range(len(tensors)))
+            return tuple(np.ascontiguousarray(moved[i]) if t.requires_grad
+                         else None for i, t in enumerate(tensors))
 
         _record(tensors, out, vjp)
     return out

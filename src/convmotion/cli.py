@@ -124,14 +124,12 @@ def cmd_train(args) -> int:
     hp = _resolve_hyper(args)
     _, stats, sequences = _load_dataset(args.data, args.stats, "train")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
                                checkpoint_every=args.checkpoint_every,
-                               out_dir=out_dir)
+                               out_dir=out_dir,
+                               report_path=args.report or out_dir / "report.csv")
     result = T.train(sequences, stats, hp, schedule,
                      resume_from=args.resume)
-    report_path = args.report or (out_dir / "report.csv")
-    T.reports_to_csv(result.reports, report_path)
     last = result.reports[-1]
     log.info("finished: iteration=%d mse=%g total=%g", last.iteration, last.mse,
              last.total)
@@ -180,6 +178,9 @@ def cmd_gradcheck(args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             hp_overrides[key] = val
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     hp = G.tiny_hyperparams(**hp_overrides)
     if args.no_long_term:
         hp = replace(hp, no_long_term=True)

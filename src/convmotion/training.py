@@ -107,13 +107,20 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
                         rng: np.random.Generator):
     """Closed-loop prediction and the combined objective, recorded on the
     active tape; returns ``(pred, loss, terms)``. ``seeds``/``targets`` are
-    ``[B, t, L]`` and ``[B, T, L]`` batches."""
+    ``[B, t, L]`` and ``[B, T, L]`` batches.
+
+    The discriminator scores the prediction through detached copies of the
+    ``disc.*`` tensors (same data, no gradient): this objective trains the
+    generator only, so its ``backward`` returns no ``disc.*`` gradient and
+    skips the discriminator's kernel and weight products."""
     pred = M.predict_sequence(seeds, params, hp, teacher=targets, mode="train",
                               rng=rng)
     fake_prob = None
     if hp.effective_lambda_adv > 0.0:
+        frozen = M.ModelParams({n: p.detach() for n, p
+                                in params.discriminator_named().items()})
         fake_prob = M.discriminate(ad.concat([seeds, pred], axis=1),
-                                   params, hp, mode="train")
+                                   frozen, hp, mode="train")
     loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
     return pred, loss, terms
 
@@ -220,10 +227,13 @@ class WindowSampler:
 
 @dataclass
 class TrainSchedule:
+    """``report_path`` receives one CSV row per iteration as it finishes."""
+
     iterations: int
     master_seed: int = 0
     checkpoint_every: int = 1000
     out_dir: Optional[Path] = None
+    report_path: Optional[Path] = None
 
 
 @dataclass
@@ -251,19 +261,36 @@ class TrainResult:
 REPORT_COLUMNS = ("iteration", "mse", "l2", "adv", "d_loss", "total", "ms_per_iter")
 
 
+def _csv_row(r: IterationReport, include_timing: bool = True) -> str:
+    row = [str(r.iteration), repr(r.mse), repr(r.l2), repr(r.adv),
+           "" if r.d_loss is None else repr(r.d_loss), repr(r.total)]
+    if include_timing:
+        row.append(repr(r.ms_per_iter))
+    return ",".join(row)
+
+
 def reports_to_csv(reports, path=None, include_timing: bool = True) -> str:
     cols = REPORT_COLUMNS if include_timing else REPORT_COLUMNS[:-1]
-    lines = [",".join(cols)]
-    for r in reports:
-        row = [str(r.iteration), repr(r.mse), repr(r.l2), repr(r.adv),
-               "" if r.d_loss is None else repr(r.d_loss), repr(r.total)]
-        if include_timing:
-            row.append(repr(r.ms_per_iter))
-        lines.append(",".join(row))
+    lines = [",".join(cols)] + [_csv_row(r, include_timing) for r in reports]
     text = "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
+
+
+def _start_report(path, start_iteration: int) -> None:
+    """Write the header of ``path``, then the complete rows of an earlier
+    run up to ``start_iteration``; later rows (the part of a crashed run
+    past its checkpoint) are dropped."""
+    path = Path(path)
+    kept = []
+    if start_iteration and path.exists():
+        for line in path.read_text().splitlines()[1:]:
+            cells = line.split(",")
+            if (len(cells) == len(REPORT_COLUMNS) and cells[0].isdigit()
+                    and int(cells[0]) <= start_iteration):
+                kept.append(line + "\n")
+    path.write_text(",".join(REPORT_COLUMNS) + "\n" + "".join(kept))
 
 
 def _iteration_rngs(master_seed: int, iteration: int):
@@ -283,9 +310,18 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     iteration with restored optimizer moments and reproduces the
     uninterrupted trajectory exactly. The checkpoint must hold optimizer
     moments and have been trained with ``hp``, and ``schedule.iterations``
-    must exceed its iteration (0 for a fresh run), or ``ValueError`` is
+    must exceed its iteration (0 for a fresh run), and
+    ``schedule.checkpoint_every`` must be at least 1, or ``ValueError`` is
     raised before anything is written.
+
+    With ``schedule.report_path``, each iteration's row is appended (and
+    the file closed) as the iteration finishes, before its checkpoint, so a
+    crashed run keeps its rows. A resumed run keeps the file's rows up to the
+    checkpoint's iteration and replaces the rest.
     """
+    if schedule.checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got "
+                         f"{schedule.checkpoint_every}")
     sequences = list(sequences)
     if not sequences:
         raise ValueError("training requires a non-empty dataset")
@@ -324,6 +360,10 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     if disc_state is None:
         disc_state = AdamState.for_params(disc_named)
 
+    if schedule.out_dir is not None:
+        Path(schedule.out_dir).mkdir(parents=True, exist_ok=True)
+    if schedule.report_path is not None:
+        _start_report(schedule.report_path, start_iteration)
     reports: list = []
     checkpoints: list = []
 
@@ -368,6 +408,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         ms = (time.perf_counter() - t0) * 1000.0
         reports.append(IterationReport(it, terms.mse, terms.l2, terms.adv,
                                        d_loss_val, terms.total, ms))
+        if schedule.report_path is not None:
+            with open(schedule.report_path, "a") as f:
+                f.write(_csv_row(reports[-1]) + "\n")
 
         if schedule.out_dir is not None and (
                 it % schedule.checkpoint_every == 0 or it == schedule.iterations):

@@ -234,6 +234,107 @@ def test_linear_shape_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
+# backward: deferred weight partials, None partials, in-place accumulation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("uses", [1, 3])
+def test_shared_linear_weight_gradient_is_the_per_use_sum(uses):
+    rng = np.random.default_rng(11)
+    xs = [Tensor(rng.normal(size=(4, 5))) for _ in range(uses)]
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    with GradTape() as tape:
+        ys = [linear(x, w, b) for x in xs]
+        loss = sumsq(*ys)
+    g = backward(loss, tape)[w]
+    # the dense per-use GEMMs, summed in reverse execution order
+    per_use = [(2.0 * y.data).T @ x.data for x, y in zip(xs, ys)][::-1]
+    dense = per_use[0]
+    for term in per_use[1:]:
+        dense = dense + term
+    if uses == 1:
+        np.testing.assert_array_equal(g, dense)
+    else:
+        np.testing.assert_allclose(g, dense, rtol=1e-12, atol=0)
+
+
+def test_non_leaf_weight_with_dense_and_deferred_partials():
+    rng = np.random.default_rng(12)
+    v = Tensor(rng.normal(size=15), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    xs = [rng.normal(size=(2, 5)) for _ in range(2)]
+    with GradTape() as tape:
+        w = reshape(v, (3, 5))  # a non-leaf weight, used twice
+        ys = [linear(Tensor(x), w, b) for x in xs]
+        # the penalty gives w a dense partial next to its two deferred ones
+        loss = ad.add(sumsq(*ys), mul(sumsq(w), 0.5))
+    g = backward(loss, tape)
+    expected = sum((2.0 * y.data).T @ x for x, y in zip(xs, ys)) + w.data
+    np.testing.assert_allclose(g[v], expected.reshape(15), rtol=1e-12, atol=0)
+    assert w not in g  # non-leaf gradients are dropped once used
+    check_vjp(lambda: ad.add(sumsq(*[linear(Tensor(x), reshape(v, (3, 5)), b)
+                                     for x in xs]),
+                             mul(sumsq(reshape(v, (3, 5))), 0.5)), [v])
+
+
+def _vjp_partials(build):
+    """The partials of the one node ``build`` records, for a unit gradient."""
+    with GradTape() as tape:
+        out = build()
+    (node,) = tape._nodes
+    return node.vjp(np.ones_like(out.data))
+
+
+def test_vjps_return_none_for_inputs_without_gradient():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 5))
+    w = rng.normal(size=(3, 5))
+    b = rng.normal(size=3)
+    for need in [(True, False, False), (False, True, False),
+                 (False, False, True), (True, True, True)]:
+        ins = [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), need)]
+        partials = _vjp_partials(lambda: linear(*ins))
+        assert [p is not None for p in partials] == list(need)
+        if need[1]:
+            assert isinstance(partials[1], ad.Outer)
+            assert partials[1].shape == w.shape and partials[1].size == w.size
+    x4 = rng.normal(size=(2, 2, 5, 6))
+    k4 = rng.normal(size=(3, 2, 2, 3))
+    for need in [(True, False, False), (False, True, False),
+                 (False, False, True), (True, True, True)]:
+        ins = [Tensor(a, requires_grad=r) for a, r in zip((x4, k4, b), need)]
+        partials = _vjp_partials(
+            lambda: conv2d(*ins, stride=(2, 1), padding=(1, 1)))
+        assert [p is not None for p in partials] == list(need)
+    data, param = Tensor(x), Tensor(x, requires_grad=True)
+    partials = _vjp_partials(lambda: stack([data, param], axis=1))
+    assert partials[0] is None and partials[1].shape == x.shape
+
+
+def test_in_place_accumulation_leaves_vjp_arrays_unchanged():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with GradTape() as tape:
+        # x gets a reshape view, a fresh product and one array twice
+        loss = sumsq(ad.add(x, x), mul(x, 3.0), reshape(x, (3, 2)))
+    returned = []
+    for node in tape._nodes:
+        def watched(g, vjp=node.vjp):
+            partials = vjp(g)
+            returned.extend((p, p.copy()) for p in partials
+                            if isinstance(p, np.ndarray))
+            return partials
+        node.vjp = watched
+    g = backward(loss, tape)[x]
+    # d/dx of |2x|^2 + |3x|^2 + |x|^2
+    np.testing.assert_allclose(g, 28.0 * x.data, rtol=1e-15, atol=0)
+    assert len(returned) == 7  # sumsq 3, add 2, mul 1, reshape 1
+    for p, copy in returned:
+        np.testing.assert_array_equal(p, copy)
+
+
+# ---------------------------------------------------------------------------
 # leaky ReLU / dropout
 # ---------------------------------------------------------------------------
 

@@ -283,6 +283,47 @@ def test_train_rejects_finished_run_before_writing(corpus, tmp_path, capsys):
     assert (out_dir / "report.csv").read_text() == report
 
 
+@pytest.mark.parametrize("via,value", [("flag", "0"), ("config", "-1")])
+def test_train_rejects_checkpoint_every_below_one(corpus, tmp_path, capsys,
+                                                  via, value):
+    manifest, stats_path = corpus
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(manifest), "--stats", str(stats_path),
+            "--out", str(out_dir), "--iters", "2", "--no-adv"] + MICRO_FLAGS
+    if via == "flag":
+        argv += ["--checkpoint-every", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"checkpoint_every={value}\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 1
+    assert f"checkpoint_every must be >= 1, got {value}" in _error_line(capsys)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--jobs", "0"),
+                                        ("--jobs", "-2")])
+def test_gradcheck_rejects_counts_below_one(capsys, flag, value):
+    assert cli.main(["gradcheck", flag, value]) == 1
+    assert f"{flag} must be >= 1, got {value}" in _error_line(capsys)
+
+
+def test_train_report_rows_kept_on_resume(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    out_dir = tmp_path / "run"
+    base = ["train", "--data", str(manifest), "--stats", str(stats_path),
+            "--out", str(out_dir), "--no-adv", "--iters", "4",
+            "--checkpoint-every", "2"] + MICRO_FLAGS
+    assert cli.main(base) == 0
+    full = (out_dir / "report.csv").read_text().split("\n")
+    assert cli.main(base + ["--resume", str(out_dir / "ckpt_0000002.ckpt")]) == 0
+    resumed = (out_dir / "report.csv").read_text().split("\n")
+    assert len(resumed) == len(full) == 6  # header, 4 rows, final newline
+    assert resumed[:3] == full[:3]  # header and rows 1-2 kept as they were
+    assert [r.rsplit(",", 1)[0] for r in resumed[3:5]] == \
+        [r.rsplit(",", 1)[0] for r in full[3:5]]
+
+
 def test_missing_data_file_is_one_error_line(tmp_path, capsys):
     missing = tmp_path / "nonexistent.json"
     rc = cli.main(["train", "--data", str(missing), "--stats", "y",

@@ -325,6 +325,63 @@ def test_train_deterministic_reports_and_checkpoints(tmp_path):
         assert c1.read_bytes() == c2.read_bytes()
 
 
+def test_generator_backward_returns_generator_gradients_only():
+    hp = tiny_hyperparams(lambda_adv=0.01, adversarial=True, dropout=0.0)
+    params = M.init_params(hp, TINY_POSE_DIM, np.random.default_rng(0))
+    gen_named = params.generator_named()
+    rng = np.random.default_rng(1)
+    seeds = Tensor(rng.normal(size=(2, hp.seed_frames, TINY_POSE_DIM)))
+    targets = Tensor(rng.normal(size=(2, hp.target_frames, TINY_POSE_DIM)))
+    with GradTape() as tape:
+        _, loss, terms = T.generator_objective(params, gen_named, seeds,
+                                               targets, hp, rng)
+    assert terms.adv > 0.0
+    grads = backward(loss, tape)
+    # every returned gradient is used by the generator step, and no disc.*
+    # tensor has one: the discriminator scores through detached copies
+    assert set(grads) == set(gen_named.values())
+
+
+def _report_rows(path):
+    """The deterministic columns of a report.csv (all but ms_per_iter)."""
+    return [line.rsplit(",", 1)[0]
+            for line in path.read_text().strip().split("\n")]
+
+
+def test_report_csv_survives_crash_and_resume(tmp_path, monkeypatch):
+    seqs, stats = make_dataset(frames=30)
+    hp = micro_hp(lambda_adv=0.01, adversarial=True)
+
+    def schedule(run):
+        return T.TrainSchedule(iterations=5, master_seed=3, checkpoint_every=2,
+                               out_dir=run, report_path=run / "report.csv")
+
+    full = tmp_path / "full"
+    T.train(seqs, stats, hp, schedule(full))
+
+    crashed = tmp_path / "crashed"
+    save = T._save_training_checkpoint
+
+    def save_then_crash(path, *args):
+        if path.name == "ckpt_0000004.ckpt":
+            raise RuntimeError("injected crash")
+        save(path, *args)
+
+    monkeypatch.setattr(T, "_save_training_checkpoint", save_then_crash)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        T.train(seqs, stats, hp, schedule(crashed))
+    monkeypatch.undo()
+    # every finished iteration is on disk, including two past the checkpoint
+    rows = _report_rows(crashed / "report.csv")
+    assert rows == _report_rows(full / "report.csv")[:5]
+
+    T.train(seqs, stats, hp, schedule(crashed),
+            resume_from=crashed / "ckpt_0000002.ckpt")
+    assert _report_rows(crashed / "report.csv") == \
+        _report_rows(full / "report.csv")
+    assert len(_report_rows(full / "report.csv")) == 6  # header + 5
+
+
 def test_gradient_isolation_between_players():
     seqs, stats = make_dataset(frames=30)
     hp = micro_hp(lambda_adv=0.01, adversarial=True, dropout=0.0)
