@@ -8,4 +8,4 @@ Euler-angle evaluation protocol.
 
 __version__ = "0.1.0"
 
-from .autodiff import GradTape, Tensor, backward, grad_check  # noqa: F401
+from .autodiff import GradTape, Tensor, backward  # noqa: F401

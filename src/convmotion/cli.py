@@ -28,54 +28,66 @@ from . import training as T
 log = logging.getLogger("convmotion")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+# config-file schedule keys a subcommand honours: key -> (flag, default);
+# the flag's parser is the type of the default
+TRAIN_SCHEDULE = {
+    "iterations": ("--iters", 1000),
+    "master_seed": ("--seed", T.TrainSchedule.master_seed),
+    "checkpoint_every": ("--checkpoint-every", T.TrainSchedule.checkpoint_every),
+}
+ABLATE_SCHEDULE = {"iterations": ("--iters", 200),
+                   "master_seed": ("--seed", T.TrainSchedule.master_seed),
+                   "num_sequences": ("--num-sequences", 4)}
+SCHEDULE_KEYS = {*TRAIN_SCHEDULE, *ABLATE_SCHEDULE}
+# the hyperparameters gradcheck takes over its tiny configuration
+GRADCHECK_KEYS = ("seed_frames", "target_frames", "window", "channels",
+                  "fc_out", "dropout", "eta", "no_long_term")
+
+
+def _add_hyper_flags(p: argparse.ArgumentParser, keys=C.HYPER_KEYS) -> None:
+    """A flag per hyperparameter in ``keys``; one that is not given is
+    ``None``. A bool field's flag sets the opposite of its default."""
+    for key in keys:
+        spelling = C.SPELLING.get(key, {})
+        flag = spelling.get("flag", "--" + key.replace("_", "-"))
+        default = C.HYPER_DEFAULTS[key]
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_const", const=not default,
+                           dest=key, help=spelling.get("help"))
+        else:
+            p.add_argument(flag, type=C.HYPER_KEYS[key], dest=key,
+                           help=spelling.get("help"))
+
+
+def _add_run_flags(p: argparse.ArgumentParser, schedule: dict) -> None:
+    """``--config``, a flag per ``schedule`` key, and every hyperparameter
+    flag."""
     p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--seed-frames", type=int, dest="seed_frames")
-    p.add_argument("--target-frames", type=int, dest="target_frames")
-    p.add_argument("--window", type=int, help="short-term encoder width C")
-    p.add_argument("--eta", type=float, help="window blend: 1=closed loop, 0=teacher")
-    p.add_argument("--lambda-l2", type=float, dest="lambda_l2")
-    p.add_argument("--lambda-adv", type=float, dest="lambda_adv")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--leaky-slope", type=float, dest="leaky_slope")
-    p.add_argument("--channels", type=C._parse_int_tuple)
-    p.add_argument("--fc-out", type=int, dest="fc_out")
-    p.add_argument("--kernel", type=C._parse_int_tuple,
-                   help="conv kernel, e.g. 2x7, 7x2, 4x4")
-    p.add_argument("--stride", type=C._parse_int_tuple)
-    p.add_argument("--no-long-term", action="store_true", default=None,
-                   dest="no_long_term")
-    p.add_argument("--no-adv", action="store_true", default=None, dest="no_adv")
+    for flag, default in schedule.values():
+        p.add_argument(flag, type=C.parser_for(default))
+    _add_hyper_flags(p)
+    p.set_defaults(schedule=schedule)
 
 
-# config-file schedule keys a subcommand honours: key -> (flag dest, default)
-TRAIN_SCHEDULE = {"iterations": ("iters", 1000), "master_seed": ("seed", 0),
-                  "checkpoint_every": ("checkpoint_every", 1000)}
-ABLATE_SCHEDULE = {"iterations": ("iters", 200), "master_seed": ("seed", 0),
-                   "num_sequences": ("num_sequences", 4)}
+def _given(args, keys) -> dict:
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
 
 
 def _resolve_hyper(args) -> M.HyperParams:
     """Resolve the hyperparameters, and set the subcommand's schedule flags
     (``args.schedule``) on ``args``, with precedence flag > ``--config`` >
     default. A config key the subcommand has no use for is rejected."""
-    schedule_keys = getattr(args, "schedule", {})
     mapping: dict = {}
-    if getattr(args, "config", None):
-        mapping.update(C.load_config(args.config,
-                                     {*C.HYPER_KEYS, *schedule_keys}))
-    for key in C.HYPER_KEYS:
-        if key == "adversarial":
-            continue
-        val = getattr(args, key, None)
-        if val is not None:
-            mapping[key] = val
-    if getattr(args, "no_adv", None):
-        mapping["adversarial"] = False
+    if args.config:
+        parsers = dict(C.HYPER_KEYS)
+        for key, (_, default) in args.schedule.items():
+            parsers[key] = C.parser_for(default)
+        mapping.update(C.load_config(args.config, parsers, SCHEDULE_KEYS))
+    mapping.update(_given(args, C.HYPER_KEYS))
     schedule = {}
-    for key, (dest, default) in schedule_keys.items():
+    for key, (flag, default) in args.schedule.items():
+        dest = flag[2:].replace("-", "_")
         if getattr(args, dest) is None:
             setattr(args, dest, mapping.get(key, default))
         schedule[key] = getattr(args, dest)
@@ -172,18 +184,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    hp_overrides = {}
-    for key in ("seed_frames", "target_frames", "window", "channels", "fc_out",
-                "dropout", "eta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            hp_overrides[key] = val
     for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    hp = G.tiny_hyperparams(**hp_overrides)
-    if args.no_long_term:
-        hp = replace(hp, no_long_term=True)
+    hp = G.tiny_hyperparams(**_given(args, GRADCHECK_KEYS))
     variants = {"mse": (False,), "full": (True,), "both": (False, True)}[args.variant]
     for line in C.format_config(hp).strip().split("\n"):
         log.info("config: %s", line)
@@ -274,13 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="checkpoint directory")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     p.add_argument("--resume", type=Path, help="checkpoint to resume from")
     p.add_argument("--report", type=Path, help="CSV report path")
-    _add_hyper_flags(p)
-    p.set_defaults(func=cmd_train, schedule=TRAIN_SCHEDULE)
+    _add_run_flags(p, TRAIN_SCHEDULE)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict future frames from a seed file")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -307,14 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("mse", "full", "both"), default="both")
     p.add_argument("--pose-dim", type=int, default=G.TINY_POSE_DIM,
                    dest="pose_dim")
-    p.add_argument("--seed-frames", type=int, dest="seed_frames")
-    p.add_argument("--target-frames", type=int, dest="target_frames")
-    p.add_argument("--window", type=int)
-    p.add_argument("--channels", type=C._parse_int_tuple)
-    p.add_argument("--fc-out", type=int, dest="fc_out")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--no-long-term", action="store_true", dest="no_long_term")
+    _add_hyper_flags(p, GRADCHECK_KEYS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="run a configuration sweep and compare")
@@ -322,11 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--num-sequences", type=int, dest="num_sequences")
-    _add_hyper_flags(p)
-    p.set_defaults(func=cmd_ablate, schedule=ABLATE_SCHEDULE)
+    _add_run_flags(p, ABLATE_SCHEDULE)
+    p.set_defaults(func=cmd_ablate)
 
     return parser
 

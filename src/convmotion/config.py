@@ -1,18 +1,18 @@
 """Key=value configuration files.
 
 One flat text format drives the CLI: ``key=value`` lines, ``#`` comments.
-Values cover every hyperparameter plus run-schedule knobs; the serialized
-defaults are the model's reference operating point and are pinned by a
-golden test.
+Every ``HyperParams`` field is a key, parsed by the type of its default;
+a subcommand adds the run-schedule keys it reads. The serialized defaults
+are the model's reference operating point and are pinned by a golden test.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .model import HyperParams
 
-# keys with their parsers, in canonical serialization order
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
@@ -28,42 +28,36 @@ def _parse_int_tuple(s: str) -> tuple:
     return tuple(int(tok) for tok in s.replace("x", ",").split(",") if tok)
 
 
-def _format_pair(v: tuple) -> str:
-    return f"{v[0]}x{v[1]}"
+def parser_for(default):
+    """The text parser of a key, chosen by the type of its default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_int_tuple
+    return type(default)
 
 
-HYPER_KEYS = {
-    "seed_frames": int,
-    "target_frames": int,
-    "window": int,
-    "eta": float,
-    "lambda_l2": float,
-    "lambda_adv": float,
-    "learning_rate": float,
-    "batch_size": int,
-    "dropout": float,
-    "leaky_slope": float,
-    "channels": _parse_int_tuple,
-    "fc_out": int,
-    "kernel": _parse_int_tuple,
-    "stride": _parse_int_tuple,
-    "no_long_term": _parse_bool,
-    "adversarial": _parse_bool,
+# what a field's declaration does not say: a flag other than
+# --key-with-dashes (a bool field's flag sets the opposite of its default),
+# a pair written AxB rather than A,B, and a help text
+SPELLING = {
+    "window": {"help": "short-term encoder width C"},
+    "eta": {"help": "window blend: 1=closed loop, 0=teacher"},
+    "learning_rate": {"flag": "--lr"},
+    "kernel": {"pair": True, "help": "conv kernel, e.g. 2x7, 7x2, 4x4"},
+    "stride": {"pair": True},
+    "adversarial": {"flag": "--no-adv"},
 }
 
-SCHEDULE_KEYS = {
-    "iterations": int,
-    "master_seed": int,
-    "checkpoint_every": int,
-    "num_sequences": int,
-}
-
-ALL_KEYS = {**HYPER_KEYS, **SCHEDULE_KEYS}
+HYPER_DEFAULTS = {f.name: f.default for f in fields(HyperParams)}
+# keys with their parsers, in canonical serialization order
+HYPER_KEYS = {key: parser_for(d) for key, d in HYPER_DEFAULTS.items()}
 
 
-def parse_config_text(text: str, allowed=ALL_KEYS) -> dict:
-    """Parse ``key=value`` lines; unknown keys, and known keys outside
-    ``allowed`` (those the reading command has no use for), are rejected."""
+def parse_config_text(text: str, parsers=HYPER_KEYS, known=()) -> dict:
+    """Parse ``key=value`` lines with ``parsers`` (key -> parser). A key
+    outside ``parsers`` is rejected: as one this command has no use for
+    when it is in ``known``, otherwise as unknown."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,20 +66,20 @@ def parse_config_text(text: str, allowed=ALL_KEYS) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ALL_KEYS:
+        if key not in parsers:
+            if key in known:
+                raise ValueError(
+                    f"config line {lineno}: key {key!r} is not used by this command")
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key not in allowed:
-            raise ValueError(
-                f"config line {lineno}: key {key!r} is not used by this command")
         try:
-            out[key] = ALL_KEYS[key](value)
+            out[key] = parsers[key](value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return out
 
 
-def load_config(path, allowed=ALL_KEYS) -> dict:
-    return parse_config_text(Path(path).read_text(), allowed)
+def load_config(path, parsers=HYPER_KEYS, known=()) -> dict:
+    return parse_config_text(Path(path).read_text(), parsers, known)
 
 
 def hyperparams_from_mapping(mapping: dict) -> HyperParams:
@@ -94,10 +88,9 @@ def hyperparams_from_mapping(mapping: dict) -> HyperParams:
 
 
 def format_value(key: str, value) -> str:
-    if key in ("channels",):
-        return ",".join(str(v) for v in value)
-    if key in ("kernel", "stride"):
-        return _format_pair(value)
+    if isinstance(value, tuple):
+        sep = "x" if SPELLING.get(key, {}).get("pair") else ","
+        return sep.join(str(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -106,13 +99,7 @@ def format_value(key: str, value) -> str:
 
 
 def format_config(hp: HyperParams, schedule: dict | None = None) -> str:
-    lines = [f"{key}={format_value(key, getattr(hp, key))}" for key in HYPER_KEYS]
-    for key in SCHEDULE_KEYS:
-        if schedule and key in schedule:
-            lines.append(f"{key}={format_value(key, schedule[key])}")
-    return "\n".join(lines) + "\n"
-
-
-def default_config_text() -> str:
-    """Canonical serialization of the default operating point."""
-    return format_config(HyperParams())
+    """``hp``'s keys in field order, then the ``schedule`` entries."""
+    items = [(key, getattr(hp, key)) for key in HYPER_KEYS]
+    items += (schedule or {}).items()
+    return "\n".join(f"{key}={format_value(key, v)}" for key, v in items) + "\n"

@@ -80,6 +80,13 @@ class HyperParams:
         if not 0.0 < self.leaky_slope < 1.0:
             raise ValueError(
                 f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
+        for name in ("lambda_l2", "lambda_adv"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if len(self.channels) != 3 or min(self.channels) < 1:
             raise ValueError(
                 f"channels must be three conv widths >= 1, got {self.channels}")
@@ -127,11 +134,9 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HyperParams":
-        kw = dict(doc)
-        for key in ("channels", "kernel", "stride"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
+        """Inverse of ``to_dict``: every JSON list becomes a tuple."""
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in dict(doc).items()})
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,8 @@ def init_params(hp: HyperParams, pose_dim: int, rng: np.random.Generator,
                 dtype=np.float64) -> ModelParams:
     """Fan-in uniform weights and zero biases, drawn in ``PARAM_NAMES``
     order: long encoder, short encoder, decoder, discriminator."""
+    if pose_dim < 1:
+        raise ValueError(f"pose_dim must be >= 1, got {pose_dim}")
     params = ModelParams()
 
     def zeros(name, shape):
@@ -512,22 +519,20 @@ class Checkpoint:
 def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str,
                     tensors: dict, extra: Optional[dict] = None) -> None:
     """Write a deterministic binary container (no timestamps, sorted names)."""
-    names = sorted(tensors)
+    # a C-contiguous tensor is written from its own buffer, not a copy
+    arrays = [(name, np.ascontiguousarray(tensors[name]))
+              for name in sorted(tensors)]
     entries = []
-    blobs = []
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(tensors[name])
-        raw = arr.tobytes()
+    for name, arr in arrays:
         entries.append({
             "name": name,
             "shape": list(arr.shape),
             "dtype": str(arr.dtype),
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": arr.nbytes,
         })
-        blobs.append(raw)
-        offset += len(raw)
+        offset += arr.nbytes
     header = {
         "format": "convmotion-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -542,8 +547,8 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
         f.write(header_bytes)
-        for raw in blobs:
-            f.write(raw)
+        for _, arr in arrays:
+            f.write(arr.data)
 
 
 def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpoint:

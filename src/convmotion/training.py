@@ -261,21 +261,10 @@ class TrainResult:
 REPORT_COLUMNS = ("iteration", "mse", "l2", "adv", "d_loss", "total", "ms_per_iter")
 
 
-def _csv_row(r: IterationReport, include_timing: bool = True) -> str:
-    row = [str(r.iteration), repr(r.mse), repr(r.l2), repr(r.adv),
-           "" if r.d_loss is None else repr(r.d_loss), repr(r.total)]
-    if include_timing:
-        row.append(repr(r.ms_per_iter))
-    return ",".join(row)
-
-
-def reports_to_csv(reports, path=None, include_timing: bool = True) -> str:
-    cols = REPORT_COLUMNS if include_timing else REPORT_COLUMNS[:-1]
-    lines = [",".join(cols)] + [_csv_row(r, include_timing) for r in reports]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+def _csv_row(r: IterationReport) -> str:
+    return ",".join([str(r.iteration), repr(r.mse), repr(r.l2), repr(r.adv),
+                     "" if r.d_loss is None else repr(r.d_loss), repr(r.total),
+                     repr(r.ms_per_iter)])
 
 
 def _start_report(path, start_iteration: int) -> None:

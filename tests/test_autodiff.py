@@ -5,7 +5,6 @@ import pytest
 
 from convmotion import autodiff as ad
 from convmotion.autodiff import (
-    GradCheckSetupError,
     GradTape,
     ShapeError,
     Tensor,
@@ -14,7 +13,6 @@ from convmotion.autodiff import (
     concat,
     conv2d,
     dropout,
-    grad_check,
     leaky_relu,
     linear,
     matmul,
@@ -28,6 +26,8 @@ from convmotion.autodiff import (
     tmean,
     tsum,
 )
+from convmotion.gradcheck import GradCheckSetupError
+from serial_grad_check import grad_check, relative_error
 
 # ---------------------------------------------------------------------------
 # Independent oracles (written before the operations they check)
@@ -93,7 +93,7 @@ def check_vjp(build_loss, params, h=1e-5, tol=1e-4):
         for idx in range(p.data.size):
             num = central_diff(lambda: build_loss().item(), p.data, idx, h)
             a = float(g.reshape(-1)[idx])
-            assert ad.relative_error(a, num) < tol, (
+            assert relative_error(a, num) < tol, (
                 f"param shape {p.data.shape} idx {idx}: analytic {a} vs numeric {num}"
             )
 

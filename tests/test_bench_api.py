@@ -51,6 +51,11 @@ def test_workload_checks_and_traced_op(tmp_path, make):
     assert _attributes() == before
 
 
+def test_benchmark_chunk_matches_gradcheck():
+    # the benchmark counts reference calls with its own copy of FD_CHUNK
+    assert W.FD_CHUNK == G.FD_CHUNK
+
+
 def test_gradcheck_workload_checks(tmp_path):
     workload = W.GradcheckWorkload()
     state = workload.setup(tmp_path / "work", 0)

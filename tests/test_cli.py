@@ -1,6 +1,9 @@
 """Config-file handling and end-to-end CLI flows."""
 
+import argparse
+import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from convmotion import model as M
 
 
 def test_default_config_is_the_reference_operating_point():
-    text = C.default_config_text()
+    text = C.format_config(M.HyperParams())
     expected = {
         "seed_frames": "50",
         "target_frames": "25",
@@ -44,6 +47,71 @@ def test_config_round_trip():
     hp = M.HyperParams(window=10, kernel=(7, 2), adversarial=False)
     parsed = C.parse_config_text(C.format_config(hp))
     assert C.hyperparams_from_mapping(parsed) == hp
+
+
+def _non_default(default):
+    """A valid value other than a field's default."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, tuple):
+        return tuple(v + 1 for v in default)
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+RUN_ARGV = {"train": ["train", "--data", "x", "--stats", "y", "--out", "z"],
+            "ablate": ["ablate", "--axis", "kernel", "--data", "x",
+                       "--stats", "y", "--out", "z"]}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(M.HyperParams)])
+def test_every_hyperparameter_is_a_config_key_and_a_flag(name):
+    value = _non_default(getattr(M.HyperParams(), name))
+    hp = M.HyperParams(**{name: value})
+    assert name in C.HYPER_KEYS
+    # --no-adv sets adversarial=false, --no-long-term no_long_term=true
+    flag = {"learning_rate": "--lr", "adversarial": "--no-adv"}.get(
+        name, "--" + name.replace("_", "-"))
+    text = C.format_value(name, value)
+    given = [flag] if isinstance(value, bool) else [flag, text]
+    parser = cli.build_parser()
+    for argv in RUN_ARGV.values():
+        assert cli._resolve_hyper(parser.parse_args(argv + given)) == hp
+    parsed = C.parse_config_text(C.format_config(hp))
+    assert C.hyperparams_from_mapping(parsed) == hp
+    doc = json.loads(json.dumps(hp.to_dict()))
+    assert M.HyperParams.from_dict(doc) == hp
+
+
+OPTION_STRINGS = {
+    "synth": "--actions --frames --freq-hi --freq-lo --joints --out --seed "
+             "--test-trials --train-trials",
+    "prep": "--data --eps-const --global-dims --out",
+    "train": "--batch-size --channels --checkpoint-every --config --data "
+             "--dropout --eta --fc-out --iters --kernel --lambda-adv "
+             "--lambda-l2 --leaky-slope --lr --no-adv --no-long-term --out "
+             "--report --resume --seed --seed-frames --stats --stride "
+             "--target-frames --window",
+    "predict": "--checkpoint --out --seed-file --stats",
+    "eval": "--checkpoint --data --dump --horizons --num-sequences --out "
+            "--seed --stats",
+    "gradcheck": "--channels --dropout --eta --fc-out --jobs --no-long-term "
+                 "--pose-dim --seed-frames --seeds --target-frames --tol "
+                 "--variant --window",
+    "ablate": "--axis --batch-size --channels --config --data --dropout "
+              "--eta --fc-out --iters --kernel --lambda-adv --lambda-l2 "
+              "--leaky-slope --lr --no-adv --no-long-term --num-sequences "
+              "--out --seed --seed-frames --stats --stride --target-frames "
+              "--window",
+}
+
+
+def test_subcommand_option_strings_unchanged():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings
+                        if s not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == {name: opts.split() for name, opts in OPTION_STRINGS.items()}
 
 
 def test_config_rejects_unknown_key():
@@ -299,6 +367,17 @@ def test_train_rejects_checkpoint_every_below_one(corpus, tmp_path, capsys,
     assert cli.main(argv) == 1
     assert f"checkpoint_every must be >= 1, got {value}" in _error_line(capsys)
     assert not out_dir.exists()
+
+
+def test_negative_learning_rate_is_one_error_line(capsys):
+    assert cli.main(RUN_ARGV["train"] + ["--lr", "-1"]) == 1
+    assert "learning_rate must be finite and > 0, got -1.0" in \
+        _error_line(capsys)
+
+
+def test_gradcheck_pose_dim_zero_is_one_error_line(capsys):
+    assert cli.main(["gradcheck", "--seeds", "1", "--pose-dim", "0"]) == 1
+    assert "pose_dim must be >= 1, got 0" in _error_line(capsys)
 
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--jobs", "0"),

@@ -13,6 +13,7 @@ from convmotion import gradcheck as G
 from convmotion import model as M
 from convmotion import training as T
 from convmotion.autodiff import GradTape, Tensor, backward
+from serial_grad_check import grad_check
 
 
 def micro_hp(**overrides):
@@ -145,7 +146,7 @@ def test_encoder_passes_serial_grad_check():
         code = M.cem_forward(frames, p, cfg, mode="train", rng=mask_rng)
         return ad.tsum(ad.square(code))
 
-    report = ad.grad_check(f, encoder, h=1e-5, tol=1e-4)
+    report = grad_check(f, encoder, h=1e-5, tol=1e-4)
     assert report.passed, report.summary()
 
 
@@ -160,5 +161,5 @@ def test_discriminator_bce_passes_serial_grad_check():
         return T.loss_discriminator(M.discriminate(real, params, hp),
                                     M.discriminate(fake, params, hp))
 
-    report = ad.grad_check(f, params.discriminator_named(), h=1e-5, tol=1e-4)
+    report = grad_check(f, params.discriminator_named(), h=1e-5, tol=1e-4)
     assert report.passed, report.summary()

@@ -1,5 +1,6 @@
 """Model tests: encoder shapes, residual decoding, window bookkeeping, checkpoints."""
 
+import hashlib
 import json
 import struct
 
@@ -61,6 +62,12 @@ MALFORMED_HYPER = [
     ("kernel", (2,)), ("stride", (0, 2)), ("channels", (0, 4, 4)),
     ("fc_out", 0), ("target_frames", 0), ("batch_size", 0),
     ("dropout", 1.5), ("leaky_slope", 2.0),
+    # a negative rate runs gradient ascent, and a negative lambda_adv would
+    # switch the adversarial term and the discriminator step off
+    ("learning_rate", -1.0), ("learning_rate", 0.0),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("lambda_l2", -5.0), ("lambda_l2", float("inf")),
+    ("lambda_adv", -1.0), ("lambda_adv", float("nan")),
 ]
 
 
@@ -574,6 +581,25 @@ def test_checkpoint_round_trip(tmp_path, params):
     restored = ckpt.to_params()
     for name, t in params.all_named().items():
         np.testing.assert_array_equal(restored.all_named()[name].data, t.data)
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # a fixed checkpoint, byte for byte: one tensor is not C-contiguous,
+    # one float32, and one 0-d (stored with shape [1])
+    hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
+                       channels=(2, 3, 3), fc_out=8, kernel=(3, 3))
+    tensors = {
+        "w": np.arange(12.0).reshape(3, 4) / 7.0,
+        "t": (np.arange(6.0).reshape(2, 3) - 2.5).T,
+        "f": np.linspace(-1.0, 1.0, 5, dtype=np.float32),
+        "s": np.array(0.125),
+    }
+    path = tmp_path / "fixed.ckpt"
+    M.save_checkpoint(path, hp, 6, "c" * 64, tensors, {"iteration": 3})
+    data = path.read_bytes()
+    assert len(data) == 998
+    assert hashlib.sha256(data).hexdigest() == (
+        "ae758a1aeb0ce0d0f1c3ab74fe74d6e2d0a9dad7f78c38e00ba07a6047a0f997")
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, params):

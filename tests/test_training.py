@@ -553,10 +553,20 @@ def test_train_empty_dataset_rejected():
 
 
 def test_report_csv_round_trip(tmp_path):
-    reports = [T.IterationReport(1, 0.5, 2.0, 0.1, 0.7, 0.503, 12.5),
-               T.IterationReport(2, 0.25, 2.0, 0.2, None, 0.252, 11.0)]
-    text = T.reports_to_csv(reports, tmp_path / "r.csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == "iteration,mse,l2,adv,d_loss,total,ms_per_iter"
-    assert lines[1].startswith("1,0.5,2.0,0.1,0.7,")
-    assert ",," in lines[2]  # empty d_loss column
+    # the report file train writes reads back as its IterationReports
+    seqs, stats = make_dataset()
+    for hp in (micro_hp(), micro_hp(lambda_adv=0.01, adversarial=True)):
+        path = tmp_path / "report.csv"
+        result = T.train(seqs, stats, hp,
+                         T.TrainSchedule(iterations=2, report_path=path))
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "iteration,mse,l2,adv,d_loss,total,ms_per_iter"
+        assert len(lines) == 1 + len(result.reports)
+        for line, r in zip(lines[1:], result.reports):
+            cells = line.split(",")
+            d_loss = None if cells[4] == "" else float(cells[4])
+            assert (int(cells[0]), *map(float, cells[1:4]), d_loss,
+                    float(cells[5])) == r.deterministic_fields()
+            assert float(cells[6]) == r.ms_per_iter
+        # an empty d_loss column when no discriminator step runs
+        assert (",," in lines[1]) == (not hp.adversarial)
