@@ -20,7 +20,7 @@ place into an accumulator that ``backward`` allocated itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -84,36 +84,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; tensor-tensor ops demand exact shape equality
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __getitem__(self, key):
-        return tslice(self, key)
-
 
 @dataclass
 class TapeNode:
@@ -122,10 +92,6 @@ class TapeNode:
     inputs: tuple
     output: "Tensor"
     vjp: Callable[[np.ndarray], tuple]
-    input_shapes: tuple = field(default=())
-
-    def __post_init__(self):
-        self.input_shapes = tuple(t.data.shape for t in self.inputs)
 
 
 class GradTape:
@@ -232,12 +198,13 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
         if g_out is None:
             continue
         partials = node.vjp(g_out)
-        for tensor, shape, g in zip(node.inputs, node.input_shapes, partials):
+        for tensor, g in zip(node.inputs, partials):
             if g is None or not tensor.requires_grad:
                 continue
-            if g.shape != shape:
+            if g.shape != tensor.shape:
                 raise ShapeError(
-                    f"vjp produced gradient of shape {g.shape} for input of shape {shape}"
+                    f"vjp produced gradient of shape {g.shape} for input of "
+                    f"shape {tensor.shape}"
                 )
             if isinstance(g, Outer):
                 outers.setdefault(tensor, []).append(g)
@@ -264,10 +231,6 @@ def zeros(shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def ones(shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic (no silent broadcasting between tensors)
 # ---------------------------------------------------------------------------
@@ -289,11 +252,7 @@ def add(a: Tensor, b) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        out = Tensor(a.data - b, requires_grad=a.requires_grad)
-        _record((a,), out, lambda g: (g,))
-        return out
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("sub", a, b)
     out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
     _record((a, b), out, lambda g: (g, -g))

@@ -155,9 +155,8 @@ def cmd_predict(args) -> int:
     hp = ckpt.hyper
     trial = mocap.load_trial(args.seed_file)
     if trial.num_frames < hp.seed_frames:
-        log.error("seed file has %d frames, need %d", trial.num_frames,
-                  hp.seed_frames)
-        return 1
+        raise ValueError(f"{args.seed_file}: seed file has "
+                         f"{trial.num_frames} frames, need {hp.seed_frames}")
     seq = mocap.normalize(trial, stats)
     seed = seq.frames[-hp.seed_frames:]
     params = ckpt.to_params()
@@ -170,12 +169,13 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     manifest, stats, sequences = _load_dataset(args.data, args.stats, "test")
     ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint())
+    hp = ckpt.hyper
     horizons = tuple(int(x) for x in args.horizons.split(","))
-    report = E.evaluate_checkpoint(ckpt, sequences, stats,
-                                   num_sequences=args.num_sequences,
-                                   seed=args.seed, horizons_ms=horizons,
-                                   frame_ms=manifest.frame_ms,
-                                   dump_dir=args.dump)
+    report = E.evaluate(E.model_predictor(ckpt.to_params(), hp), sequences,
+                        stats, hp.seed_frames, hp.target_frames,
+                        num_sequences=args.num_sequences, seed=args.seed,
+                        horizons_ms=horizons, frame_ms=manifest.frame_ms,
+                        dump_dir=args.dump)
     if args.out:
         Path(args.out).write_text(report.to_csv())
         log.info("wrote report to %s", args.out)
@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--num-sequences", type=int, default=8, dest="num_sequences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizons", default="80,160,320,400,1000")
+    p.add_argument("--horizons",
+                   default=",".join(map(str, E.HORIZONS_MS_DEFAULT)))
     p.add_argument("--out", type=Path, help="CSV report path")
     p.add_argument("--dump", type=Path, help="directory for predicted sequences")
     p.set_defaults(func=cmd_eval)

@@ -12,7 +12,7 @@ the frame period (40 ms by default, so 80/160/320/400/1000 ms hit frames
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -97,15 +97,12 @@ def zero_velocity_predict(seed: np.ndarray, target_frames: int) -> np.ndarray:
 @dataclass
 class HorizonReport:
     horizons_ms: tuple
-    frame_ms: float
     errors: dict  # action -> {ms -> mean error}
     num_sequences: int
-    seed: int
-    actions: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.actions:
-            self.actions = sorted(self.errors)
+    @property
+    def actions(self) -> list:
+        return sorted(self.errors)
 
     def average(self) -> dict:
         """All-action mean per horizon."""
@@ -195,8 +192,7 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
                 (out / f"{action}_{s_idx}.txt").write_text(format_trial(pred_raw))
         errors[action] = {ms: sums[ms] / num_sequences for ms in horizons_ms}
 
-    return HorizonReport(tuple(horizons_ms), frame_ms, errors, num_sequences,
-                         seed)
+    return HorizonReport(tuple(horizons_ms), errors, num_sequences)
 
 
 def model_predictor(params: M.ModelParams, hp: M.HyperParams):
@@ -207,21 +203,3 @@ def model_predictor(params: M.ModelParams, hp: M.HyperParams):
 
     return predict
 
-
-def evaluate_checkpoint(checkpoint: M.Checkpoint,
-                        test_sequences: Sequence[MotionSequence],
-                        stats: NormalizationStats, num_sequences: int = 8,
-                        seed: int = 0, horizons_ms=HORIZONS_MS_DEFAULT,
-                        frame_ms: float = FRAME_MS_DEFAULT,
-                        dump_dir=None) -> HorizonReport:
-    """Evaluate a checkpoint; refuses stats that do not match its fingerprint."""
-    if checkpoint.stats_fingerprint != stats.fingerprint():
-        raise ValueError(
-            "checkpoint was trained against different normalization stats; "
-            "refusing to evaluate"
-        )
-    hp = checkpoint.hyper
-    params = checkpoint.to_params()
-    return evaluate(model_predictor(params, hp), test_sequences, stats,
-                    hp.seed_frames, hp.target_frames, num_sequences, seed,
-                    horizons_ms, frame_ms, dump_dir=dump_dir)

@@ -25,6 +25,10 @@ FRAME_MS_DEFAULT = 40.0
 # Leading global block: 3 translation + 3 root-orientation dimensions.
 GLOBAL_DIMS_DEFAULT = 6
 EPS_CONST_DEFAULT = 1e-4
+# manifest_from_tree puts TEST_SUBJECT's trials in the test split;
+# generate_corpus writes its train trials under TRAIN_SUBJECT
+TEST_SUBJECT = "S5"
+TRAIN_SUBJECT = "S1"
 
 STATS_FORMAT = "convmotion-stats"
 STATS_VERSION = 1
@@ -49,7 +53,6 @@ class RawTrial:
     action: str = "unknown"
     subject: str = "unknown"
     trial_id: int = 0
-    frame_ms: float = FRAME_MS_DEFAULT
 
     @property
     def num_frames(self) -> int:
@@ -60,8 +63,8 @@ class RawTrial:
         return self.frames.shape[1]
 
 
-def parse_trial(data, action="unknown", subject="unknown", trial_id=0,
-                frame_ms=FRAME_MS_DEFAULT) -> RawTrial:
+def parse_trial(data, action="unknown", subject="unknown",
+                trial_id=0) -> RawTrial:
     """Parse comma-separated frames; every line must carry the same width."""
     if isinstance(data, bytes):
         text = data.decode("utf-8")
@@ -90,8 +93,7 @@ def parse_trial(data, action="unknown", subject="unknown", trial_id=0,
     frames = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(frames)):
         raise ParseError("file contains non-finite values")
-    return RawTrial(frames, action=action, subject=subject, trial_id=trial_id,
-                    frame_ms=frame_ms)
+    return RawTrial(frames, action=action, subject=subject, trial_id=trial_id)
 
 
 def _is_float(tok: str) -> bool:
@@ -116,10 +118,10 @@ def write_trial(frames: np.ndarray, path) -> None:
     Path(path).write_text(format_trial(frames))
 
 
-def load_trial(path, action="unknown", subject="unknown", trial_id=0,
-               frame_ms=FRAME_MS_DEFAULT) -> RawTrial:
+def load_trial(path, action="unknown", subject="unknown",
+               trial_id=0) -> RawTrial:
     return parse_trial(Path(path).read_text(), action=action, subject=subject,
-                       trial_id=trial_id, frame_ms=frame_ms)
+                       trial_id=trial_id)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +395,10 @@ class DatasetManifest:
                    frame_ms=float(doc["frame_ms"]), root=path.parent)
 
 
-def manifest_from_tree(root, test_subject: str = "S5",
-                       frame_ms: float = FRAME_MS_DEFAULT) -> DatasetManifest:
+def manifest_from_tree(root) -> DatasetManifest:
     """Scan a ``<root>/<subject>/<action>_<trial>.txt`` tree into a manifest.
 
-    Every trial under ``test_subject`` lands in the test split; all other
+    Every trial under ``TEST_SUBJECT`` lands in the test split; all other
     subjects train.
     """
     root = Path(root)
@@ -411,11 +412,10 @@ def manifest_from_tree(root, test_subject: str = "S5",
                 continue
             ref = TrialRef(subject, action, int(trial_str),
                            f"{subject}/{path.name}")
-            (test_refs if subject == test_subject else train_refs).append(ref)
+            (test_refs if subject == TEST_SUBJECT else train_refs).append(ref)
     if not train_refs:
         raise ValueError(f"no trials found under {root}")
-    return DatasetManifest(train=train_refs, test=test_refs, frame_ms=frame_ms,
-                           root=root)
+    return DatasetManifest(train=train_refs, test=test_refs, root=root)
 
 
 def load_split(manifest: DatasetManifest, split: str) -> list:
@@ -428,8 +428,7 @@ def load_split(manifest: DatasetManifest, split: str) -> list:
     trials = []
     for ref in refs:
         trials.append(load_trial(manifest.root / ref.path, action=ref.action,
-                                 subject=ref.subject, trial_id=ref.trial,
-                                 frame_ms=manifest.frame_ms))
+                                 subject=ref.subject, trial_id=ref.trial))
     return trials
 
 
@@ -439,8 +438,7 @@ def load_split(manifest: DatasetManifest, split: str) -> list:
 
 
 def synthetic_trial_frames(rng: np.random.Generator, joints: int, frames: int,
-                           freq_lo: float, freq_hi: float,
-                           frame_ms: float = FRAME_MS_DEFAULT) -> np.ndarray:
+                           freq_lo: float, freq_hi: float) -> np.ndarray:
     """Sum-of-sinusoids joint angles with per-joint phase coupling.
 
     Produces ``[frames, 6 + 3*joints]`` rows: a zero global block followed by
@@ -449,7 +447,7 @@ def synthetic_trial_frames(rng: np.random.Generator, joints: int, frames: int,
     """
     raw_dim = GLOBAL_DIMS_DEFAULT + 3 * joints
     out = np.zeros((frames, raw_dim))
-    t = np.arange(frames) * (frame_ms / 1000.0)
+    t = np.arange(frames) * (FRAME_MS_DEFAULT / 1000.0)
     base_freq = rng.uniform(freq_lo, freq_hi)
     trial_phase = rng.uniform(0.0, 2.0 * math.pi)
     for j in range(joints):
@@ -468,28 +466,26 @@ def synthetic_trial_frames(rng: np.random.Generator, joints: int, frames: int,
 
 def generate_corpus(root, actions=("walk", "swing", "wave"), joints: int = 8,
                     frames: int = 240, freq_lo: float = 0.2, freq_hi: float = 0.6,
-                    seed: int = 0, train_trials: int = 2, test_trials: int = 2,
-                    frame_ms: float = FRAME_MS_DEFAULT,
-                    train_subject: str = "S1", test_subject: str = "S5") -> Path:
+                    seed: int = 0, train_trials: int = 2,
+                    test_trials: int = 2) -> Path:
     """Write a synthetic corpus tree plus its manifest; returns the manifest path."""
     root = Path(root)
     rng = np.random.default_rng(seed)
     train_refs, test_refs = [], []
     for action in actions:
         for split, subject, count, refs in (
-            ("train", train_subject, train_trials, train_refs),
-            ("test", test_subject, test_trials, test_refs),
+            ("train", TRAIN_SUBJECT, train_trials, train_refs),
+            ("test", TEST_SUBJECT, test_trials, test_refs),
         ):
             subject_dir = root / subject
             subject_dir.mkdir(parents=True, exist_ok=True)
             for trial in range(1, count + 1):
                 data = synthetic_trial_frames(rng, joints, frames, freq_lo,
-                                              freq_hi, frame_ms)
+                                              freq_hi)
                 rel = f"{subject}/{action}_{trial}.txt"
                 write_trial(data, root / rel)
                 refs.append(TrialRef(subject, action, trial, rel))
-    manifest = DatasetManifest(train=train_refs, test=test_refs, frame_ms=frame_ms,
-                               root=root)
+    manifest = DatasetManifest(train=train_refs, test=test_refs, root=root)
     manifest_path = root / "manifest.json"
     manifest.save(manifest_path)
     return manifest_path

@@ -468,7 +468,8 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
 
     # the seed tail, then what the window sees of each generated frame; step
     # k stacks the last C entries, the layout ``window_frame_ids`` specifies
-    frames = [x[:, i, :] for i in range(t - C, t)]
+    frames = [ad.tslice(x, (slice(None), i, slice(None)))
+              for i in range(t - C, t)]
     short_cfg = hp.short_cem(L)
     cache = RowCache()
     prev = frames[-1]
@@ -480,8 +481,9 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
         x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
         outputs.append(x_hat)
         if teacher is not None and hp.eta < 1.0:
-            frames.append(ad.add(ad.mul(x_hat, hp.eta),
-                                 ad.mul(teacher[:, k - 1, :], 1.0 - hp.eta)))
+            pred_part = ad.mul(x_hat, hp.eta)
+            truth = ad.tslice(teacher, (slice(None), k - 1, slice(None)))
+            frames.append(ad.add(pred_part, ad.mul(truth, 1.0 - hp.eta)))
         else:
             frames.append(x_hat)  # at eta = 1 the blend is the identity
         prev = x_hat
@@ -489,12 +491,11 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     return out if batched else ad.reshape(out, (T, L))
 
 
-def discriminate(full: Tensor, params: ModelParams, hp: HyperParams,
-                 mode: str = "eval") -> Tensor:
+def discriminate(full: Tensor, params: ModelParams, hp: HyperParams) -> Tensor:
     """Score a ``[B, t+T, L]`` batch of full [seed, target] sequences; returns
-    ``[B]`` probabilities in (0, 1)."""
-    code = cem_forward(full, params, hp.discriminator_cem(full.shape[-1]),
-                       mode=mode)
+    ``[B]`` probabilities in (0, 1). The discriminator has no dropout, so
+    train and eval mode are the same pass."""
+    code = cem_forward(full, params, hp.discriminator_cem(full.shape[-1]))
     logit = ad.linear(code, params["disc.head.weight"], params["disc.head.bias"])
     return ad.sigmoid(ad.reshape(logit, (full.shape[0],)))
 
@@ -513,7 +514,7 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
     def to_params(self) -> ModelParams:
-        return params_from_tensors(self.tensors, requires_grad=True)
+        return params_from_tensors(self.tensors)
 
 
 def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str,
@@ -527,7 +528,7 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
     for name, arr in arrays:
         entries.append({
             "name": name,
-            "shape": list(arr.shape),
+            "shape": list(np.shape(tensors[name])),
             "dtype": str(arr.dtype),
             "offset": offset,
             "nbytes": arr.nbytes,
@@ -620,12 +621,11 @@ def tensors_from_params(params: ModelParams) -> dict:
     return {name: t.data for name, t in params.items()}
 
 
-def params_from_tensors(tensors: dict, requires_grad: bool = True) -> ModelParams:
+def params_from_tensors(tensors: dict) -> ModelParams:
     """The ``PARAM_NAMES`` entries of ``tensors`` (optimizer moments and any
     other entries are ignored), copied into fresh tensors."""
     for name in PARAM_NAMES:
         if name not in tensors:
             raise KeyError(f"checkpoint is missing tensor {name!r}")
-    return ModelParams({name: Tensor(tensors[name].copy(),
-                                     requires_grad=requires_grad)
+    return ModelParams({name: Tensor(tensors[name].copy(), requires_grad=True)
                         for name in PARAM_NAMES})

@@ -57,7 +57,7 @@ def loss_discriminator(real_prob: Tensor, fake_prob: Tensor) -> Tensor:
     rp = ad.clip(real_prob, PROB_EPS, 1.0 - PROB_EPS)
     fp = ad.clip(fake_prob, PROB_EPS, 1.0 - PROB_EPS)
     real_term = ad.mul(ad.tmean(ad.tlog(rp)), -1.0)
-    fake_term = ad.mul(ad.tmean(ad.tlog(1.0 - fp)), -1.0)
+    fake_term = ad.mul(ad.tmean(ad.tlog(ad.add(ad.mul(fp, -1.0), 1.0))), -1.0)
     return ad.add(real_term, fake_term)
 
 
@@ -120,7 +120,7 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
         frozen = M.ModelParams({n: p.detach() for n, p
                                 in params.discriminator_named().items()})
         fake_prob = M.discriminate(ad.concat([seeds, pred], axis=1),
-                                   frozen, hp, mode="train")
+                                   frozen, hp)
     loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
     return pred, loss, terms
 
@@ -318,7 +318,6 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     sampler = WindowSampler(sequences, hp.seed_frames, hp.target_frames)
 
     start_iteration = 0
-    gen_state = disc_state = None
     master_seed = schedule.master_seed
     if resume_from is not None:
         ckpt = M.load_checkpoint(resume_from, stats.fingerprint())
@@ -331,8 +330,6 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         params = ckpt.to_params()
         start_iteration = int(ckpt.extra.get("iteration", 0))
         master_seed = int(ckpt.extra.get("master_seed", master_seed))
-        gen_state, disc_state = _optimizer_from_tensors(resume_from, ckpt,
-                                                        params, hp)
     if schedule.iterations <= start_iteration:
         raise ValueError(
             f"nothing to train: {schedule.iterations} iterations requested, "
@@ -344,10 +341,12 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
     gen_named = params.generator_named(include_long=not hp.no_long_term)
     disc_named = params.discriminator_named()
-    if gen_state is None:
+    if resume_from is None:
         gen_state = AdamState.for_params(gen_named)
-    if disc_state is None:
         disc_state = AdamState.for_params(disc_named)
+    else:
+        gen_state, disc_state = _optimizer_from_tensors(resume_from, ckpt,
+                                                        gen_named, disc_named)
 
     if schedule.out_dir is not None:
         Path(schedule.out_dir).mkdir(parents=True, exist_ok=True)
@@ -381,9 +380,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
             fake_frames = Tensor(pred.data.copy())
             with GradTape() as dtape:
                 real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
-                                        params, hp, mode="train")
+                                        params, hp)
                 fake_p = M.discriminate(ad.concat([seeds_t, fake_frames], axis=1),
-                                        params, hp, mode="train")
+                                        params, hp)
                 d_loss = loss_discriminator(real_p, fake_p)
             d_loss_val = d_loss.item()
             if not np.isfinite(d_loss_val):
@@ -428,11 +427,8 @@ def _save_training_checkpoint(path, params, hp, pose_dim, stats, iteration,
     M.save_checkpoint(path, hp, pose_dim, stats.fingerprint(), tensors, extra)
 
 
-def _optimizer_from_tensors(path, ckpt: M.Checkpoint, params: M.ModelParams,
-                            hp: M.HyperParams):
-    gen_named = params.generator_named(include_long=not hp.no_long_term)
-    disc_named = params.discriminator_named()
-
+def _optimizer_from_tensors(path, ckpt: M.Checkpoint, gen_named: dict,
+                            disc_named: dict):
     def restore(prefix, named, step):
         try:
             m = {n: ckpt.tensors[f"{prefix}.m.{n}"].copy() for n in named}

@@ -311,10 +311,8 @@ def test_criterion_7_adversarial_loop():
         real = np.repeat(levels, full_len, axis=1)
         fake = rng.normal(size=(16, full_len, L))
         with GradTape() as tape:
-            rp = M.discriminate(Tensor(real), params, hp,
-                                mode="train")
-            fp = M.discriminate(Tensor(fake), params, hp,
-                                mode="train")
+            rp = M.discriminate(Tensor(real), params, hp)
+            fp = M.discriminate(Tensor(fake), params, hp)
             d_loss = T.loss_discriminator(rp, fp)
         if d_loss.item() < 0.1:
             reached = step
@@ -346,7 +344,7 @@ def test_criterion_7_adversarial_loop():
         pred = M.predict_sequence(seeds, gparams, hp, mode="train")
         target = Tensor(pred.data.copy())
         fp = M.discriminate(ad.concat([seeds, pred], axis=1),
-                            gparams, hp, mode="train")
+                            gparams, hp)
         loss, _ = T.loss_generator(pred, target, gen_named, fp, hp)
     grads = backward(loss, tape)
     T.adam_step(gen_named, T.grads_by_name(gen_named, grads), gstate,

@@ -217,7 +217,11 @@ def test_predict_zero_decoder_repeats_last_frame(corpus, tmp_path):
 
 def _error_line(capsys) -> str:
     """The one stderr line a refused command prints."""
-    lines = [ln for ln in capsys.readouterr().err.splitlines()
+    return _one_error_line(capsys.readouterr().err)
+
+
+def _one_error_line(err: str) -> str:
+    lines = [ln for ln in err.splitlines()
              if ln.startswith("convmotion: error: ")]
     assert len(lines) == 1, lines
     return lines[0]
@@ -408,9 +412,9 @@ def test_missing_data_file_is_one_error_line(tmp_path, capsys):
     rc = cli.main(["train", "--data", str(missing), "--stats", "y",
                    "--out", str(tmp_path / "run")] + MICRO_FLAGS)
     assert rc == 1
-    line = _error_line(capsys)
-    assert str(missing) in line
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(missing) in _one_error_line(err)
+    assert "Traceback" not in err
 
 
 def test_parse_error_is_one_error_line(corpus, tmp_path, capsys):
@@ -429,6 +433,29 @@ def test_parse_error_is_one_error_line(corpus, tmp_path, capsys):
                    "--out", str(tmp_path / "pred.txt")])
     assert rc == 1
     assert "line 2: invalid number 'oops'" in _error_line(capsys)
+
+
+def test_short_seed_file_is_one_error_line(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    stats = mocap.NormalizationStats.load(stats_path)
+    hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
+                       channels=(2, 3, 3), fc_out=8)
+    ckpt = tmp_path / "m.ckpt"
+    M.save_checkpoint(ckpt, hp, stats.reduced_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, stats.reduced_dim, np.random.default_rng(0))))
+    seed_file = tmp_path / "short.txt"
+    trial = mocap.load_trial(manifest.parent / "S5" / "walk_1.txt")
+    mocap.write_trial(trial.frames[:hp.seed_frames - 1], seed_file)
+    out = tmp_path / "pred.txt"
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--stats",
+                   str(stats_path), "--seed-file", str(seed_file),
+                   "--out", str(out)])
+    assert rc == 1
+    line = _error_line(capsys)
+    assert "seed file has 5 frames, need 6" in line
+    assert str(seed_file) in line
+    assert not out.exists()
 
 
 def test_width_shape_error_is_one_error_line(corpus, tmp_path, capsys):

@@ -166,9 +166,9 @@ def test_zero_decoder_model_matches_zero_velocity_baseline():
 
 
 def test_report_csv_and_table_layout():
-    report = E.HorizonReport((80, 160), 40.0,
+    report = E.HorizonReport((80, 160),
                              {"walk": {80: 0.1, 160: 0.2},
-                              "wave": {80: 0.3, 160: 0.4}}, 4, 0)
+                              "wave": {80: 0.3, 160: 0.4}}, 4)
     csv = report.to_csv()
     assert csv.startswith("action,ms,error\n")
     assert "walk,80,0.1" in csv
@@ -177,20 +177,6 @@ def test_report_csv_and_table_layout():
     lines = table.strip().split("\n")
     assert lines[0].split() == ["ms", "80", "160"]
     assert lines[-1].startswith("Average")
-
-
-def test_evaluate_checkpoint_fingerprint_guard(tmp_path):
-    seqs, stats = make_test_sequences()
-    hp = M.HyperParams(seed_frames=6, target_frames=4, window=4,
-                       channels=(2, 3, 3), fc_out=8, dropout=0.0)
-    params = M.init_params(hp, stats.reduced_dim, np.random.default_rng(0))
-    path = tmp_path / "m.ckpt"
-    M.save_checkpoint(path, hp, stats.reduced_dim, "deadbeef" * 8,
-                      M.tensors_from_params(params))
-    ckpt = M.load_checkpoint(path)
-    with pytest.raises(ValueError, match="refusing"):
-        E.evaluate_checkpoint(ckpt, seqs, stats, num_sequences=2,
-                              horizons_ms=(80, 160))
 
 
 def test_evaluate_dumps_predictions(tmp_path):

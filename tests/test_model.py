@@ -493,7 +493,7 @@ def test_gradient_flows_from_first_seed_frame_to_last_output():
                   requires_grad=True)
     with GradTape() as tape:
         out = M.predict_sequence(seed, p, hp)
-        loss = ad.tsum(out[hp.target_frames - 1])
+        loss = ad.tsum(ad.tslice(out, hp.target_frames - 1))
     g = backward(loss, tape)[seed]
     # frame 0 feeds only the long-term code (C < t), which every step reuses
     assert np.abs(g[0]).max() > 0.0
@@ -585,7 +585,7 @@ def test_checkpoint_round_trip(tmp_path, params):
 
 def test_checkpoint_bytes_pinned(tmp_path):
     # a fixed checkpoint, byte for byte: one tensor is not C-contiguous,
-    # one float32, and one 0-d (stored with shape [1])
+    # one float32, and one 0-d (stored with shape [])
     hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
                        channels=(2, 3, 3), fc_out=8, kernel=(3, 3))
     tensors = {
@@ -597,9 +597,19 @@ def test_checkpoint_bytes_pinned(tmp_path):
     path = tmp_path / "fixed.ckpt"
     M.save_checkpoint(path, hp, 6, "c" * 64, tensors, {"iteration": 3})
     data = path.read_bytes()
-    assert len(data) == 998
+    assert len(data) == 997
     assert hashlib.sha256(data).hexdigest() == (
-        "ae758a1aeb0ce0d0f1c3ab74fe74d6e2d0a9dad7f78c38e00ba07a6047a0f997")
+        "3e56dc1f521fbf457cc5042ffa5296737747aa5b6c021b55a4e61dfbd3fe43f1")
+
+
+def test_checkpoint_keeps_zero_d_shape(tmp_path):
+    path = tmp_path / "scalar.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
+                      {"s": np.array(0.125), "v": np.array([0.125])})
+    tensors = M.load_checkpoint(path).tensors
+    assert tensors["s"].shape == ()
+    assert tensors["v"].shape == (1,)
+    assert tensors["s"] == 0.125
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, params):

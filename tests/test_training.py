@@ -398,7 +398,7 @@ def test_gradient_isolation_between_players():
         pred = M.predict_sequence(seeds_t, params, hp, teacher=targets_t,
                                   mode="train", rng=np.random.default_rng(2))
         fake_prob = M.discriminate(ad.concat([seeds_t, pred], axis=1),
-                                   params, hp, mode="train")
+                                   params, hp)
         loss, _ = T.loss_generator(pred, targets_t, gen_named, fake_prob, hp)
     grads = backward(loss, tape)
     T.adam_step(gen_named, T.grads_by_name(gen_named, grads), gen_state,
@@ -411,9 +411,9 @@ def test_gradient_isolation_between_players():
     fake_const = Tensor(pred.data.copy())
     with GradTape() as dtape:
         real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
-                                params, hp, mode="train")
+                                params, hp)
         fake_p = M.discriminate(ad.concat([seeds_t, fake_const], axis=1),
-                                params, hp, mode="train")
+                                params, hp)
         d_loss = T.loss_discriminator(real_p, fake_p)
     dgrads = backward(d_loss, dtape)
     T.adam_step(disc_named, T.grads_by_name(disc_named, dgrads), disc_state,
@@ -465,10 +465,8 @@ def test_discriminator_separates_constant_vs_noise():
         real = np.repeat(levels, full_len, axis=1)
         fake = rng.normal(size=(16, full_len, L))
         with GradTape() as tape:
-            rp = M.discriminate(Tensor(real), params, hp,
-                                mode="train")
-            fp = M.discriminate(Tensor(fake), params, hp,
-                                mode="train")
+            rp = M.discriminate(Tensor(real), params, hp)
+            fp = M.discriminate(Tensor(fake), params, hp)
             loss = T.loss_discriminator(rp, fp)
         grads = backward(loss, tape)
         T.adam_step(named, T.grads_by_name(named, grads), state, 1e-2)
