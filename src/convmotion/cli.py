@@ -218,8 +218,10 @@ def cmd_ablate(args) -> int:
     horizons = [ms for ms in E.HORIZONS_MS_DEFAULT
                 if ms // manifest.frame_ms <= base_hp.target_frames]
     rows = ["axis,value," + ",".join(f"ms{ms}" for ms in horizons) + ",train_mse"]
-    for field_name, value in ABLATION_AXES[args.axis]:
-        hp = replace(base_hp, **{field_name: value})
+    # every axis value is validated before the first one trains
+    runs = [(field_name, value, replace(base_hp, **{field_name: value}))
+            for field_name, value in ABLATION_AXES[args.axis]]
+    for field_name, value, hp in runs:
         schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
                                    checkpoint_every=max(args.iters, 1))
         result = T.train(train_seqs, stats, hp, schedule)

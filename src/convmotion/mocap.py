@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -171,6 +171,9 @@ class NormalizationStats:
             raise ValueError(f"not a stats document: format={doc.get('format')!r}")
         if doc.get("version") != STATS_VERSION:
             raise ValueError(f"unsupported stats version {doc.get('version')!r}")
+        missing = [f.name for f in fields(cls) if f.name not in doc]
+        if missing:
+            raise ValueError(f"stats document has no {', '.join(missing)}")
         return cls(
             mean=np.asarray(doc["mean"], dtype=np.float64),
             std=np.asarray(doc["std"], dtype=np.float64),
@@ -184,7 +187,12 @@ class NormalizationStats:
 
     @classmethod
     def load(cls, path) -> "NormalizationStats":
-        return cls.from_json(Path(path).read_text())
+        """Read a stats file; a malformed one raises ``ValueError`` naming
+        the file."""
+        try:
+            return cls.from_json(Path(path).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
@@ -382,17 +390,28 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
+        """Read a manifest; one without ``frame_ms``, ``train`` or ``test``,
+        or whose ``frame_ms`` is not a finite number > 0, raises
+        ``ValueError`` naming the file."""
         path = Path(path)
         doc = json.loads(path.read_text())
         if doc.get("format") != MANIFEST_FORMAT:
             raise ValueError(f"not a dataset manifest: {path}")
+        missing = [k for k in ("frame_ms", "train", "test") if k not in doc]
+        if missing:
+            raise ValueError(f"{path}: manifest has no {', '.join(missing)}")
+        frame_ms = doc["frame_ms"]
+        if not (isinstance(frame_ms, (int, float)) and math.isfinite(frame_ms)
+                and frame_ms > 0):
+            raise ValueError(f"{path}: frame_ms must be a finite number > 0, "
+                             f"got {frame_ms!r}")
 
         def decode(entries):
             return [TrialRef(e["subject"], e["action"], int(e["trial"]), e["path"])
                     for e in entries]
 
         return cls(train=decode(doc["train"]), test=decode(doc["test"]),
-                   frame_ms=float(doc["frame_ms"]), root=path.parent)
+                   frame_ms=float(frame_ms), root=path.parent)
 
 
 def manifest_from_tree(root) -> DatasetManifest:

@@ -1,19 +1,20 @@
-"""Training: losses, Adam, window sampling, and the alternating loop.
+"""Training: losses, Adam, window sampling, and the training loop.
 
 Each iteration samples a batch of (seed, target) windows across all actions,
-takes one generator step on the combined objective (prediction MSE + weight
+differentiates the generator's combined objective (prediction MSE + weight
 penalty - adversarial log-score) and, when the adversarial regularizer is
-enabled, one discriminator step on the real/generated classification loss
-with the generated sequences detached. Everything is deterministic under the
-master seed: iteration ``i`` draws from RNG streams derived from
-``(master_seed, i)``, so resuming from a checkpoint replays the exact
-trajectory of an uninterrupted run.
+enabled, the discriminator's real/generated classification loss with the
+generated sequences detached, then takes one Adam step over both players'
+tensors; the gradient sets are disjoint, so this equals a step per player.
+Everything is deterministic under the master seed: iteration ``i`` draws
+from RNG streams derived from ``(master_seed, i)``, so resuming from a
+checkpoint replays the exact trajectory of an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -258,13 +259,8 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)
 
 
-REPORT_COLUMNS = ("iteration", "mse", "l2", "adv", "d_loss", "total", "ms_per_iter")
-
-
 def _csv_row(r: IterationReport) -> str:
-    return ",".join([str(r.iteration), repr(r.mse), repr(r.l2), repr(r.adv),
-                     "" if r.d_loss is None else repr(r.d_loss), repr(r.total),
-                     repr(r.ms_per_iter)])
+    return ",".join("" if v is None else repr(v) for v in astuple(r))
 
 
 def _start_report(path, start_iteration: int) -> None:
@@ -272,14 +268,15 @@ def _start_report(path, start_iteration: int) -> None:
     run up to ``start_iteration``; later rows (the part of a crashed run
     past its checkpoint) are dropped."""
     path = Path(path)
+    columns = [f.name for f in fields(IterationReport)]
     kept = []
     if start_iteration and path.exists():
         for line in path.read_text().splitlines()[1:]:
             cells = line.split(",")
-            if (len(cells) == len(REPORT_COLUMNS) and cells[0].isdigit()
+            if (len(cells) == len(columns) and cells[0].isdigit()
                     and int(cells[0]) <= start_iteration):
                 kept.append(line + "\n")
-    path.write_text(",".join(REPORT_COLUMNS) + "\n" + "".join(kept))
+    path.write_text(",".join(columns) + "\n" + "".join(kept))
 
 
 def _iteration_rngs(master_seed: int, iteration: int):
@@ -293,15 +290,15 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
           hp: M.HyperParams, schedule: TrainSchedule,
           params: Optional[M.ModelParams] = None,
           resume_from=None) -> TrainResult:
-    """Run the alternating optimization; returns parameters and the report stream.
+    """Run the training loop; returns parameters and the report stream.
 
     ``resume_from`` is a checkpoint path; training continues from its stored
     iteration with restored optimizer moments and reproduces the
     uninterrupted trajectory exactly. The checkpoint must hold optimizer
-    moments and have been trained with ``hp``, and ``schedule.iterations``
-    must exceed its iteration (0 for a fresh run), and
-    ``schedule.checkpoint_every`` must be at least 1, or ``ValueError`` is
-    raised before anything is written.
+    moments and have been trained with ``hp`` and ``schedule.master_seed``,
+    ``schedule.iterations`` must exceed its iteration (0 for a fresh run),
+    and ``schedule.checkpoint_every`` must be at least 1, or ``ValueError``
+    is raised before anything is written.
 
     With ``schedule.report_path``, each iteration's row is appended (and
     the file closed) as the iteration finishes, before its checkpoint, so a
@@ -318,7 +315,6 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     sampler = WindowSampler(sequences, hp.seed_frames, hp.target_frames)
 
     start_iteration = 0
-    master_seed = schedule.master_seed
     if resume_from is not None:
         ckpt = M.load_checkpoint(resume_from, stats.fingerprint())
         theirs = ckpt.hyper.to_dict()
@@ -329,24 +325,22 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
                              f"hyperparameters: {', '.join(differ)}")
         params = ckpt.to_params()
         start_iteration = int(ckpt.extra.get("iteration", 0))
-        master_seed = int(ckpt.extra.get("master_seed", master_seed))
     if schedule.iterations <= start_iteration:
         raise ValueError(
             f"nothing to train: {schedule.iterations} iterations requested, "
             f"but the run starts after iteration {start_iteration}")
     if params is None:
         init_rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(master_seed), 0])))
+            np.random.SeedSequence([int(schedule.master_seed), 0])))
         params = M.init_params(hp, pose_dim, init_rng)
 
     gen_named = params.generator_named(include_long=not hp.no_long_term)
-    disc_named = params.discriminator_named()
+    trained = {**gen_named, **params.discriminator_named()}
     if resume_from is None:
-        gen_state = AdamState.for_params(gen_named)
-        disc_state = AdamState.for_params(disc_named)
+        state = AdamState.for_params(trained)
     else:
-        gen_state, disc_state = _optimizer_from_tensors(resume_from, ckpt,
-                                                        gen_named, disc_named)
+        state = _optimizer_from_tensors(resume_from, ckpt, trained,
+                                        schedule.master_seed)
 
     if schedule.out_dir is not None:
         Path(schedule.out_dir).mkdir(parents=True, exist_ok=True)
@@ -357,12 +351,13 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
     for it in range(start_iteration + 1, schedule.iterations + 1):
         t0 = time.perf_counter()
-        sample_rng, gen_rng = _iteration_rngs(master_seed, it)
+        sample_rng, gen_rng = _iteration_rngs(schedule.master_seed, it)
         batch = sampler.sample(sample_rng, hp.batch_size)
         seeds_t = Tensor(batch.seeds)
         targets_t = Tensor(batch.targets)
 
-        # generator step on the combined objective
+        # generator gradients of the combined objective; each tape, with
+        # the activations it saved, is dropped as soon as it is replayed
         with GradTape() as tape:
             pred, loss, terms = generator_objective(params, gen_named, seeds_t,
                                                     targets_t, hp, gen_rng)
@@ -371,27 +366,27 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
                 f"non-finite generator loss at iteration {it}: {terms}"
             )
         grads = backward(loss, tape)
-        adam_step(gen_named, grads_by_name(gen_named, grads), gen_state,
-                  hp.learning_rate)
+        del tape
 
-        # discriminator step on the classification loss, fake detached
+        # discriminator gradients of the classification loss, fake detached
         d_loss_val = None
         if hp.effective_lambda_adv > 0.0:
-            fake_frames = Tensor(pred.data.copy())
-            with GradTape() as dtape:
+            with GradTape() as tape:
                 real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
                                         params, hp)
-                fake_p = M.discriminate(ad.concat([seeds_t, fake_frames], axis=1),
-                                        params, hp)
+                fake_p = M.discriminate(ad.concat([seeds_t, pred.detach()],
+                                                  axis=1), params, hp)
                 d_loss = loss_discriminator(real_p, fake_p)
             d_loss_val = d_loss.item()
             if not np.isfinite(d_loss_val):
                 raise FloatingPointError(
                     f"non-finite discriminator loss at iteration {it}"
                 )
-            dgrads = backward(d_loss, dtape)
-            adam_step(disc_named, grads_by_name(disc_named, dgrads), disc_state,
-                      hp.learning_rate)
+            grads.update(backward(d_loss, tape))
+            del tape
+
+        adam_step(trained, grads_by_name(trained, grads), state,
+                  hp.learning_rate)
 
         ms = (time.perf_counter() - t0) * 1000.0
         reports.append(IterationReport(it, terms.mse, terms.l2, terms.adv,
@@ -404,42 +399,35 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
                 it % schedule.checkpoint_every == 0 or it == schedule.iterations):
             path = Path(schedule.out_dir) / f"ckpt_{it:07d}.ckpt"
             _save_training_checkpoint(path, params, hp, pose_dim, stats, it,
-                                      master_seed, gen_state, disc_state)
+                                      schedule.master_seed, state)
             checkpoints.append(path)
 
     return TrainResult(params=params, reports=reports, checkpoints=checkpoints)
 
 
 def _save_training_checkpoint(path, params, hp, pose_dim, stats, iteration,
-                              master_seed, gen_state, disc_state) -> None:
+                              master_seed, state) -> None:
     tensors = M.tensors_from_params(params)
-    for prefix, state in (("optim.gen", gen_state), ("optim.disc", disc_state)):
-        for name, arr in state.m.items():
-            tensors[f"{prefix}.m.{name}"] = arr
-        for name, arr in state.v.items():
-            tensors[f"{prefix}.v.{name}"] = arr
-    extra = {
-        "iteration": iteration,
-        "master_seed": master_seed,
-        "adam_gen_step": gen_state.step,
-        "adam_disc_step": disc_state.step,
-    }
-    M.save_checkpoint(path, hp, pose_dim, stats.fingerprint(), tensors, extra)
+    tensors.update({f"optim.m.{n}": arr for n, arr in state.m.items()})
+    tensors.update({f"optim.v.{n}": arr for n, arr in state.v.items()})
+    M.save_checkpoint(path, hp, pose_dim, stats.fingerprint(), tensors,
+                      {"iteration": iteration, "master_seed": master_seed})
 
 
-def _optimizer_from_tensors(path, ckpt: M.Checkpoint, gen_named: dict,
-                            disc_named: dict):
-    def restore(prefix, named, step):
-        try:
-            m = {n: ckpt.tensors[f"{prefix}.m.{n}"].copy() for n in named}
-            v = {n: ckpt.tensors[f"{prefix}.v.{n}"].copy() for n in named}
-        except KeyError as exc:
-            raise ValueError(
-                f"{path}: cannot resume a checkpoint without optimizer "
-                f"moments (missing tensor {exc.args[0]!r})") from None
-        return AdamState(m=m, v=v, step=step)
-
-    gen = restore("optim.gen", gen_named, int(ckpt.extra.get("adam_gen_step", 0)))
-    disc = restore("optim.disc", disc_named,
-                   int(ckpt.extra.get("adam_disc_step", 0)))
-    return gen, disc
+def _optimizer_from_tensors(path, ckpt: M.Checkpoint, trained: dict,
+                            master_seed: int) -> AdamState:
+    """The Adam state a training checkpoint stored for ``trained``; its step
+    count is the checkpoint's iteration, as one step is taken per
+    iteration."""
+    try:
+        m = {n: ckpt.tensors[f"optim.m.{n}"] for n in trained}
+        v = {n: ckpt.tensors[f"optim.v.{n}"] for n in trained}
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: cannot resume a checkpoint without optimizer "
+            f"moments (missing tensor {exc.args[0]!r})") from None
+    theirs = ckpt.extra.get("master_seed")
+    if theirs != master_seed:
+        raise ValueError(f"{path}: checkpoint was trained with master seed "
+                         f"{theirs!r}, not {master_seed!r}")
+    return AdamState(m=m, v=v, step=int(ckpt.extra.get("iteration", 0)))

@@ -458,6 +458,77 @@ def test_short_seed_file_is_one_error_line(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("frame_ms", 0, "frame_ms must be a finite number > 0, got 0"),
+    ("frame_ms", float("nan"), "frame_ms must be a finite number > 0, got nan"),
+    ("frame_ms", None, "manifest has no frame_ms"),
+    ("train", None, "manifest has no train"),
+    ("test", None, "manifest has no test"),
+], ids=["frame_ms_zero", "frame_ms_nan", "no_frame_ms", "no_train", "no_test"])
+def test_malformed_manifest_is_one_error_line(corpus, tmp_path, capsys, key,
+                                              value, named):
+    manifest, stats_path = corpus
+    doc = json.loads(manifest.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    # the manifest is refused before the checkpoint is read
+    rc = cli.main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--data", str(bad),
+                   "--stats", str(stats_path), "--num-sequences", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = _one_error_line(err)
+    assert str(bad) in line and named in line
+    assert "Traceback" not in err
+
+
+def test_stats_file_without_key_is_one_error_line(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    doc = json.loads(stats_path.read_text())
+    del doc["kept"]
+    bad = tmp_path / "stats.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "pred.txt"
+    # the stats file is refused before the checkpoint is read
+    rc = cli.main(["predict", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--stats", str(bad),
+                   "--seed-file", str(manifest.parent / "S5" / "walk_1.txt"),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = _one_error_line(err)
+    assert str(bad) in line and "stats document has no kept" in line
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ablate_checks_every_axis_value_before_training(corpus, tmp_path,
+                                                        capsys, monkeypatch):
+    manifest, stats_path = corpus
+    trained = []
+    real_train = cli.T.train
+
+    def counting_train(sequences, stats, hp, *args, **kwargs):
+        trained.append(hp.window)
+        return real_train(sequences, stats, hp, *args, **kwargs)
+
+    monkeypatch.setattr(cli.T, "train", counting_train)
+    out = tmp_path / "ablate.csv"
+    # C = 5 and C = 10 fit 16 seed frames; C = 20 does not
+    rc = cli.main(["ablate", "--axis", "window", "--data", str(manifest),
+                   "--stats", str(stats_path), "--out", str(out),
+                   "--iters", "1", "--num-sequences", "1"] + MICRO_FLAGS
+                  + ["--seed-frames", "16", "--no-adv"])
+    assert rc == 1
+    assert "C=20 t=16" in _error_line(capsys)
+    assert trained == []
+    assert not out.exists()
+
+
 def test_width_shape_error_is_one_error_line(corpus, tmp_path, capsys):
     manifest, stats_path = corpus
     stats = mocap.NormalizationStats.load(stats_path)

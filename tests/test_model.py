@@ -131,7 +131,7 @@ def test_discriminator_named_is_exactly_the_disc_tensors(params):
 
 def test_params_from_tensors_ignores_optimizer_moments(params):
     tensors = M.tensors_from_params(params)
-    tensors["optim.gen.m.decoder.fc1.bias"] = np.ones(64)
+    tensors["optim.m.decoder.fc1.bias"] = np.ones(64)
     restored = M.params_from_tensors(tensors)
     assert list(restored) == list(M.PARAM_NAMES)
     for name, t in params.items():

@@ -1,6 +1,7 @@
 """Losses, Adam, samplers, and training-loop behavior."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -523,7 +524,7 @@ def test_resume_without_optimizer_moments_rejected(tmp_path):
     out = tmp_path / "resume"
     out.mkdir()
     with pytest.raises(ValueError,
-                       match=r"bare\.ckpt.*'optim\.gen\.m\.long\.conv1\.kernel'"):
+                       match=r"bare\.ckpt.*'optim\.m\.long\.conv1\.kernel'"):
         T.train(seqs, stats, hp, T.TrainSchedule(iterations=4, out_dir=out),
                 resume_from=bare)
     assert list(out.iterdir()) == []
@@ -542,6 +543,57 @@ def test_resume_with_other_hyperparameters_rejected(tmp_path, change, named):
         T.train(seqs, stats, micro_hp(**change),
                 T.TrainSchedule(iterations=4, out_dir=out), resume_from=path)
     assert list(out.iterdir()) == []
+
+
+def test_resume_with_other_master_seed_rejected(tmp_path):
+    hp = micro_hp()
+    seqs, stats, path = _trained_checkpoint(tmp_path, hp)
+    out = tmp_path / "resume"
+    out.mkdir()
+    with pytest.raises(ValueError,
+                       match=r"ckpt_0000002\.ckpt.*master seed 5, not 6"):
+        T.train(seqs, stats, hp,
+                T.TrainSchedule(iterations=4, master_seed=6, out_dir=out,
+                                report_path=out / "report.csv"),
+                resume_from=path)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("hp, tapes_per_iteration", [
+    (micro_hp(lambda_adv=0.01, adversarial=True), 2),
+    (micro_hp(no_long_term=True), 1),
+], ids=["adversarial", "no_long_term"])
+def test_one_adam_step_per_iteration_after_every_tape_is_freed(
+        tmp_path, monkeypatch, hp, tapes_per_iteration):
+    seqs, stats = make_dataset(frames=30)
+    tapes, alive_at_step = [], []
+    real_backward, real_adam_step = T.backward, T.adam_step
+
+    def tracking_backward(loss, tape):
+        tapes.append(weakref.ref(tape))
+        return real_backward(loss, tape)
+
+    def tracking_adam_step(params, grads, state, lr):
+        alive_at_step.append(sum(ref() is not None for ref in tapes))
+        return real_adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(T, "backward", tracking_backward)
+    monkeypatch.setattr(T, "adam_step", tracking_adam_step)
+    result = T.train(seqs, stats, hp,
+                     T.TrainSchedule(iterations=3, master_seed=2,
+                                     out_dir=tmp_path))
+    assert len(tapes) == 3 * tapes_per_iteration
+    assert alive_at_step == [0, 0, 0]
+
+    # the model tensors plus one pair of moments per trained tensor
+    ckpt = M.load_checkpoint(result.checkpoints[-1])
+    params = ckpt.to_params()
+    trained = {**params.generator_named(include_long=not hp.no_long_term),
+               **params.discriminator_named()}
+    assert sorted(ckpt.tensors) == sorted(
+        [*M.PARAM_NAMES, *(f"optim.m.{n}" for n in trained),
+         *(f"optim.v.{n}" for n in trained)])
+    assert ckpt.extra == {"iteration": 3, "master_seed": 2}
 
 
 def test_train_empty_dataset_rejected():
