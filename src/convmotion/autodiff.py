@@ -1,13 +1,14 @@
 """Minimal dense-tensor autodiff core.
 
 Implements exactly the operations the motion predictor needs: strided 2D
-convolution, affine maps, leaky ReLU, inverted dropout, elementwise
-arithmetic, reductions, concat/stack/slice plumbing, and reverse-mode
-differentiation driven by an explicit gradient tape.
+convolution (optionally with its leaky ReLU in the same node), affine maps,
+leaky ReLU, inverted dropout, elementwise arithmetic, reductions,
+concat/stack/slice plumbing, and reverse-mode differentiation driven by an
+explicit gradient tape.
 
-Tensors are immutable values during a taped computation; parameter updates
-happen between passes via ``Tensor.assign_``. A ``GradTape`` is single-owner:
-one forward/backward pass at a time per tape.
+Tensors are immutable values during a taped computation; parameters are
+updated between passes, in place by ``training.adam_step``. A ``GradTape``
+is single-owner: one forward/backward pass at a time per tape.
 
 ``backward`` does only the gradient work whose result is used. A VJP returns
 ``None`` for an input that needs no gradient (data, or a detached copy of a
@@ -20,6 +21,7 @@ place into an accumulator that ``backward`` allocated itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -317,13 +319,36 @@ def sumsq(*xs: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def _check_slope(slope: float) -> None:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
+
+
+def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
+    """``x`` where ``x >= 0``, else ``slope * x``, into ``out`` (which may be
+    ``x``) or a new array: for a slope in (0, 1) that is the larger of the
+    two, and ``np.maximum`` has no branch per element, unlike ``np.where``."""
+    scaled = slope * x
+    return np.maximum(x, scaled, out=scaled if out is None else out)
+
+
+def _leaky_grad(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky ReLU's VJP, masked by the sign of its output ``y``: ``g``
+    where ``y >= 0``, else ``slope * g``, as ``g`` times a factor of 1.0 or
+    ``slope``. ``leaky_relu`` and the activation of ``conv2d`` share this
+    one rule. A negative subnormal input whose ``slope * x`` rounds to
+    ``-0.0`` therefore passes ``g``."""
+    factor = np.maximum(y >= 0, slope, dtype=g.dtype)
+    return np.multiply(g, factor, out=factor)
+
+
+def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    _check_slope(slope)
     xd = x.data
-    out = Tensor(np.where(xd >= 0, xd, slope * xd), requires_grad=x.requires_grad)
+    yd = _leaky(xd, slope)
+    out = Tensor(yd, requires_grad=x.requires_grad)
     if out.requires_grad:
-        _record((x,), out, lambda g: (np.where(xd >= 0, g, slope * g),))
+        _record((x,), out, lambda g: (_leaky_grad(g, yd, slope),))
     return out
 
 
@@ -427,9 +452,26 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _col_scatter(W: int, kW: int, Wo: int, sW: int, pW: int) -> np.ndarray:
+    """The read-only 0/1 matrix ``[kW*Wo, W]`` that sends im2col column
+    ``(j, wo)`` to input column ``j + sW*wo - pW``; padding columns have no
+    entry, as their gradient is discarded."""
+    scatter = np.zeros((kW, Wo, W))
+    for j in range(kW):
+        for wo in range(Wo):
+            if 0 <= j + sW * wo - pW < W:
+                scatter[j, wo, j + sW * wo - pW] = 1.0
+    scatter = scatter.reshape(kW * Wo, W)
+    scatter.flags.writeable = False
+    return scatter
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
-           stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """Strided 2D cross-correlation with zero padding.
+           stride=(1, 1), padding=(0, 0),
+           slope: Optional[float] = None) -> Tensor:
+    """Strided 2D cross-correlation with zero padding, followed by a leaky
+    ReLU of negative-side ``slope`` when one is given.
 
     ``x`` is ``[N, Cin, H, W]``, ``kernel`` is ``[Cout, Cin, kH, kW]``,
     ``bias`` is ``[Cout]``; output is ``[N, Cout, H', W']`` with
@@ -441,6 +483,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     such matrix per layer call until the tape is replayed. For the same
     reason the kernel gradient is formed in the VJP, not deferred as an
     ``Outer`` pair like ``linear``'s weight gradient.
+
+    The activation is applied in place to the GEMM output and recorded in
+    the same tape node; the VJP masks the output gradient by the sign of
+    the output, as ``leaky_relu`` does. The input gradient (col2im) is
+    formed by BLAS: ``dcols`` is computed with columns ordered
+    ``(W', N, H')``, so that one batched product with a 0/1 column-scatter
+    matrix sums every kernel column's terms onto the input columns. Kernel
+    rows that land on disjoint input rows form a group; the first group is
+    copied onto the canvas, and each later one (only when ``kH > sH``) is
+    added.
     """
     xd, kd = x.data, kernel.data
     if xd.ndim != 4 or kd.ndim != 4:
@@ -456,6 +508,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         )
     if bias.data.shape != (Cout,):
         raise ShapeError(f"conv2d: bias {bias.data.shape} must be ({Cout},)")
+    if slope is not None:
+        _check_slope(slope)
     sH, sW = stride
     pH, pW = padding
     if sH < 1 or sW < 1:
@@ -484,6 +538,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     w2 = kd.reshape(Cout, K)
     out2 = w2 @ im2col()
     out2 += bias.data.reshape(Cout, 1)
+    if slope is not None:
+        _leaky(out2, slope, out2)
     out_data = np.ascontiguousarray(
         out2.reshape(Cout, N, Ho, Wo).transpose(1, 0, 2, 3))
     req = x.requires_grad or kernel.requires_grad or bias.requires_grad
@@ -498,24 +554,34 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # an input that needs no gradient gets None and costs nothing: a
         # constant kernel skips the gk GEMM, a data input the dcols GEMM
         # and the col2im
+        if slope is not None:
+            g = _leaky_grad(g, out_data, slope)
         gb = g.sum(axis=(0, 2, 3)) if need_b else None
-        g2 = g.transpose(1, 0, 2, 3).reshape(Cout, P)
-        gk = (g2 @ im2col().T).reshape(kd.shape) if need_k else None
+        gk = None
+        if need_k:
+            g2 = g.transpose(1, 0, 2, 3).reshape(Cout, P)
+            gk = (g2 @ im2col().T).reshape(kd.shape)
         if not need_x:
             return None, gk, gb
-        dcols = (w2.T @ g2).reshape(win_shape)
-        canvas = np.zeros_like(xp)
+        gw = g.transpose(1, 3, 0, 2).reshape(Cout, Wo * N * Ho)
+        dcols = (w2.T @ gw).reshape(Cin * kH, kW * Wo, N * Ho)
+        # per kernel row and input column, the sum of the kernel columns'
+        # terms: [Cin*kH, N*Ho, W], viewed as [N, Cin, Ho, kH, W]
+        rows = np.matmul(dcols.transpose(0, 2, 1),
+                         _col_scatter(W, kW, Wo, sW, pW))
+        rows = rows.reshape(Cin, kH, N, Ho, W).transpose(2, 0, 3, 1, 4)
+        canvas = np.zeros((N, Cin, H + 2 * pH, W), dtype=xd.dtype)
         cN, cC, ch, cw = canvas.strides
         for i in range(0, kH, sH):
-            # kernel rows i .. i+m-1 land on disjoint input rows, so one add
-            # per kernel column covers them, over a [N, Cin, Ho, m, W] view
+            # kernel rows i .. i+m-1 land on disjoint canvas rows
             m = min(sH, kH - i)
-            rows = as_strided(canvas[:, :, i:], (N, Cin, Ho, m, canvas.shape[3]),
-                              (cN, cC, ch * sH, ch, cw))
-            for j in range(kW):
-                rows[..., j:j + sW * Wo:sW] += \
-                    dcols[:, i:i + m, j].transpose(2, 0, 3, 1, 4)
-        gx = canvas[:, :, pH:pH + H, pW:pW + W] if (pH or pW) else canvas
+            dst = as_strided(canvas[:, :, i:], (N, Cin, Ho, m, W),
+                             (cN, cC, ch * sH, ch, cw))
+            if i == 0:
+                dst[...] = rows[:, :, :, :m]
+            else:
+                dst += rows[:, :, :, i:i + m]
+        gx = canvas[:, :, pH:pH + H] if pH else canvas
         return gx, gk, gb
 
     _record((x, kernel, bias), out, vjp)

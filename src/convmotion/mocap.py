@@ -167,6 +167,8 @@ class NormalizationStats:
     @classmethod
     def from_json(cls, text: str) -> "NormalizationStats":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("stats document is not a JSON object")
         if doc.get("format") != STATS_FORMAT:
             raise ValueError(f"not a stats document: format={doc.get('format')!r}")
         if doc.get("version") != STATS_VERSION:
@@ -390,12 +392,16 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        """Read a manifest; one without ``frame_ms``, ``train`` or ``test``,
-        or whose ``frame_ms`` is not a finite number > 0, raises
-        ``ValueError`` naming the file."""
+        """Read a manifest; one that is not a JSON object, has no
+        ``frame_ms``, ``train`` or ``test``, has a ``frame_ms`` that is not a
+        finite number > 0, or has a trial entry without one of its keys,
+        raises ``ValueError`` naming the file."""
         path = Path(path)
-        doc = json.loads(path.read_text())
-        if doc.get("format") != MANIFEST_FORMAT:
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
+        if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
             raise ValueError(f"not a dataset manifest: {path}")
         missing = [k for k in ("frame_ms", "train", "test") if k not in doc]
         if missing:
@@ -406,11 +412,19 @@ class DatasetManifest:
             raise ValueError(f"{path}: frame_ms must be a finite number > 0, "
                              f"got {frame_ms!r}")
 
-        def decode(entries):
-            return [TrialRef(e["subject"], e["action"], int(e["trial"]), e["path"])
-                    for e in entries]
+        def decode(split):
+            refs = []
+            for i, e in enumerate(doc[split]):
+                missing = [k for k in ("subject", "action", "trial", "path")
+                           if not isinstance(e, dict) or k not in e]
+                if missing:
+                    raise ValueError(f"{path}: {split} trial {i} has no "
+                                     f"{', '.join(missing)}")
+                refs.append(TrialRef(e["subject"], e["action"], int(e["trial"]),
+                                     e["path"]))
+            return refs
 
-        return cls(train=decode(doc["train"]), test=decode(doc["test"]),
+        return cls(train=decode("train"), test=decode("test"),
                    frame_ms=float(frame_ms), root=path.parent)
 
 

@@ -383,8 +383,7 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
                 stride, pad = (kH, sW), (0, pW)
             out = ad.conv2d(x, params[f"{cfg.prefix}.conv{i}.kernel"],
                             params[f"{cfg.prefix}.conv{i}.bias"],
-                            stride=stride, padding=pad)
-            out = ad.leaky_relu(out, cfg.leaky_slope)
+                            stride=stride, padding=pad, slope=cfg.leaky_slope)
             for r, j in enumerate(missing):
                 out_rows[j] = (out, r)
                 if keys[j] is not None:

@@ -30,6 +30,8 @@ PROB_EPS = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per in-place Adam pass: six such chunks fit in a 2 MB L2 cache
+ADAM_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +149,18 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place. Parameters without a gradient
-    entry are left untouched; non-finite gradients abort with the name."""
+    entry are left untouched; non-finite gradients abort with the name.
+
+    ``m``, ``v`` and each parameter's array are updated with ``out=``
+    ufuncs through two scratch buffers of ``ADAM_CHUNK`` elements, one
+    chunk of a tensor at a time, so that all passes over a chunk stay in
+    cache. Every formula keeps the evaluation order of
+    ``p - lr * ((m / c1) / (sqrt(v / c2) + eps))``."""
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
+    scratch = None
     for name in params:
         g = grads.get(name)
         if g is None:
@@ -160,15 +169,28 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
             raise FloatingPointError(
                 f"non-finite gradient for parameter {name!r} at Adam step {t}"
             )
-        p = params[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        p.assign_(p.data - lr * update)
+        if scratch is None:
+            scratch = np.empty((2, ADAM_CHUNK), dtype=g.dtype)
+        # the flat arrays below must be views: an array of another layout
+        # (one a caller assigned) is replaced by a C-ordered copy first
+        tensor = params[name]
+        tensor.data, state.m[name], state.v[name] = (
+            a if a.flags.c_contiguous else a.copy()
+            for a in (tensor.data, state.m[name], state.v[name]))
+        flat = [a.reshape(-1) for a in (g, tensor.data, state.m[name],
+                                        state.v[name])]
+        for lo in range(0, g.size, ADAM_CHUNK):
+            gc, p, m, v = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            a, b = scratch[:, :gc.size]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, gc, out=a)
+            v *= ADAM_BETA2
+            v += np.multiply(1.0 - ADAM_BETA2, np.square(gc, out=a), out=a)
+            np.sqrt(np.divide(v, c2, out=a), out=a)
+            a += ADAM_EPS
+            np.divide(np.divide(m, c1, out=b), a, out=b)
+            b *= lr
+            p -= b
 
 
 def grads_by_name(named_params: dict, grads_by_tensor: dict) -> dict:

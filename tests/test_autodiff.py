@@ -28,6 +28,7 @@ from convmotion.autodiff import (
     tsum,
 )
 from convmotion.gradcheck import GradCheckSetupError
+from col2im_oracle import col2im_input_grad
 from serial_grad_check import grad_check, relative_error
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,103 @@ def test_conv2d_gradients_match_finite_differences(stride, padding, khw):
         return tsum(square(ad.sub(out, Tensor(tgt))))
 
     check_vjp(build, [x, k, b])
+
+
+# train_paper's conv calls at B = 2, all at stride 2x2: (input, kernel, padding)
+PAPER_CONV_LAYERS = [
+    ((2, 1, 75, 54), (64, 1, 2, 7), (1, 3)),      # discriminator layer 1
+    ((2, 64, 25, 27), (128, 64, 2, 7), (1, 3)),   # long-term layer 2
+    ((2, 128, 19, 14), (128, 128, 2, 7), (1, 3)),  # discriminator layer 3
+    ((2, 64, 38, 27), (128, 64, 2, 7), (0, 3)),   # short-term new rows, layer 2
+]
+
+
+def _conv_input_grad_vs_oracle(x_shape, k_shape, stride, padding):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    k = Tensor(rng.normal(size=k_shape))
+    b = Tensor(rng.normal(size=k_shape[0]))
+    with GradTape() as tape:
+        out = conv2d(x, k, b, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    (node,) = tape._nodes
+    gx = node.vjp(g)[0]
+    return gx, col2im_input_grad(g, k.data, x_shape, stride, padding)
+
+
+@pytest.mark.parametrize(
+    "stride,padding,khw", CONV_GRAD_CASES,
+    ids=[f"s{s[0]}x{s[1]}-p{p[0]}x{p[1]}-k{k[0]}x{k[1]}" for s, p, k in CONV_GRAD_CASES])
+def test_conv2d_input_gradient_matches_col2im_oracle(stride, padding, khw):
+    gx, ref = _conv_input_grad_vs_oracle((2, 2, 5, 6), (3, 2) + khw,
+                                         stride, padding)
+    # kernel rows that overlap (kH > sH) are summed in another order
+    assert np.max(np.abs(gx - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("x_shape,k_shape,padding", PAPER_CONV_LAYERS,
+                         ids=["disc1", "long2", "disc3", "short2-rows"])
+def test_conv2d_input_gradient_equals_col2im_oracle_at_paper_shapes(
+        x_shape, k_shape, padding):
+    gx, ref = _conv_input_grad_vs_oracle(x_shape, k_shape, (2, 2), padding)
+    np.testing.assert_array_equal(gx, ref)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_fused_activation_equals_leaky_relu_of_conv_bit_for_bit():
+    # pre-activations of exactly 0.0 and -5e-324, among others: x times a
+    # unit 1x1 kernel plus a bias of 0.0 or -5e-324. The GEMM accumulates
+    # from +0.0, so a conv pre-activation is never -0.0; both ops share
+    # one rule, which the next test checks at -0.0.
+    xs = np.array([0.0, -0.0, -5e-324, 5e-324, 1.5, -2.0, -3e-310, 0.25])
+    x_data = np.tile(xs, 3).reshape(1, 1, 4, 6)
+    k_data = np.ones((2, 1, 1, 1))
+    b_data = np.array([0.0, -5e-324])
+    weights = np.random.default_rng(5).normal(size=(1, 2, 4, 6))
+    slope = 0.2
+
+    def run(fused):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        k = Tensor(k_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True)
+        with GradTape() as tape:
+            if fused:
+                out = conv2d(x, k, b, slope=slope)
+            else:
+                pre = conv2d(x, k, b)
+                out = leaky_relu(pre, slope)
+            loss = tsum(mul(out, Tensor(weights)))
+        grads = backward(loss, tape)
+        return out.data, grads[x], grads[k], grads[b]
+
+    pre = conv2d(Tensor(x_data), Tensor(k_data), Tensor(b_data)).data
+    assert np.any(_bits(pre) == _bits(np.array(0.0)))
+    assert np.any(_bits(pre) == _bits(np.array(-5e-324)))
+    for got, want in zip(run(True), run(False)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_leaky_relu_masks_by_the_sign_of_its_output():
+    # -5e-324 * 0.2 rounds to -0.0, so it passes g like 0.0 and -0.0 do
+    x = Tensor(np.array([0.0, -0.0, -5e-324, -1.0]), requires_grad=True)
+    with GradTape() as tape:
+        out = leaky_relu(x, slope=0.2)
+        loss = tsum(mul(out, Tensor(np.full(4, 3.0))))
+    g = backward(loss, tape)[x]
+    np.testing.assert_array_equal(_bits(out.data),
+                                  _bits(np.array([0.0, -0.0, -0.0, -0.2])))
+    np.testing.assert_array_equal(g, [3.0, 3.0, 3.0, 0.6000000000000001])
+
+
+def test_conv2d_slope_validated():
+    x = Tensor(np.zeros((1, 1, 2, 2)))
+    k, b = Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1))
+    for slope in (0.0, 1.0, -0.2):
+        with pytest.raises(ValueError, match="slope"):
+            conv2d(x, k, b, slope=slope)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,57 @@ def test_stats_file_without_key_is_one_error_line(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def _manifest_text(manifest, case):
+    doc = json.loads(manifest.read_text())
+    if case == "trial_without_path":
+        del doc["train"][0]["path"]
+    elif case == "trial_without_subject":
+        del doc["test"][0]["subject"]
+    elif case == "list":
+        doc = [doc]
+    else:  # not_json: the document cut short
+        return json.dumps(doc)[:40]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case, named", [
+    ("trial_without_path", "train trial 0 has no path"),
+    ("trial_without_subject", "test trial 0 has no subject"),
+    ("list", "not a dataset manifest"),
+    ("not_json", "manifest is not JSON"),
+])
+def test_malformed_manifest_document_is_one_error_line(corpus, tmp_path, capsys,
+                                                       case, named):
+    manifest, _ = corpus
+    bad = tmp_path / "manifest.json"
+    bad.write_text(_manifest_text(manifest, case))
+    out = tmp_path / "stats.json"
+    rc = cli.main(["prep", "--data", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = _one_error_line(err)
+    assert str(bad) in line and named in line
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stats_file_holding_a_list_is_one_error_line(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    bad = tmp_path / "stats.json"
+    bad.write_text(json.dumps([json.loads(stats_path.read_text())]))
+    out = tmp_path / "pred.txt"
+    rc = cli.main(["predict", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--stats", str(bad),
+                   "--seed-file", str(manifest.parent / "S5" / "walk_1.txt"),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = _one_error_line(err)
+    assert str(bad) in line and "stats document is not a JSON object" in line
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ablate_checks_every_axis_value_before_training(corpus, tmp_path,
                                                         capsys, monkeypatch):
     manifest, stats_path = corpus

@@ -99,6 +99,25 @@ def test_broken_gradient_is_caught(monkeypatch):
     assert not report.passed
 
 
+def test_broken_fused_conv_activation_gradient_is_caught(monkeypatch):
+    # corrupt the backward of the leaky ReLU that conv2d applies to its own
+    # output by one-tenth of a percent; conv outputs are the only 4-D
+    # gradients the activation rule sees, so the decoder's 2-D leaky ReLU
+    # keeps the exact rule
+    real = ad._leaky_grad
+
+    def crooked(g, y, slope):
+        masked = real(g, y, slope)
+        return masked * 1.001 if g.ndim == 4 else masked
+
+    monkeypatch.setattr(ad, "_leaky_grad", crooked)
+    report = G.full_model_grad_check(hp=micro_hp(dropout=0.0), pose_dim=POSE,
+                                     seed=0, adversarial=False)
+    assert not report.passed
+    failed = {e.name for e in report.entries if not e.ok(report.tol)}
+    assert {"long.conv1.kernel", "short.conv1.kernel"} <= failed
+
+
 def test_reference_chunk_consistency():
     # identical losses whether variants are evaluated singly or stacked
     hp = micro_hp(dropout=0.0)

@@ -234,6 +234,38 @@ def test_adam_three_hand_computed_steps():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
+def test_adam_in_place_chunks_equal_the_whole_tensor_formula():
+    # a tensor of 2.5 chunks, one that is F-ordered and one of one element,
+    # against the update written as whole-array expressions
+    rng = np.random.default_rng(3)
+    shapes = {"big": (5, T.ADAM_CHUNK // 2), "f": (7, 3), "one": (1,)}
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    start["f"] = np.asfortranarray(start["f"])
+    params = {n: Tensor(a.copy(order="K"), requires_grad=True)
+              for n, a in start.items()}
+    assert not params["f"].data.flags.c_contiguous
+    state = T.AdamState.for_params(params)
+    ref = {n: [a.copy(), np.zeros_like(a), np.zeros_like(a)]
+           for n, a in start.items()}
+    big = params["big"].data
+    for t in range(1, 4):
+        grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+        T.adam_step(params, grads, state, lr=0.01)
+        c1, c2 = 1.0 - T.ADAM_BETA1 ** t, 1.0 - T.ADAM_BETA2 ** t
+        for n, (p, m, v) in ref.items():
+            g = grads[n]
+            m *= T.ADAM_BETA1
+            m += (1.0 - T.ADAM_BETA1) * g
+            v *= T.ADAM_BETA2
+            v += (1.0 - T.ADAM_BETA2) * np.square(g)
+            ref[n][0] = p - 0.01 * ((m / c1) / (np.sqrt(v / c2) + T.ADAM_EPS))
+    for n, (p, m, v) in ref.items():
+        np.testing.assert_array_equal(params[n].data, p)
+        np.testing.assert_array_equal(state.m[n], m)
+        np.testing.assert_array_equal(state.v[n], v)
+    assert params["big"].data is big  # updated in place
+
+
 def test_adam_nan_gradient_aborts_with_name():
     w = Tensor(np.zeros(3), requires_grad=True)
     params = {"decoder.fc1.weight": w}
