@@ -549,6 +549,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     need_x, need_k = x.requires_grad, kernel.requires_grad
     need_b = bias.requires_grad
+    if not need_k:
+        xp = None  # only the kernel gradient reads the padded input
 
     def vjp(g):
         # an input that needs no gradient gets None and costs nothing: a

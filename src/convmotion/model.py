@@ -10,7 +10,9 @@ reaches. A two-layer spatial decoder maps the concatenated codes to a pose
 residual added onto the previous frame, so a zeroed decoder reproduces the
 last seed frame forever (the zero-velocity baseline). A discriminator with the
 same convolutional trunk scores full sequences for the adversarial
-regularizer.
+regularizer. The sequences it scores in one training iteration share their
+t seed frames, so a ``RowCache`` with a frame limit lets every pass after
+the first convolve only the conv rows that read a target frame.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -274,35 +277,71 @@ def _as_batched(frames) -> tuple:
 
 
 class RowCache(dict):
-    """The conv rows of one sequence's sliding windows, for ``cem_forward``.
+    """The conv rows that several passes of one encoder share, for
+    ``cem_forward``.
 
-    Every window encoded with the cache starts one frame after the previous
-    one; ``start`` is the global index of the next window's first frame. A
-    conv row whose receptive field holds no zero padding is a function of
-    the frames it covers, so it is keyed by its layer and the global index
-    of its first frame; the value is ``(block, r)``, row ``r`` of the
-    leaky-ReLU output of the conv call that made it. A row that reads
-    padding belongs to one window and is not cached.
+    ``start`` is the global index of the frame the next pass starts at; a
+    caller that encodes sliding windows advances it. A conv row is a
+    function of the frames and the zero padding it covers, so it is keyed by
+    its layer and the global frame span ``(first, end)`` of its receptive
+    field, ``first`` being ``None`` when the field holds top padding; such
+    a row is shared only by passes that start at frame 0. A row that reads
+    bottom padding, or a frame at or past ``limit``, belongs to its own pass
+    and is not cached. The value is ``(block, r)``, row ``r`` of the
+    leaky-ReLU output of the conv call that made it.
     """
 
-    def __init__(self):
+    def __init__(self, limit: Optional[int] = None):
         super().__init__()
         self.start = 0
+        self.limit = limit
+
+    def key(self, layer: int, span) -> Optional[tuple]:
+        """The key of a row whose window frame span is ``span`` (as
+        ``_row_spans`` gives it) in the next pass, or ``None`` if the row
+        is not shared."""
+        if span is None:
+            return None
+        first, end = span
+        end += self.start
+        if (first is None and self.start) or (
+                self.limit is not None and end > self.limit):
+            return None
+        return layer, None if first is None else first + self.start, end
+
+    def detached(self) -> "RowCache":
+        """A copy whose rows are data: a pass that reads it propagates no
+        gradient into the passes that made them."""
+        out = RowCache(self.limit)
+        out.start = self.start
+        blocks = {}
+        for key, (block, r) in self.items():
+            if id(block) not in blocks:
+                blocks[id(block)] = block.detach()
+            out[key] = (blocks[id(block)], r)
+        return out
 
 
 @functools.lru_cache(maxsize=None)
-def _first_frames(cfg: CemConfig) -> tuple:
-    """Per conv layer, per output row: the window index of the first frame
-    the row covers, or ``None`` when its receptive field holds padding."""
+def _row_spans(cfg: CemConfig) -> tuple:
+    """Per conv layer, per output row: ``(first, end)``, the window index of
+    the first frame the row covers and one past its last, with ``first``
+    ``None`` when the receptive field holds top padding; ``None`` for a row
+    whose field holds bottom padding."""
     kH, sH = cfg.kernel[0], cfg.stride[0]
-    first = list(range(cfg.input_frames))
+    spans = [(j, j + 1) for j in range(cfg.input_frames)]
     layers = []
     for gh, _ in cfg.grid_trace()[:-1]:
         pH = same_padding(gh, kH, sH)
-        starts = range(-pH, gh + pH - kH + 1, sH)
-        first = [first[a] if a >= 0 and a + kH <= gh
-                 and None not in first[a:a + kH] else None for a in starts]
-        layers.append(tuple(first))
+        out = []
+        for a in range(-pH, gh + pH - kH + 1, sH):
+            field = spans[max(a, 0):a + kH]
+            if a + kH > gh or None in field:
+                out.append(None)
+            else:
+                out.append((None if a < 0 else field[0][0], field[-1][1]))
+        spans = out
+        layers.append(tuple(spans))
     return tuple(layers)
 
 
@@ -345,10 +384,11 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
     sits between the last conv layer and the affine map.
 
     With a ``cache``, each conv layer computes only the output rows that no
-    earlier window of the sequence produced (dense sliding-window
+    earlier pass over the same frames produced (dense sliding-window
     evaluation, Sermanet et al. 2014): their ``kH``-row input groups are
     concatenated and convolved in one call at height stride ``kH``. A layer
-    with no cached rows is one conv over its whole padded input.
+    with no cached rows is one conv over its whole padded input. The pass
+    stores the rows that later passes may share in the cache.
     """
     if frames.ndim != 3:
         raise ad.ShapeError(f"encoder expects [B, n, L] frames, got {frames.shape}")
@@ -361,16 +401,14 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
         raise ad.ShapeError(f"encoder expects pose dim {cfg.pose_dim}, got {L}")
     if cache is None:
         cache = RowCache()
-    start = cache.start
-    cache.start += 1
     kH, kW = cfg.kernel
     sH, sW = cfg.stride
     h = ad.reshape(frames, (B, 1, n, L))
     rows = [(h, j) for j in range(n)]  # the current layer's rows, in order
-    layers = zip(cfg.grid_trace(), _first_frames(cfg))
-    for i, ((gh, gw), first) in enumerate(layers, 1):
+    layers = zip(cfg.grid_trace(), _row_spans(cfg))
+    for i, ((gh, gw), spans) in enumerate(layers, 1):
         pH, pW = same_padding(gh, kH, sH), same_padding(gw, kW, sW)
-        keys = [None if f is None else (i, start + f) for f in first]
+        keys = [cache.key(i, span) for span in spans]
         out_rows = [cache.get(key) for key in keys]
         missing = [j for j, row in enumerate(out_rows) if row is None]
         if missing:
@@ -475,6 +513,7 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     outputs = []
     for k in range(1, T + 1):
         win = ad.stack(frames[-C:], axis=1)
+        cache.start = k - 1
         zs = cem_forward(win, params, short_cfg, mode=mode, rng=rng,
                          cache=cache)
         x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
@@ -490,11 +529,18 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     return out if batched else ad.reshape(out, (T, L))
 
 
-def discriminate(full: Tensor, params: ModelParams, hp: HyperParams) -> Tensor:
+def discriminate(full: Tensor, params: ModelParams, hp: HyperParams,
+                 cache: Optional[RowCache] = None) -> Tensor:
     """Score a ``[B, t+T, L]`` batch of full [seed, target] sequences; returns
     ``[B]`` probabilities in (0, 1). The discriminator has no dropout, so
-    train and eval mode are the same pass."""
-    code = cem_forward(full, params, hp.discriminator_cem(full.shape[-1]))
+    train and eval mode are the same pass.
+
+    Sequences that share their seeds can share a ``RowCache`` whose
+    ``limit`` is t: the first pass convolves every row and stores those
+    whose receptive field lies in the top padding and the seed frames, and
+    each later pass convolves only the rows that read a target frame."""
+    code = cem_forward(full, params, hp.discriminator_cem(full.shape[-1]),
+                       cache=cache)
     logit = ad.linear(code, params["disc.head.weight"], params["disc.head.bias"])
     return ad.sigmoid(ad.reshape(logit, (full.shape[0],)))
 
@@ -518,7 +564,10 @@ class Checkpoint:
 
 def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str,
                     tensors: dict, extra: Optional[dict] = None) -> None:
-    """Write a deterministic binary container (no timestamps, sorted names)."""
+    """Write a deterministic binary container (no timestamps, sorted names)
+    atomically: to ``<path>.tmp``, then renamed to ``path``. Nothing is
+    fsynced, so the rename guards against a crash of the process, not of
+    the machine."""
     # a C-contiguous tensor is written from its own buffer, not a copy
     arrays = [(name, np.ascontiguousarray(tensors[name]))
               for name in sorted(tensors)]
@@ -543,12 +592,20 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
-        f.write(header_bytes)
-        for _, arr in arrays:
-            f.write(arr.data)
+    # written beside the target and renamed over it, so that a failed write
+    # leaves any earlier file at ``path`` intact
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
+            f.write(header_bytes)
+            for _, arr in arrays:
+                f.write(arr.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpoint:

@@ -6,6 +6,9 @@ penalty - adversarial log-score) and, when the adversarial regularizer is
 enabled, the discriminator's real/generated classification loss with the
 generated sequences detached, then takes one Adam step over both players'
 tensors; the gradient sets are disjoint, so this equals a step per player.
+The discriminator's three passes of an iteration share their seed frames,
+so the real pass runs first and the two fake passes reuse its seed-prefix
+conv rows.
 Everything is deterministic under the master seed: iteration ``i`` draws
 from RNG streams derived from ``(master_seed, i)``, so resuming from a
 checkpoint replays the exact trajectory of an uninterrupted run.
@@ -107,7 +110,8 @@ def loss_generator(pred: Tensor, target, gen_params: dict,
 
 def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
                         targets: Tensor, hp: M.HyperParams,
-                        rng: np.random.Generator):
+                        rng: np.random.Generator,
+                        disc_cache: Optional[M.RowCache] = None):
     """Closed-loop prediction and the combined objective, recorded on the
     active tape; returns ``(pred, loss, terms)``. ``seeds``/``targets`` are
     ``[B, t, L]`` and ``[B, T, L]`` batches.
@@ -115,15 +119,19 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
     The discriminator scores the prediction through detached copies of the
     ``disc.*`` tensors (same data, no gradient): this objective trains the
     generator only, so its ``backward`` returns no ``disc.*`` gradient and
-    skips the discriminator's kernel and weight products."""
+    skips the discriminator's kernel and weight products. ``disc_cache``
+    holds the seed-prefix rows of a discriminator pass over sequences that
+    start with ``seeds``; the fake pass reads them as data and convolves
+    only the rows that read a predicted frame."""
     pred = M.predict_sequence(seeds, params, hp, teacher=targets, mode="train",
                               rng=rng)
     fake_prob = None
     if hp.effective_lambda_adv > 0.0:
         frozen = M.ModelParams({n: p.detach() for n, p
                                 in params.discriminator_named().items()})
-        fake_prob = M.discriminate(ad.concat([seeds, pred], axis=1),
-                                   frozen, hp)
+        fake_prob = M.discriminate(
+            ad.concat([seeds, pred], axis=1), frozen, hp,
+            cache=None if disc_cache is None else disc_cache.detached())
     loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
     return pred, loss, terms
 
@@ -149,26 +157,30 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place. Parameters without a gradient
-    entry are left untouched; non-finite gradients abort with the name.
+    entry are left untouched. A non-finite gradient aborts the whole step
+    with the parameter's name, before any parameter, moment or the step
+    count changes.
 
     ``m``, ``v`` and each parameter's array are updated with ``out=``
     ufuncs through two scratch buffers of ``ADAM_CHUNK`` elements, one
     chunk of a tensor at a time, so that all passes over a chunk stay in
     cache. Every formula keeps the evaluation order of
     ``p - lr * ((m / c1) / (sqrt(v / c2) + eps))``."""
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    scratch = None
-    for name in params:
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
+    t = state.step + 1
+    used = [(name, grads[name]) for name in params
+            if grads.get(name) is not None]
+    for name, g in used:
+        # a NaN or infinity makes the sum non-finite; the exact scan then
+        # tells it from a sum of finite entries that overflowed
+        if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
             raise FloatingPointError(
                 f"non-finite gradient for parameter {name!r} at Adam step {t}"
             )
+    state.step = t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    scratch = None
+    for name, g in used:
         if scratch is None:
             scratch = np.empty((2, ADAM_CHUNK), dtype=g.dtype)
         # the flat arrays below must be views: an array of another layout
@@ -378,11 +390,21 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         seeds_t = Tensor(batch.seeds)
         targets_t = Tensor(batch.targets)
 
+        # the discriminator's real pass comes first: its cache then holds
+        # the seed-prefix conv rows that both fake passes share
+        disc_cache = d_tape = None
+        if hp.effective_lambda_adv > 0.0:
+            disc_cache = M.RowCache(limit=hp.seed_frames)
+            with GradTape() as d_tape:
+                real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
+                                        params, hp, cache=disc_cache)
+
         # generator gradients of the combined objective; each tape, with
         # the activations it saved, is dropped as soon as it is replayed
         with GradTape() as tape:
             pred, loss, terms = generator_objective(params, gen_named, seeds_t,
-                                                    targets_t, hp, gen_rng)
+                                                    targets_t, hp, gen_rng,
+                                                    disc_cache=disc_cache)
         if not np.isfinite(terms.total):
             raise FloatingPointError(
                 f"non-finite generator loss at iteration {it}: {terms}"
@@ -390,22 +412,22 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         grads = backward(loss, tape)
         del tape
 
-        # discriminator gradients of the classification loss, fake detached
+        # discriminator gradients of the classification loss, fake detached;
+        # backward sums the real and fake gradients of the shared rows
         d_loss_val = None
-        if hp.effective_lambda_adv > 0.0:
-            with GradTape() as tape:
-                real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
-                                        params, hp)
+        if d_tape is not None:
+            with d_tape:
                 fake_p = M.discriminate(ad.concat([seeds_t, pred.detach()],
-                                                  axis=1), params, hp)
+                                                  axis=1), params, hp,
+                                        cache=disc_cache)
                 d_loss = loss_discriminator(real_p, fake_p)
             d_loss_val = d_loss.item()
             if not np.isfinite(d_loss_val):
                 raise FloatingPointError(
                     f"non-finite discriminator loss at iteration {it}"
                 )
-            grads.update(backward(d_loss, tape))
-            del tape
+            grads.update(backward(d_loss, d_tape))
+            del d_tape, disc_cache
 
         adam_step(trained, grads_by_name(trained, grads), state,
                   hp.learning_rate)

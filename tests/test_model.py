@@ -1,5 +1,6 @@
 """Model tests: encoder shapes, residual decoding, window bookkeeping, checkpoints."""
 
+import errno
 import hashlib
 import json
 import struct
@@ -610,6 +611,42 @@ def test_checkpoint_keeps_zero_d_shape(tmp_path):
     assert tensors["s"].shape == ()
     assert tensors["v"].shape == (1,)
     assert tensors["s"] == 0.125
+
+
+class _DiskFull:
+    """A file whose writes after the first fail, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, params,
+                                                        monkeypatch):
+    hp = tiny_hp()
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, hp, POSE_DIM, "0" * 64,
+                      M.tensors_from_params(params), {"iteration": 1})
+    earlier = path.read_bytes()
+    monkeypatch.setattr(M, "open", lambda p, mode: _DiskFull(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        M.save_checkpoint(path, hp, POSE_DIM, "0" * 64,
+                          M.tensors_from_params(params), {"iteration": 2})
+    assert path.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, params):

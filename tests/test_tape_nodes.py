@@ -35,7 +35,7 @@ def test_training_iteration_tape_nodes_at_paper_architecture(monkeypatch):
     monkeypatch.setattr(T, "backward", counting_backward)
     T.train(seqs, stats, hp, T.TrainSchedule(iterations=1))
     # the generator step, then the discriminator step
-    assert taped == [530, 27], MOVED.format("training iteration")
+    assert taped == [534, 33], MOVED.format("training iteration")
 
 
 def test_gradcheck_objective_tape_nodes():
@@ -47,4 +47,4 @@ def test_gradcheck_objective_tape_nodes():
     target = 0.5 * data.normal(size=(hp.target_frames, pose_dim))
     _, tape = G.taped_objective(params, params.generator_named(), seed, target,
                                 hp, True, 0)
-    assert len(tape) == 125, MOVED.format("gradcheck objective")
+    assert len(tape) == 128, MOVED.format("gradcheck objective")

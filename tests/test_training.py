@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from convmotion import autodiff as ad
+from convmotion import gradcheck as G
 from convmotion import mocap
 from convmotion import model as M
 from convmotion import training as T
@@ -275,6 +276,37 @@ def test_adam_nan_gradient_aborts_with_name():
                     state, lr=0.1)
 
 
+def test_adam_nan_gradient_in_a_later_tensor_changes_nothing():
+    # the step is refused whole: no tensor before the bad one is updated
+    rng = np.random.default_rng(0)
+    params = {n: Tensor(rng.normal(size=4), requires_grad=True)
+              for n in ("a", "b", "c")}
+    state = T.AdamState.for_params(params)
+    grads = {n: rng.normal(size=4) for n in params}
+    T.adam_step(params, grads, state, lr=0.1)
+    before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
+              for n, p in params.items()}
+    grads["c"] = np.array([1.0, 2.0, np.nan, 3.0])
+    with pytest.raises(FloatingPointError, match="'c' at Adam step 2"):
+        T.adam_step(params, grads, state, lr=0.1)
+    assert state.step == 1
+    for n, (p, m, v) in before.items():
+        np.testing.assert_array_equal(params[n].data, p)
+        np.testing.assert_array_equal(state.m[n], m)
+        np.testing.assert_array_equal(state.v[n], v)
+
+
+def test_adam_accepts_finite_gradient_whose_sum_overflows():
+    w = Tensor(np.zeros(2), requires_grad=True)
+    state = T.AdamState.for_params({"w": w})
+    g = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):  # the sum, and v's square of g
+        assert not np.isfinite(g.sum())
+        T.adam_step({"w": w}, {"w": g}, state, lr=0.1)
+    assert state.step == 1
+    np.testing.assert_array_equal(state.m["w"], (1.0 - T.ADAM_BETA1) * g)
+
+
 def test_adam_missing_gradient_skips_param():
     w = Tensor(np.array([5.0]), requires_grad=True)
     params = {"w": w}
@@ -373,6 +405,117 @@ def test_generator_backward_returns_generator_gradients_only():
     # every returned gradient is used by the generator step, and no disc.*
     # tensor has one: the discriminator scores through detached copies
     assert set(grads) == set(gen_named.values())
+
+
+def _unshared_discriminator(monkeypatch):
+    """Make every discriminator pass convolve all of its rows: the oracle
+    for the shared seed-prefix rows."""
+    real = M.cem_forward
+
+    def unshared(frames, params, cfg, cache=None, **kw):
+        if cfg.prefix == "disc.cem":
+            cache = None
+        return real(frames, params, cfg, cache=cache, **kw)
+
+    monkeypatch.setattr(M, "cem_forward", unshared)
+
+
+def _iteration_gradients(monkeypatch, hp, seqs, stats, tensors):
+    """One training iteration from ``tensors``: its report, the gradient of
+    every trained tensor by name, and the tensors each ``backward`` call
+    returned a gradient for, with the parameters."""
+    params = M.params_from_tensors(tensors)
+    grads, returned = {}, []
+    real_backward, real_adam_step = T.backward, T.adam_step
+
+    def recording_backward(loss, tape):
+        out = real_backward(loss, tape)
+        returned.append(list(out))
+        return out
+
+    def recording_adam_step(named, by_name, state, lr):
+        grads.update({n: g.copy() for n, g in by_name.items()})
+        return real_adam_step(named, by_name, state, lr)
+
+    monkeypatch.setattr(T, "backward", recording_backward)
+    monkeypatch.setattr(T, "adam_step", recording_adam_step)
+    result = T.train(seqs, stats, hp, T.TrainSchedule(iterations=1),
+                     params=params)
+    return result.reports[0], grads, returned, params
+
+
+# t = 10 with a 4x4 kernel shares rows of layers 1 and 2 only
+DISC_GEOMETRIES = [
+    (16, kernel, stride)
+    for kernel in ((2, 7), (7, 2), (4, 4), (3, 3))
+    for stride in ((2, 2), (1, 2))
+    if stride[0] == 2 or kernel[0] % 2
+] + [(10, (4, 4), (2, 2))]
+
+
+@pytest.mark.parametrize("t,kernel,stride", DISC_GEOMETRIES, ids=[
+    f"t{t}-k{k[0]}x{k[1]}-s{s[0]}x{s[1]}" for t, k, s in DISC_GEOMETRIES])
+def test_shared_discriminator_rows_match_unshared_passes(monkeypatch, t,
+                                                         kernel, stride):
+    hp = M.HyperParams(seed_frames=t, target_frames=6, window=8,
+                       channels=(2, 3, 3), fc_out=8, kernel=kernel,
+                       stride=stride, dropout=0.5, batch_size=3)
+    seqs, stats = make_dataset(frames=30, joints=3)
+    tensors = M.tensors_from_params(
+        G.generic_params(hp, seqs[0].pose_dim, np.random.default_rng(t)))
+    cfg = hp.discriminator_cem(seqs[0].pose_dim)
+    cache = M.RowCache(limit=t)
+    assert any(cache.key(1, span) is not None
+               for span in M._row_spans(cfg)[0])
+
+    report, grads, returned, params = _iteration_gradients(
+        monkeypatch, hp, seqs, stats, tensors)
+    # every gradient the generator's backward returns is a parameter's:
+    # the fake pass reads the shared rows as data
+    assert set(map(id, returned[0])) == set(
+        map(id, params.generator_named().values()))
+    monkeypatch.undo()
+    _unshared_discriminator(monkeypatch)
+    want, want_grads, _, _ = _iteration_gradients(monkeypatch, hp, seqs,
+                                                  stats, tensors)
+    for got, ref in ((report.total, want.total), (report.adv, want.adv),
+                     (report.d_loss, want.d_loss)):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    assert sorted(grads) == sorted(want_grads)
+    assert any(n.startswith("disc.") for n in want_grads)
+    for name, ref in want_grads.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), \
+            name
+
+
+def test_discriminator_conv_macs_per_sequence(monkeypatch):
+    """Paper config, one sequence, one iteration: the seed-prefix rows are
+    convolved once for the three discriminator passes (83.5M MACs), not
+    three times (142.5M)."""
+    hp = M.HyperParams(batch_size=1)
+    L = 54
+    rng = np.random.default_rng(0)
+    seqs = [mocap.MotionSequence(
+        rng.normal(size=(hp.seed_frames + hp.target_frames, L)), "walk")]
+    stats = mocap.NormalizationStats(mean=np.zeros(L), std=np.ones(L),
+                                     kept=np.ones(L, dtype=bool))
+    params = M.init_params(hp, L, rng)
+    disc_kernels = {id(t.data) for n, t in params.items()
+                    if n.startswith("disc.") and n.endswith(".kernel")}
+    macs = []
+    real = ad.conv2d
+
+    def counting(x, kernel, bias, *args, **kwargs):
+        out = real(x, kernel, bias, *args, **kwargs)
+        if id(kernel.data) in disc_kernels:
+            n, cout, ho, wo = out.shape
+            macs.append(n * cout * ho * wo * int(np.prod(kernel.shape[1:])))
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", counting)
+    T.train(seqs, stats, hp, T.TrainSchedule(iterations=1), params=params)
+    assert len(macs) == 9
+    assert sum(macs) <= 90e6
 
 
 def _report_rows(path):
