@@ -8,6 +8,11 @@ masked near-constant dimensions and the global block never contribute).
 Horizons are expressed in milliseconds and map onto predicted frames through
 the frame period (40 ms by default, so 80/160/320/400/1000 ms hit frames
 2/4/8/10/25).
+
+``evaluate`` draws every window of an action first and makes one predictor
+call per action on the stacked ``[num_sequences, t, L]`` seeds, so its
+memory grows with ``num_sequences``. The README's "Evaluation protocol"
+section lists where this departs from the published protocol.
 """
 
 from __future__ import annotations
@@ -49,11 +54,14 @@ def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
 
 
 def frame_to_euler(frame: np.ndarray) -> np.ndarray:
-    """Convert each joint triple of a raw-width frame to Euler angles."""
+    """Convert each joint triple of raw-width frames ``[..., raw_dim]`` to
+    Euler angles in one call; the leading translation triple and a trailing
+    partial triple are copied unchanged."""
     out = np.array(frame, dtype=np.float64, copy=True)
-    width = out.shape[0]
-    for j in range(JOINT_START, width - 2, 3):
-        out[j:j + 3] = rotmat_to_euler(expmap_to_rotmat(frame[j:j + 3]))
+    end = JOINT_START + 3 * max(0, (out.shape[-1] - JOINT_START) // 3)
+    joints = out[..., JOINT_START:end].reshape(out.shape[:-1] + (-1, 3))
+    euler = rotmat_to_euler(expmap_to_rotmat(joints))
+    out[..., JOINT_START:end] = euler.reshape(out.shape[:-1] + (-1,))
     return out
 
 
@@ -84,9 +92,10 @@ def euler_error(pred_frames: np.ndarray, truth_frames: np.ndarray,
 
 
 def zero_velocity_predict(seed: np.ndarray, target_frames: int) -> np.ndarray:
-    """Baseline predictor: repeat the last observed frame."""
+    """Baseline predictor: repeat the last observed frame of each
+    ``[..., t, L]`` seed."""
     seed = np.asarray(seed)
-    return np.repeat(seed[-1:, :], target_frames, axis=0)
+    return np.repeat(seed[..., -1:, :], target_frames, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +153,11 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
              dump_dir=None) -> HorizonReport:
     """Score a predictor on randomly drawn windows, per action and horizon.
 
-    ``predictor`` maps a normalized ``[t, L]`` seed to a normalized ``[T, L]``
-    prediction. Windows are drawn deterministically from ``seed``; the same
-    seed always yields the same report.
+    ``predictor`` maps normalized ``[n, t, L]`` seeds to normalized
+    ``[n, T, L]`` predictions, with n = ``num_sequences``; it is called once
+    per action with all of that action's windows. Windows are drawn
+    deterministically from ``seed``; the same seed always yields the same
+    report.
     """
     if num_sequences < 1:
         raise ValueError(f"num_sequences must be at least 1, got {num_sequences}")
@@ -169,21 +180,22 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
         seqs = by_action[action]
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(seed), a_idx])))
+        windows = []
+        for _ in range(num_sequences):
+            seq = seqs[int(rng.integers(0, len(seqs)))]
+            offset = int(rng.integers(0, seq.num_frames - window_len + 1))
+            windows.append(seq.frames[offset:offset + window_len])
+        windows = np.stack(windows)
+        pred_norm = np.asarray(predictor(windows[:, :seed_frames]))
+        expected = (num_sequences, target_frames, windows.shape[2])
+        if pred_norm.shape != expected:
+            raise ValueError(
+                f"predictor returned shape {pred_norm.shape}, expected {expected}"
+            )
         sums = {ms: 0.0 for ms in horizons_ms}
         for s_idx in range(num_sequences):
-            pick = int(rng.integers(0, len(seqs)))
-            seq = seqs[pick]
-            offset = int(rng.integers(0, seq.num_frames - window_len + 1))
-            seed_norm = seq.frames[offset:offset + seed_frames]
-            truth_norm = seq.frames[offset + seed_frames:offset + window_len]
-            pred_norm = np.asarray(predictor(seed_norm))
-            if pred_norm.shape != (target_frames, seq.pose_dim):
-                raise ValueError(
-                    f"predictor returned shape {pred_norm.shape}, expected "
-                    f"{(target_frames, seq.pose_dim)}"
-                )
-            pred_raw = denormalize_frames(pred_norm, stats)
-            truth_raw = denormalize_frames(truth_norm, stats)
+            pred_raw = denormalize_frames(pred_norm[s_idx], stats)
+            truth_raw = denormalize_frames(windows[s_idx, seed_frames:], stats)
             for ms, f in zip(horizons_ms, frames_at):
                 sums[ms] += euler_error(pred_raw, truth_raw, f - 1, stats)
             if dump_dir is not None:
@@ -196,7 +208,8 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
 
 
 def model_predictor(params: M.ModelParams, hp: M.HyperParams):
-    """Wrap trained parameters as an eval-mode seed -> prediction function."""
+    """Wrap trained parameters as an eval-mode ``[n, t, L]`` seeds ->
+    ``[n, T, L]`` predictions function (one batched ``predict_sequence``)."""
 
     def predict(seed_norm: np.ndarray) -> np.ndarray:
         return M.predict_sequence(seed_norm, params, hp, mode="eval").data

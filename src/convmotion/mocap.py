@@ -271,82 +271,56 @@ def denormalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _skew(r: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -r[2], r[1]],
-        [r[2], 0.0, -r[0]],
-        [-r[1], r[0], 0.0],
-    ])
-
-
 def expmap_to_rotmat(r) -> np.ndarray:
-    """Rodrigues formula; below theta=1e-8 the second-order series is used."""
+    """Rodrigues formula over the last axis: ``[..., 3]`` exponential maps
+    to ``[..., 3, 3]`` rotations. Below theta=1e-8 the second-order series
+    ``I + K + K^2 / 2`` is used."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3,):
+    if r.ndim < 1 or r.shape[-1] != 3:
         raise ValueError(f"exponential map must be a 3-vector, got shape {r.shape}")
-    theta = float(np.linalg.norm(r))
-    K = _skew(r)
-    if theta < 1e-8:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return (np.eye(3)
-            + (math.sin(theta) / theta) * K
-            + ((1.0 - math.cos(theta)) / (theta * theta)) * (K @ K))
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    zero = np.zeros_like(x)
+    K = np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
+                 axis=-1).reshape(r.shape + (3,))
+    theta = np.sqrt(x * x + y * y + z * z)
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)[..., None, None]
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))[..., None, None]
+    return np.eye(3) + a * K + b * (K @ K)
 
 
 _EULER_ORTHO_TOL = 1e-6
 
 
 def rotmat_to_euler(R) -> np.ndarray:
-    """Decompose a rotation into Euler angles ``(e1, e2, e3)``.
+    """Decompose ``[..., 3, 3]`` rotations into ``[..., 3]`` Euler angles
+    ``(e1, e2, e3)``.
 
     Convention: ``R == rot_x(-e1) @ rot_y(-e2) @ rot_z(-e3)`` (the benchmark
     convention for this metric, keyed off ``R[0, 2]``). Gimbal lock
-    (``|R[0, 2]| == 1``) takes the degenerate branch with ``e3 = 0``.
+    (``|R[0, 2]| == 1``) takes the degenerate branch with ``e3 = 0``. A
+    batch holding any matrix that is not orthonormal is refused whole.
     """
     R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3):
+    if R.ndim < 2 or R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {R.shape}")
-    err = np.abs(R.T @ R - np.eye(3)).max()
+    err = float(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(initial=0.0))
     if err > _EULER_ORTHO_TOL:
         raise ValueError(
             f"matrix is not orthonormal (max |R^T R - I| = {err:.3e})"
         )
-    s = R[0, 2]
-    if abs(s) >= 1.0 - 1e-12:
-        e3 = 0.0
-        if s < 0.0:  # R[0, 2] == -1
-            e2 = math.pi / 2.0
-            e1 = math.atan2(R[1, 0], R[1, 1])
-        else:  # R[0, 2] == +1
-            e2 = -math.pi / 2.0
-            e1 = math.atan2(-R[1, 0], R[1, 1])
-        return np.array([e1, e2, e3])
-    e2 = -math.asin(s)
-    c = math.cos(e2)
-    e1 = math.atan2(R[1, 2] / c, R[2, 2] / c)
-    e3 = math.atan2(R[0, 1] / c, R[0, 0] / c)
-    return np.array([e1, e2, e3])
-
-
-def _rot_x(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rot_y(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_z(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def euler_to_rotmat(e) -> np.ndarray:
-    """Recompose angles produced by ``rotmat_to_euler``."""
-    e = np.asarray(e, dtype=np.float64)
-    return _rot_x(-e[0]) @ _rot_y(-e[1]) @ _rot_z(-e[2])
+    s = R[..., 0, 2]
+    lock = np.abs(s) >= 1.0 - 1e-12
+    # R[0, 2] == -1 gives e2 = pi/2 and e1 = atan2(R[1, 0], R[1, 1]);
+    # R[0, 2] == +1 gives e2 = -pi/2 and e1 = atan2(-R[1, 0], R[1, 1])
+    sign = np.where(s < 0.0, 1.0, -1.0)
+    e2 = np.where(lock, sign * (math.pi / 2.0), -np.arcsin(np.where(lock, 0.0, s)))
+    c = np.where(lock, 1.0, np.cos(e2))
+    e1 = np.where(lock, np.arctan2(sign * R[..., 1, 0], R[..., 1, 1]),
+                  np.arctan2(R[..., 1, 2] / c, R[..., 2, 2] / c))
+    e3 = np.where(lock, 0.0, np.arctan2(R[..., 0, 1] / c, R[..., 0, 0] / c))
+    return np.stack([e1, e2, e3], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,9 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place. Parameters without a gradient
-    entry are left untouched. A non-finite gradient aborts the whole step
+    entry are left untouched. A gradient with a non-finite entry, or with
+    an entry whose square overflows (|g| >= sqrt of the float maximum, which
+    would make ``v`` infinite and freeze the entry), aborts the whole step
     with the parameter's name, before any parameter, moment or the step
     count changes.
 
@@ -170,11 +172,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     used = [(name, grads[name]) for name in params
             if grads.get(name) is not None]
     for name, g in used:
-        # a NaN or infinity makes the sum non-finite; the exact scan then
-        # tells it from a sum of finite entries that overflowed
-        if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
+        # a NaN, an infinity or a square that overflows makes the sum of
+        # squares non-finite; the exact scan then tells them from a sum of
+        # representable squares that overflowed
+        flat = g.reshape(-1)
+        with np.errstate(over="ignore"):
+            sumsq = np.dot(flat, flat)
+        if not np.isfinite(sumsq) and not (
+                np.all(np.isfinite(flat))
+                and np.abs(flat).max() < np.sqrt(np.finfo(g.dtype).max)):
             raise FloatingPointError(
-                f"non-finite gradient for parameter {name!r} at Adam step {t}"
+                f"non-finite or overflowing gradient for parameter {name!r} "
+                f"at Adam step {t}"
             )
     state.step = t
     c1 = 1.0 - ADAM_BETA1 ** t

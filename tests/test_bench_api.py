@@ -31,11 +31,15 @@ def _attributes():
     return {owner: dict(vars(owner)) for owner in PATCHED}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: W.TrainWorkload(TINY_HP, joints=3, iters_per_call=1),
-    lambda: W.PredictEvalWorkload(TINY_HP, joints=3, predicts_per_round=2),
+@pytest.mark.parametrize("make,counted", [
+    (lambda: W.TrainWorkload(TINY_HP, joints=3, iters_per_call=1),
+     ("fwd.conv2d",)),
+    # the per-layer Euler and predictor rows read these counts: a refactor
+    # that stops calling them through the module would zero those rows
+    (lambda: W.PredictEvalWorkload(TINY_HP, joints=3, predicts_per_round=2),
+     ("fwd.conv2d", "evaluation.euler_error", "evaluation.predict")),
 ], ids=["train", "predict_eval"])
-def test_workload_checks_and_traced_op(tmp_path, make):
+def test_workload_checks_and_traced_op(tmp_path, make, counted):
     workload = make()
     state = workload.setup(tmp_path / "work", 0)
     assert workload.check(state) == []
@@ -47,7 +51,9 @@ def test_workload_checks_and_traced_op(tmp_path, make):
     finally:
         tracer.remove()
     assert record.failed == 0, record.problems
-    assert tracer.take()["calls"]["fwd.conv2d"] > 0
+    calls = tracer.take()["calls"]
+    for key in counted:
+        assert calls.get(key, 0) > 0, key
     assert _attributes() == before
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import rotation_oracle as oracle
 from convmotion import evaluation as E
+from convmotion import gradcheck as G
 from convmotion import mocap
 from convmotion import model as M
 from convmotion.mocap import NormalizationStats, RawTrial
@@ -114,6 +116,25 @@ def test_zero_velocity_predictor_repeats_last_frame():
     assert out.shape == (5, 3)
     for row in out:
         np.testing.assert_array_equal(row, seed[-1])
+    batch = np.arange(24.0).reshape(2, 4, 3)
+    out = E.zero_velocity_predict(batch, 5)
+    assert out.shape == (2, 5, 3)
+    for seq, pred in zip(batch, out):
+        np.testing.assert_array_equal(pred, np.repeat(seq[-1:], 5, axis=0))
+
+
+def test_frame_to_euler_matches_the_per_triple_oracle():
+    rng = np.random.default_rng(5)
+    frames = rng.normal(scale=0.8, size=(2, 3, 14))  # 3 joints + 2 trailing dims
+    got = E.frame_to_euler(frames)
+    want = frames.copy()
+    for idx in np.ndindex(frames.shape[:-1]):
+        for j in range(E.JOINT_START, 12, 3):
+            want[idx][j:j + 3] = oracle.rotmat_to_euler(
+                oracle.expmap_to_rotmat(frames[idx][j:j + 3]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[..., :E.JOINT_START], frames[..., :E.JOINT_START])
+    np.testing.assert_array_equal(got[..., 12:], frames[..., 12:])
 
 
 def test_evaluate_deterministic():
@@ -145,6 +166,80 @@ def test_evaluate_rejects_fewer_than_one_sequence(num_sequences):
         E.evaluate(lambda s: E.zero_velocity_predict(s, 4), seqs, stats,
                    seed_frames=6, target_frames=4,
                    num_sequences=num_sequences, horizons_ms=(80, 160))
+
+
+def test_evaluate_calls_the_predictor_once_per_action():
+    seqs, stats = make_test_sequences(actions=("a", "b", "c"))
+    shapes = []
+
+    def recording(seeds):
+        shapes.append(seeds.shape)
+        return E.zero_velocity_predict(seeds, 4)
+
+    E.evaluate(recording, seqs, stats, seed_frames=6, target_frames=4,
+               num_sequences=5, seed=3, horizons_ms=(80, 160))
+    assert shapes == [(5, 6, stats.reduced_dim)] * 3
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda s: E.zero_velocity_predict(s[0], 4),      # one window only
+    lambda s: E.zero_velocity_predict(s, 3),         # too few frames
+    lambda s: E.zero_velocity_predict(s, 4)[..., 1:],  # too narrow
+], ids=["unbatched", "frames", "width"])
+def test_evaluate_refuses_a_prediction_of_the_wrong_shape(wrong):
+    seqs, stats = make_test_sequences()
+    with pytest.raises(ValueError, match=r"^predictor returned shape \(.*\), "
+                                         r"expected \(2, 4, \d+\)$"):
+        E.evaluate(wrong, seqs, stats, seed_frames=6, target_frames=4,
+                   num_sequences=2, horizons_ms=(80, 160))
+
+
+def _reference_report(params, hp, seqs, stats, num_sequences, seed, horizons_ms):
+    """The report computed window by window: one unbatched
+    ``predict_sequence`` call per window, drawn as ``evaluate`` draws them,
+    and the per-triple oracle conversions."""
+    window_len = hp.seed_frames + hp.target_frames
+    frames_at = E.horizon_frames(horizons_ms)
+    errors = {}
+    for a_idx, action in enumerate(sorted({s.action for s in seqs})):
+        pool = [s for s in seqs if s.action == action and s.num_frames >= window_len]
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([seed, a_idx])))
+        sums = dict.fromkeys(horizons_ms, 0.0)
+        for _ in range(num_sequences):
+            seq = pool[int(rng.integers(0, len(pool)))]
+            offset = int(rng.integers(0, seq.num_frames - window_len + 1))
+            window = seq.frames[offset:offset + window_len]
+            pred = M.predict_sequence(window[:hp.seed_frames], params, hp).data
+            pairs = (mocap.denormalize_frames(pred, stats),
+                     mocap.denormalize_frames(window[hp.seed_frames:], stats))
+            for ms, f in zip(horizons_ms, frames_at):
+                euler = [np.array(raw[f - 1]) for raw in pairs]
+                for e, raw in zip(euler, pairs):
+                    for j in range(E.JOINT_START, stats.raw_dim - 2, 3):
+                        e[j:j + 3] = oracle.rotmat_to_euler(
+                            oracle.expmap_to_rotmat(raw[f - 1, j:j + 3]))
+                diff = (euler[0] - euler[1])[stats.kept]
+                sums[ms] += float(np.sqrt(np.sum(diff * diff)))
+        errors[action] = {ms: sums[ms] / num_sequences for ms in horizons_ms}
+    return errors
+
+
+def test_batched_report_matches_a_window_by_window_loop():
+    seqs, stats = make_test_sequences(joints=3)
+    hp = M.HyperParams(seed_frames=6, target_frames=4, window=4,
+                       channels=(2, 3, 3), fc_out=8, dropout=0.0)
+    params = G.generic_params(hp, stats.reduced_dim, np.random.default_rng(1))
+    report = E.evaluate(E.model_predictor(params, hp), seqs, stats,
+                        seed_frames=6, target_frames=4, num_sequences=5,
+                        seed=9, horizons_ms=(80, 160))
+    want = _reference_report(params, hp, seqs, stats, 5, 9, (80, 160))
+    assert report.actions == sorted(want)
+    for action in want:
+        for ms in (80, 160):
+            assert report.errors[action][ms] > 0.0
+            assert report.errors[action][ms] == pytest.approx(
+                want[action][ms], rel=1e-9, abs=0)
 
 
 def test_zero_decoder_model_matches_zero_velocity_baseline():

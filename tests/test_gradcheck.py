@@ -61,6 +61,17 @@ def test_micro_model_gradients_pass(adversarial):
     assert "long.conv1.kernel" in names
 
 
+def test_adversarial_odd_target_length_gradients_pass():
+    # t = 6, T = 3: with the 2x2 kernel and stride, layer 1's top padding is
+    # (t + T) mod 2 = 1 row, so one discriminator row reads [f(t-1), f(t)],
+    # the last seed frame and the first target frame. An even T has no such
+    # row, so only an odd T checks that the shared seed-prefix rows stop at
+    # the seed's last frame.
+    report = G.full_model_grad_check(hp=micro_hp(target_frames=3),
+                                     pose_dim=POSE, seed=0, adversarial=True)
+    assert report.passed, report.summary()
+
+
 def test_tiny_adversarial_kink_seed_passes():
     # at this seed every retry step down to 2e-6 straddles a leaky-ReLU kink
     report = G.full_model_grad_check(seed=13, adversarial=True)

@@ -12,7 +12,6 @@ from convmotion.mocap import (
     ParseError,
     RawTrial,
     denormalize_frames,
-    euler_to_rotmat,
     expmap_to_rotmat,
     fit_stats,
     format_trial,
@@ -25,6 +24,9 @@ from convmotion.mocap import (
     synthetic_trial_frames,
     write_trial,
 )
+
+import rotation_oracle as oracle
+from rotation_oracle import euler_to_rotmat
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -241,6 +243,44 @@ def test_euler_rejects_non_orthonormal():
     bad[0, 0] = 1.5
     with pytest.raises(ValueError, match="orthonormal"):
         rotmat_to_euler(bad)
+
+
+def test_batched_rotations_match_the_scalar_oracle():
+    # random exponential maps, seven below the series cutoff, then both
+    # gimbal-lock signs
+    rng = np.random.default_rng(11)
+    r = rng.normal(size=(400, 3)) * rng.uniform(0.05, 3.0, size=(400, 1))
+    r[:6] = rng.normal(size=(6, 3)) * 3e-9
+    r[6] = 0.0
+    assert np.all(np.linalg.norm(r[:7], axis=1) < 1e-8)
+    locks = np.stack([euler_to_rotmat([0.3, sign * math.pi / 2.0, 0.0])
+                      for sign in (1.0, -1.0)])
+    R = expmap_to_rotmat(r.reshape(20, 20, 3))
+    assert R.shape == (20, 20, 3, 3)
+    want = np.stack([oracle.expmap_to_rotmat(v) for v in r])
+    np.testing.assert_allclose(R.reshape(-1, 3, 3), want, rtol=0, atol=1e-12)
+    mats = np.concatenate([want, locks])
+    e = rotmat_to_euler(mats)
+    assert e.shape == (402, 3)
+    np.testing.assert_allclose(e, np.stack([oracle.rotmat_to_euler(m) for m in mats]),
+                               rtol=0, atol=1e-12)
+    # the gimbal-lock rows took the degenerate branch, one of each sign
+    assert abs(locks[0, 0, 2] + 1.0) < 1e-12 and abs(locks[1, 0, 2] - 1.0) < 1e-12
+    np.testing.assert_array_equal(e[-2:, 2], [0.0, 0.0])
+    np.testing.assert_allclose(e[-2:, 1], [math.pi / 2.0, -math.pi / 2.0], atol=0)
+
+
+def test_batched_euler_refuses_one_non_orthonormal_matrix():
+    mats = expmap_to_rotmat(np.random.default_rng(4).normal(size=(5, 3)))
+    mats[3] *= 1.001  # R^T R = 1.002001 I; the other four are proper rotations
+    with pytest.raises(ValueError, match=r"orthonormal \(max \|R\^T R - I\| = 2\.001e-03\)"):
+        rotmat_to_euler(mats)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2)])
+def test_expmap_rejects_a_last_axis_other_than_three(shape):
+    with pytest.raises(ValueError, match="3-vector"):
+        expmap_to_rotmat(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -296,15 +296,32 @@ def test_adam_nan_gradient_in_a_later_tensor_changes_nothing():
         np.testing.assert_array_equal(state.v[n], v)
 
 
-def test_adam_accepts_finite_gradient_whose_sum_overflows():
+def test_adam_refuses_gradient_whose_square_overflows():
+    # 1e308 squared is infinite: v would become inf and freeze the entry
+    params = {"w": Tensor(np.array([0.5, -0.5]), requires_grad=True)}
+    state = T.AdamState.for_params(params)
+    T.adam_step(params, {"w": np.array([0.1, 0.2])}, state, lr=0.1)
+    before = (params["w"].data.copy(), state.m["w"].copy(), state.v["w"].copy())
+    with pytest.raises(FloatingPointError, match="overflowing gradient for "
+                                                 "parameter 'w' at Adam step 2"):
+        T.adam_step(params, {"w": np.array([1e308, 1e308])}, state, lr=0.1)
+    assert state.step == 1
+    for now, then in zip((params["w"].data, state.m["w"], state.v["w"]), before):
+        np.testing.assert_array_equal(now, then)
+
+
+def test_adam_accepts_gradient_whose_sum_of_squares_overflows():
+    # each square (1.44e308) is finite, their sum is not
     w = Tensor(np.zeros(2), requires_grad=True)
     state = T.AdamState.for_params({"w": w})
-    g = np.array([1e308, 1e308])
-    with np.errstate(over="ignore"):  # the sum, and v's square of g
-        assert not np.isfinite(g.sum())
-        T.adam_step({"w": w}, {"w": g}, state, lr=0.1)
+    g = np.array([1.2e154, 1.2e154])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(g, g))
+    T.adam_step({"w": w}, {"w": g}, state, lr=0.1)
     assert state.step == 1
     np.testing.assert_array_equal(state.m["w"], (1.0 - T.ADAM_BETA1) * g)
+    assert np.all(np.isfinite(state.v["w"]))
+    np.testing.assert_array_equal(state.v["w"], (1.0 - T.ADAM_BETA2) * np.square(g))
 
 
 def test_adam_missing_gradient_skips_param():
