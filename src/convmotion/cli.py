@@ -176,6 +176,9 @@ def cmd_eval(args) -> int:
                         num_sequences=args.num_sequences, seed=args.seed,
                         horizons_ms=horizons, frame_ms=manifest.frame_ms,
                         dump_dir=args.dump)
+    log.info("eval: %d windows, predictor %.3f s, scoring %.3f s",
+             len(report.actions) * report.num_sequences, report.predict_s,
+             report.score_s)
     if args.out:
         Path(args.out).write_text(report.to_csv())
         log.info("wrote report to %s", args.out)

@@ -9,16 +9,20 @@ Horizons are expressed in milliseconds and map onto predicted frames through
 the frame period (40 ms by default, so 80/160/320/400/1000 ms hit frames
 2/4/8/10/25).
 
-``evaluate`` draws every window of an action first and makes one predictor
-call per action on the stacked ``[num_sequences, t, L]`` seeds, so its
-memory grows with ``num_sequences``. The README's "Evaluation protocol"
-section lists where this departs from the published protocol.
+``evaluate`` draws every action's windows first, makes one predictor call
+per report on the stacked ``[actions * num_sequences, t, L]`` seeds, and
+scores the whole batch as arrays: one ``denormalize_frames`` call for the
+predictions and one for the truths, one ``euler_error`` call per horizon.
+Its memory therefore grows with actions x ``num_sequences``. The README's
+"Evaluation protocol" section lists where this departs from the published
+protocol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,15 +45,17 @@ JOINT_START = 3
 
 def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
                    frame_ms: float = FRAME_MS_DEFAULT) -> list:
-    """Map horizons to 1-based predicted frame numbers: floor(ms / frame_ms)."""
+    """Map strictly ascending horizons to 1-based predicted frame numbers:
+    floor(ms / frame_ms)."""
     frames = []
-    for ms in horizons_ms:
+    for prev, ms in zip((None, *horizons_ms), horizons_ms):
+        if prev is not None and ms <= prev:
+            raise ValueError(
+                f"horizons must be strictly ascending: {ms} ms follows {prev} ms")
         f = int(ms // frame_ms)
         if f < 1:
             raise ValueError(f"horizon {ms} ms is shorter than one frame")
         frames.append(f)
-    if frames != sorted(frames):
-        raise ValueError("horizons must be ascending")
     return frames
 
 
@@ -66,29 +72,38 @@ def frame_to_euler(frame: np.ndarray) -> np.ndarray:
 
 
 def euler_error(pred_frames: np.ndarray, truth_frames: np.ndarray,
-                frame_idx: int, stats: NormalizationStats) -> float:
+                frame_idx: int, stats: NormalizationStats):
     """Euler-angle distance between prediction and truth at one frame.
 
-    Both inputs are denormalized ``[num_frames, raw_dim]`` arrays; the error
-    is the L2 norm of the Euler-angle difference over kept dimensions.
+    Both inputs are denormalized ``[..., num_frames, raw_dim]`` arrays with
+    the same leading axes; the error is the L2 norm of the Euler-angle
+    difference over kept dimensions, one per leading index. A 2-D pair
+    gives a float.
     """
     pred_frames = np.asarray(pred_frames, dtype=np.float64)
     truth_frames = np.asarray(truth_frames, dtype=np.float64)
-    if pred_frames.shape[1] != truth_frames.shape[1]:
+    if pred_frames.ndim < 2 or truth_frames.ndim != pred_frames.ndim \
+            or pred_frames.shape[:-2] != truth_frames.shape[:-2]:
         raise ValueError(
-            f"width mismatch: {pred_frames.shape[1]} vs {truth_frames.shape[1]}"
+            f"frame batches of shape {pred_frames.shape} and "
+            f"{truth_frames.shape} do not pair up"
         )
-    if pred_frames.shape[1] != stats.raw_dim:
+    if pred_frames.shape[-1] != truth_frames.shape[-1]:
         raise ValueError(
-            f"frames of width {pred_frames.shape[1]} do not match stats width "
+            f"width mismatch: {pred_frames.shape[-1]} vs {truth_frames.shape[-1]}"
+        )
+    if pred_frames.shape[-1] != stats.raw_dim:
+        raise ValueError(
+            f"frames of width {pred_frames.shape[-1]} do not match stats width "
             f"{stats.raw_dim}"
         )
-    if not 0 <= frame_idx < min(pred_frames.shape[0], truth_frames.shape[0]):
+    if not 0 <= frame_idx < min(pred_frames.shape[-2], truth_frames.shape[-2]):
         raise IndexError(f"frame index {frame_idx} out of range")
-    pe = frame_to_euler(pred_frames[frame_idx])
-    te = frame_to_euler(truth_frames[frame_idx])
-    diff = (pe - te)[stats.kept]
-    return float(np.sqrt(np.sum(diff * diff)))
+    pe = frame_to_euler(pred_frames[..., frame_idx, :])
+    te = frame_to_euler(truth_frames[..., frame_idx, :])
+    diff = (pe - te)[..., stats.kept]
+    err = np.sqrt(np.sum(diff * diff, axis=-1))
+    return float(err) if err.ndim == 0 else err
 
 
 def zero_velocity_predict(seed: np.ndarray, target_frames: int) -> np.ndarray:
@@ -108,6 +123,9 @@ class HorizonReport:
     horizons_ms: tuple
     errors: dict  # action -> {ms -> mean error}
     num_sequences: int
+    # wall time of the predictor call and of the scoring; not in to_csv()
+    predict_s: float = field(default=0.0, compare=False)
+    score_s: float = field(default=0.0, compare=False)
 
     @property
     def actions(self) -> list:
@@ -153,11 +171,11 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
              dump_dir=None) -> HorizonReport:
     """Score a predictor on randomly drawn windows, per action and horizon.
 
-    ``predictor`` maps normalized ``[n, t, L]`` seeds to normalized
-    ``[n, T, L]`` predictions, with n = ``num_sequences``; it is called once
-    per action with all of that action's windows. Windows are drawn
-    deterministically from ``seed``; the same seed always yields the same
-    report.
+    ``predictor`` maps normalized ``[N, t, L]`` seeds to normalized
+    ``[N, T, L]`` predictions, with N = actions x ``num_sequences``; it is
+    called once per report, on every action's windows in sorted-action
+    order. Windows are drawn deterministically from ``seed``, each action
+    from its own stream; the same seed always yields the same report.
     """
     if num_sequences < 1:
         raise ValueError(f"num_sequences must be at least 1, got {num_sequences}")
@@ -175,41 +193,58 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
     if not by_action:
         raise ValueError(f"no test trial is long enough for {window_len} frames")
 
-    errors: dict = {}
-    for a_idx, action in enumerate(sorted(by_action)):
+    actions = sorted(by_action)
+    windows = []
+    for a_idx, action in enumerate(actions):
         seqs = by_action[action]
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(seed), a_idx])))
-        windows = []
         for _ in range(num_sequences):
             seq = seqs[int(rng.integers(0, len(seqs)))]
             offset = int(rng.integers(0, seq.num_frames - window_len + 1))
             windows.append(seq.frames[offset:offset + window_len])
-        windows = np.stack(windows)
-        pred_norm = np.asarray(predictor(windows[:, :seed_frames]))
-        expected = (num_sequences, target_frames, windows.shape[2])
-        if pred_norm.shape != expected:
-            raise ValueError(
-                f"predictor returned shape {pred_norm.shape}, expected {expected}"
-            )
-        sums = {ms: 0.0 for ms in horizons_ms}
-        for s_idx in range(num_sequences):
-            pred_raw = denormalize_frames(pred_norm[s_idx], stats)
-            truth_raw = denormalize_frames(windows[s_idx, seed_frames:], stats)
-            for ms, f in zip(horizons_ms, frames_at):
-                sums[ms] += euler_error(pred_raw, truth_raw, f - 1, stats)
-            if dump_dir is not None:
-                out = Path(dump_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / f"{action}_{s_idx}.txt").write_text(format_trial(pred_raw))
-        errors[action] = {ms: sums[ms] / num_sequences for ms in horizons_ms}
+    windows = np.stack(windows)
 
-    return HorizonReport(tuple(horizons_ms), errors, num_sequences)
+    t0 = perf_counter()
+    pred_norm = np.asarray(predictor(windows[:, :seed_frames]))
+    predict_s = perf_counter() - t0
+    expected = (len(windows), target_frames, windows.shape[2])
+    if pred_norm.shape != expected:
+        raise ValueError(
+            f"predictor returned shape {pred_norm.shape}, expected {expected}"
+        )
+    finite = np.isfinite(pred_norm).all(axis=(1, 2))
+    if not finite.all():
+        a_idx, s_idx = divmod(int(np.argmin(finite)), num_sequences)
+        raise ValueError(f"prediction for action {actions[a_idx]!r} window "
+                         f"{s_idx} is not finite")
+
+    t0 = perf_counter()
+    pred_raw = denormalize_frames(pred_norm, stats)
+    truth_raw = denormalize_frames(windows[:, seed_frames:], stats)
+    # [A, n, H]: summed over windows in draw order, then averaged
+    per_window = np.stack([euler_error(pred_raw, truth_raw, f - 1, stats)
+                           for f in frames_at], axis=-1)
+    means = per_window.reshape(len(actions), num_sequences, -1).sum(axis=1) \
+        / num_sequences
+    errors = {action: {ms: float(means[a_idx, h])
+                       for h, ms in enumerate(horizons_ms)}
+              for a_idx, action in enumerate(actions)}
+    score_s = perf_counter() - t0
+
+    if dump_dir is not None:
+        out = Path(dump_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for i, frames in enumerate(pred_raw):
+            a_idx, s_idx = divmod(i, num_sequences)
+            (out / f"{actions[a_idx]}_{s_idx}.txt").write_text(format_trial(frames))
+    return HorizonReport(tuple(horizons_ms), errors, num_sequences,
+                         predict_s=predict_s, score_s=score_s)
 
 
 def model_predictor(params: M.ModelParams, hp: M.HyperParams):
-    """Wrap trained parameters as an eval-mode ``[n, t, L]`` seeds ->
-    ``[n, T, L]`` predictions function (one batched ``predict_sequence``)."""
+    """Wrap trained parameters as an eval-mode ``[N, t, L]`` seeds ->
+    ``[N, T, L]`` predictions function (one batched ``predict_sequence``)."""
 
     def predict(seed_norm: np.ndarray) -> np.ndarray:
         return M.predict_sequence(seed_norm, params, hp, mode="eval").data

@@ -253,16 +253,18 @@ def normalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarra
 
 
 def denormalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Expand reduced frames back to raw width; masked dims come back as zero."""
+    """Expand reduced frames ``[..., reduced_dim]`` back to raw width
+    ``[..., raw_dim]``; masked dims come back as zero."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != stats.reduced_dim:
+    width = frames.shape[-1] if frames.ndim else None
+    if width != stats.reduced_dim:
         raise ValueError(
-            f"frames of width {frames.shape[-1]} do not match reduced width "
+            f"frames of width {width} do not match reduced width "
             f"{stats.reduced_dim}"
         )
-    out = np.zeros((frames.shape[0], stats.raw_dim), dtype=np.float64)
+    out = np.zeros(frames.shape[:-1] + (stats.raw_dim,), dtype=np.float64)
     kept = stats.kept
-    out[:, kept] = frames * stats.std[kept] + stats.mean[kept]
+    out[..., kept] = frames * stats.std[kept] + stats.mean[kept]
     return out
 
 
@@ -300,13 +302,15 @@ def rotmat_to_euler(R) -> np.ndarray:
     Convention: ``R == rot_x(-e1) @ rot_y(-e2) @ rot_z(-e3)`` (the benchmark
     convention for this metric, keyed off ``R[0, 2]``). Gimbal lock
     (``|R[0, 2]| == 1``) takes the degenerate branch with ``e3 = 0``. A
-    batch holding any matrix that is not orthonormal is refused whole.
+    batch holding any matrix that is not orthonormal, or not finite, is
+    refused whole.
     """
     R = np.asarray(R, dtype=np.float64)
     if R.ndim < 2 or R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {R.shape}")
     err = float(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(initial=0.0))
-    if err > _EULER_ORTHO_TOL:
+    # a NaN anywhere makes err NaN, which must be refused too
+    if not err <= _EULER_ORTHO_TOL:
         raise ValueError(
             f"matrix is not orthonormal (max |R^T R - I| = {err:.3e})"
         )

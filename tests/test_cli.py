@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import re
 from dataclasses import fields
 
@@ -157,7 +158,8 @@ def test_prep_reduced_dim(corpus, capsys):
     assert stats.reduced_dim == 6  # 2 joints x 3 dims
 
 
-def test_train_predict_eval_pipeline(corpus, tmp_path, capsys):
+def test_train_predict_eval_pipeline(corpus, tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="convmotion")
     manifest, stats_path = corpus
     out_dir = tmp_path / "run"
     rc = cli.main(["train", "--data", str(manifest), "--stats", str(stats_path),
@@ -183,6 +185,12 @@ def test_train_predict_eval_pipeline(corpus, tmp_path, capsys):
                    "--seed", "0", "--horizons", "80,120",
                    "--out", str(tmp_path / "eval.csv")])
     assert rc == 0
+    # one line with the window count and where the report's time went
+    timing = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("eval: ")]
+    assert len(timing) == 1
+    assert re.fullmatch(r"eval: \d+ windows, predictor \d+\.\d{3} s, "
+                        r"scoring \d+\.\d{3} s", timing[0])
     table = capsys.readouterr().out
     assert "Average" in table
     csv = (tmp_path / "eval.csv").read_text()

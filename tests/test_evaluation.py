@@ -105,6 +105,49 @@ def test_horizon_too_short_rejected():
         E.horizon_frames((10,), 40.0)
 
 
+def test_repeated_horizon_rejected():
+    with pytest.raises(ValueError, match=r"^horizons must be strictly ascending: "
+                                         r"80 ms follows 80 ms$"):
+        E.horizon_frames((80, 80, 160), 40.0)
+    with pytest.raises(ValueError, match="160 ms follows 320 ms"):
+        E.horizon_frames((80, 320, 160), 40.0)
+    # distinct horizons may share a frame: each has its own row
+    assert E.horizon_frames((80, 100), 40.0) == [2, 2]
+
+
+def test_batched_euler_error_matches_a_per_window_loop():
+    stats = simple_stats(raw_dim=14)
+    stats.kept[12] = False
+    rng = np.random.default_rng(6)
+    pred = rng.normal(scale=0.8, size=(3, 2, 5, 14))
+    truth = rng.normal(scale=0.8, size=(3, 2, 5, 14))
+    for frame_idx in (0, 4):
+        got = E.euler_error(pred, truth, frame_idx, stats)
+        assert got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            euler = [np.array(x[idx][frame_idx]) for x in (pred, truth)]
+            for e in euler:
+                for j in range(E.JOINT_START, 12, 3):
+                    e[j:j + 3] = oracle.rotmat_to_euler(
+                        oracle.expmap_to_rotmat(e[j:j + 3]))
+            diff = (euler[0] - euler[1])[stats.kept]
+            want = float(np.sqrt(np.sum(diff * diff)))
+            assert abs(got[idx] - want) <= 1e-12 * want
+            single = E.euler_error(pred[idx], truth[idx], frame_idx, stats)
+            assert isinstance(single, float)
+            assert abs(single - got[idx]) <= 1e-12 * want
+
+
+def test_euler_error_refuses_batches_that_do_not_pair_up():
+    stats = simple_stats()
+    with pytest.raises(ValueError, match="do not pair up"):
+        E.euler_error(np.zeros((2, 3, 9)), np.zeros((3, 3, 9)), 0, stats)
+    with pytest.raises(ValueError, match="do not pair up"):
+        E.euler_error(np.zeros((2, 3, 9)), np.zeros((3, 9)), 0, stats)
+    with pytest.raises(ValueError, match="do not pair up"):
+        E.euler_error(np.zeros(9), np.zeros(9), 0, stats)
+
+
 # ---------------------------------------------------------------------------
 # evaluation harness
 # ---------------------------------------------------------------------------
@@ -168,17 +211,28 @@ def test_evaluate_rejects_fewer_than_one_sequence(num_sequences):
                    num_sequences=num_sequences, horizons_ms=(80, 160))
 
 
-def test_evaluate_calls_the_predictor_once_per_action():
-    seqs, stats = make_test_sequences(actions=("a", "b", "c"))
-    shapes = []
+def test_evaluate_calls_the_predictor_once_per_report():
+    seqs, stats = make_test_sequences(actions=("c", "a", "b"))
+    calls = []
 
     def recording(seeds):
-        shapes.append(seeds.shape)
+        calls.append(np.array(seeds))
         return E.zero_velocity_predict(seeds, 4)
 
     E.evaluate(recording, seqs, stats, seed_frames=6, target_frames=4,
                num_sequences=5, seed=3, horizons_ms=(80, 160))
-    assert shapes == [(5, 6, stats.reduced_dim)] * 3
+    assert [c.shape for c in calls] == [(3 * 5, 6, stats.reduced_dim)]
+    # each action's own stream, drawn as evaluate draws it, in sorted order
+    want = []
+    for a_idx, action in enumerate(("a", "b", "c")):
+        pool = [s for s in seqs if s.action == action]
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([3, a_idx])))
+        for _ in range(5):
+            seq = pool[int(rng.integers(0, len(pool)))]
+            offset = int(rng.integers(0, seq.num_frames - 10 + 1))
+            want.append(seq.frames[offset:offset + 6])
+    np.testing.assert_array_equal(calls[0], np.stack(want))
 
 
 @pytest.mark.parametrize("wrong", [
@@ -188,10 +242,35 @@ def test_evaluate_calls_the_predictor_once_per_action():
 ], ids=["unbatched", "frames", "width"])
 def test_evaluate_refuses_a_prediction_of_the_wrong_shape(wrong):
     seqs, stats = make_test_sequences()
+    # two actions x two windows
     with pytest.raises(ValueError, match=r"^predictor returned shape \(.*\), "
-                                         r"expected \(2, 4, \d+\)$"):
+                                         r"expected \(4, 4, \d+\)$"):
         E.evaluate(wrong, seqs, stats, seed_frames=6, target_frames=4,
                    num_sequences=2, horizons_ms=(80, 160))
+
+
+def test_evaluate_refuses_a_non_finite_prediction():
+    seqs, stats = make_test_sequences()
+
+    def diverged(seeds):
+        out = E.zero_velocity_predict(seeds, 4)
+        out[2 + 1, 3, 0] = np.nan  # action "b", its second window
+        return out
+
+    with pytest.raises(ValueError, match=r"^prediction for action 'b' window 1 "
+                                         r"is not finite$"):
+        E.evaluate(diverged, seqs, stats, seed_frames=6, target_frames=4,
+                   num_sequences=2, horizons_ms=(80, 160))
+
+
+def test_evaluate_records_its_timings_outside_the_csv():
+    seqs, stats = make_test_sequences()
+    report = E.evaluate(lambda s: E.zero_velocity_predict(s, 4), seqs, stats,
+                        seed_frames=6, target_frames=4, num_sequences=2,
+                        horizons_ms=(80, 160))
+    assert report.predict_s > 0.0 and report.score_s > 0.0
+    bare = E.HorizonReport(report.horizons_ms, report.errors, 2)
+    assert report.to_csv() == bare.to_csv()
 
 
 def _reference_report(params, hp, seqs, stats, num_sequences, seed, horizons_ms):

@@ -245,6 +245,31 @@ def test_euler_rejects_non_orthonormal():
         rotmat_to_euler(bad)
 
 
+def test_euler_refuses_a_nan_matrix():
+    mats = expmap_to_rotmat(np.random.default_rng(3).normal(size=(4, 3)))
+    mats[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=r"orthonormal \(max \|R\^T R - I\| = nan\)"):
+        rotmat_to_euler(mats)
+
+
+def test_batched_denormalize_matches_a_per_frame_loop():
+    trials = [RawTrial(np.random.default_rng(k).normal(size=(7, 12)))
+              for k in range(2)]
+    trials[0].frames[:, 9] = trials[1].frames[:, 9] = 0.25  # a masked dim
+    stats = fit_stats(trials)
+    assert 0 < stats.reduced_dim < stats.raw_dim - 6
+    frames = np.random.default_rng(5).normal(size=(3, 2, 4, stats.reduced_dim))
+    got = denormalize_frames(frames, stats)
+    assert got.shape == (3, 2, 4, 12)
+    for idx in np.ndindex(3, 2, 4):
+        want = np.zeros(12)
+        for k, j in enumerate(np.flatnonzero(stats.kept)):
+            want[j] = frames[idx][k] * stats.std[j] + stats.mean[j]
+        np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="width"):
+        denormalize_frames(np.zeros((2, stats.reduced_dim + 1)), stats)
+
+
 def test_batched_rotations_match_the_scalar_oracle():
     # random exponential maps, seven below the series cutoff, then both
     # gimbal-lock signs
