@@ -5,8 +5,10 @@ parameter by parameter, against central differences of an independent
 reference evaluator. The reference implementation below recomputes the whole
 forward pass (encoders, recursive decoding, losses, optional discriminator
 score) in plain numpy with no autodiff machinery, and evaluates many
-perturbed parameter copies at once via a leading batch axis, which makes
-differencing every scalar parameter affordable.
+perturbed parameter copies at once, which makes differencing every scalar
+parameter affordable. Activations carry the parameter-variant axis last
+(conv grids ``[C, H, W, P]``, codes and frames ``[features, P]``), so im2col
+copies move contiguous variant runs and GEMMs write the next layer's layout.
 
 Dropout is exercised under a fixed mask: both routes draw identical masks
 from the same seeded stream, re-drawn per evaluation, so the objective stays
@@ -15,6 +17,7 @@ deterministic.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -46,7 +49,7 @@ def tiny_hyperparams(**overrides) -> M.HyperParams:
 
 
 # ---------------------------------------------------------------------------
-# Reference objective: plain numpy, leading parameter-batch axis
+# Reference objective: plain numpy, parameter-variant axis last
 # ---------------------------------------------------------------------------
 
 
@@ -56,56 +59,56 @@ def _same_pad(n, k, s):
     return -(-total // 2)
 
 
-def _conv_p(x, k, b, stride):
-    """Batched conv: x [Px,C,H,W], k [Pk,Co,C,kh,kw], b [Pb,Co].
+def _zero_pad(x, pads):
+    xp = np.zeros([n + 2 * p for n, p in zip(x.shape, pads)])
+    xp[tuple(slice(p, p + n) for n, p in zip(x.shape, pads))] = x
+    return xp
 
-    Each parameter-batch combination maps onto a single (or one batched)
-    GEMM; plain einsum falls back to the slow non-BLAS kernel here.
+
+def _conv_p(x, k, b, stride):
+    """Batched conv, variant axis last: x [C,H,W,Px], k [Pk,Co,C,kh,kw],
+    b [Pb,Co] -> [Co,Ho,Wo,P'].
+
+    One kernel or one input: im2col copies contiguous variant runs for one
+    GEMM. Both stacked: variant-first columns, kw innermost, for a batched
+    GEMM of transposed outputs (einsum would take the non-BLAS kernel).
     """
     sH, sW = stride
     Pk, Co, C, kh, kw = k.shape
-    Px, _, H, W = x.shape
+    _, H, W, Px = x.shape
     pH, pW = _same_pad(H, kh, sH), _same_pad(W, kw, sW)
-    if pH or pW:
-        xp = np.zeros((Px, C, H + 2 * pH, W + 2 * pW), dtype=x.dtype)
-        xp[:, :, pH:pH + H, pW:pW + W] = x
-    else:
-        xp = np.ascontiguousarray(x)
     Ho = (H + 2 * pH - kh) // sH + 1
     Wo = (W + 2 * pW - kw) // sW + 1
-    s0, s1, s2, s3 = xp.strides
     ckk = C * kh * kw
     k2 = k.reshape(Pk, Co, ckk)
-    # axis order of the window view is chosen per branch so that a single
-    # reshape-copy lands in the layout its GEMM needs
-    if Px == 1:
-        win = as_strided(xp[0], (C, kh, kw, Ho, Wo),
-                         (s1, s2, s3, s2 * sH, s3 * sW))
-        out = (k2.reshape(Pk * Co, ckk) @ win.reshape(ckk, Ho * Wo))
-        out = out.reshape(Pk, Co, Ho * Wo)
-    elif Pk == 1:
-        win = as_strided(xp, (C, kh, kw, Px, Ho, Wo),
-                         (s1, s2, s3, s0, s2 * sH, s3 * sW))
-        out = (k2[0] @ win.reshape(ckk, Px * Ho * Wo))
-        out = out.reshape(Co, Px, Ho * Wo).transpose(1, 0, 2)
+    if Pk > 1 and Px > 1:
+        xp = _zero_pad(x.transpose(3, 0, 1, 2), (0, 0, pH, pW))
+        s0, s1, s2, s3 = xp.strides
+        win = as_strided(xp, (Px, Ho, Wo, C, kh, kw),
+                         (s0, s2 * sH, s3 * sW, s1, s2, s3))
+        out = np.matmul(win.reshape(Px, Ho * Wo, ckk), k2.transpose(0, 2, 1))
+        out = out.reshape(Px, Ho, Wo, Co).transpose(3, 1, 2, 0)
     else:
-        win = as_strided(xp, (Px, C, kh, kw, Ho, Wo),
-                         (s0, s1, s2, s3, s2 * sH, s3 * sW))
-        out = np.matmul(k2, win.reshape(Px, ckk, Ho * Wo))
-    out = out.reshape(out.shape[0], Co, Ho, Wo)
-    return out + b[:, :, None, None]
+        xp = _zero_pad(x, (0, pH, pW, 0))
+        s0, s1, s2, s3 = xp.strides
+        win = as_strided(xp, (C, kh, kw, Ho, Wo, Px),
+                         (s0, s1, s2, s1 * sH, s2 * sW, s3))
+        out = k2.reshape(Pk * Co, ckk) @ win.reshape(ckk, Ho * Wo * Px)
+        out = out.reshape(Pk, Co, Ho, Wo, Px)
+        out = out[0] if Pk == 1 else out[..., 0].transpose(1, 2, 3, 0)
+    return out + b.T[:, None, None]
 
 
 def _linear_p(x, w, b):
-    """Batched affine: x [Px,i], w [Pw,o,i], b [Pb,o]."""
+    """Variant-last affine: x [i,Px], w [Pw,o,i], b [Pb,o] -> [o,P']."""
     Pw, O, I = w.shape
     if Pw == 1:
-        out = x @ w[0].T
-    elif x.shape[0] == 1:
-        out = (w.reshape(Pw * O, I) @ x[0]).reshape(Pw, O)
+        out = w[0] @ x
+    elif x.shape[1] == 1:
+        out = (w.reshape(Pw * O, I) @ x[:, 0]).reshape(Pw, O).T
     else:
-        out = np.matmul(w, x[:, :, None])[:, :, 0]
-    return out + b
+        out = np.matmul(w, x.T[:, :, None])[:, :, 0].T
+    return out + b.T
 
 
 @dataclass
@@ -144,43 +147,50 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
                         override: Optional[dict] = None) -> np.ndarray:
     """Evaluate the training objective for a stack of parameter variants.
 
-    ``arrays`` maps parameter names to their base values; ``override`` maps
-    at most a few names to ``[P, ...]`` stacks that replace the base value.
-    Returns the per-variant objective of shape ``[P]`` (or ``[1]`` when no
-    override is given). Batch size is one sequence.
+    ``arrays`` maps parameter names to base values; ``override`` maps some
+    of them to ``[P, *base.shape]`` stacks, one P for all (else ValueError).
+    Returns the per-variant objective ``[P]`` (``[1]`` without override).
+    Batch size is one sequence.
     """
     override = override or {}
-    P = max((v.shape[0] for v in override.values()), default=1)
+    for name, stack in override.items():
+        if name not in arrays:
+            raise ValueError(f"override names unknown parameter {name!r}")
+        if stack.shape[1:] != arrays[name].shape:
+            raise ValueError(f"override {name!r} stacks {stack.shape[1:]}, "
+                             f"expected {arrays[name].shape}")
+    sizes = {v.shape[0] for v in override.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"override stack sizes disagree: {sorted(sizes)}")
+    P = max(sizes, default=1)
 
     def A(name):
-        if name in override:
-            return override[name]
-        return arrays[name][None]
+        return override[name] if name in override else arrays[name][None]
 
     t, Tn, C = hp.seed_frames, hp.target_frames, hp.window
     L = seed.shape[1]
     slope = hp.leaky_slope
 
     def lrelu(x):
-        return np.where(x >= 0, x, slope * x)
+        # equals np.where(x >= 0, x, slope * x) bit for bit: 0 < slope < 1
+        return np.maximum(x, slope * x)
 
     def cem(prefix, frames, mask_factor):
-        x = frames[:, None]  # [P', 1, n, L]
+        x = frames[None]  # [1, n, L, P']
         for i in (1, 2, 3):
-            x = _conv_p(x, A(f"{prefix}.conv{i}.kernel"),
-                        A(f"{prefix}.conv{i}.bias"), hp.stride)
-            x = lrelu(x)
+            x = lrelu(_conv_p(x, A(f"{prefix}.conv{i}.kernel"),
+                              A(f"{prefix}.conv{i}.bias"), hp.stride))
         if mask_factor is not None:
-            x = x * mask_factor
-        x = x.reshape(x.shape[0], -1)
-        return _linear_p(x, A(f"{prefix}.fc.weight"), A(f"{prefix}.fc.bias"))
+            x = x * mask_factor[0, ..., None]
+        return _linear_p(x.reshape(-1, x.shape[-1]), A(f"{prefix}.fc.weight"),
+                         A(f"{prefix}.fc.bias"))
 
     if hp.no_long_term:
-        zl = np.zeros((1, hp.fc_out))
+        zl = np.zeros((hp.fc_out, 1))
     else:
-        zl = cem("long", seed[None], masks.long_enc if masks else None)
+        zl = cem("long", seed[..., None], masks.long_enc if masks else None)
 
-    seed_rows = [seed[None, i] for i in range(t - C, t)]  # each [1, L]
+    seed_rows = [seed[i, :, None] for i in range(t - C, t)]  # each [L, 1]
     blended: list = []
     preds: list = []
     prev = seed_rows[-1]
@@ -188,46 +198,45 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
         ids = M.window_frame_ids(t, C, k)
         rows = [seed_rows[idx - (t - C)] if kind == "seed" else blended[idx - 1]
                 for kind, idx in ids]
-        pw = max(r.shape[0] for r in rows)
-        win = np.stack([np.broadcast_to(r, (pw, L)) for r in rows], axis=1)
+        pw = max(r.shape[1] for r in rows)
+        win = np.stack([np.broadcast_to(r, (L, pw)) for r in rows])
         zs = cem("short", win, masks.short_enc[k - 1] if masks else None)
-        zl_b, zs_b = np.broadcast_arrays(
-            np.broadcast_to(zl, (max(zl.shape[0], zs.shape[0]), zl.shape[1])),
-            np.broadcast_to(zs, (max(zl.shape[0], zs.shape[0]), zs.shape[1])))
-        h = np.concatenate([zl_b, zs_b], axis=1)
-        h = _linear_p(h, A("decoder.fc1.weight"), A("decoder.fc1.bias"))
-        h = lrelu(h)
+        h = np.concatenate(np.broadcast_arrays(zl, zs))
+        h = lrelu(_linear_p(h, A("decoder.fc1.weight"), A("decoder.fc1.bias")))
         if masks is not None:
-            h = h * masks.decoder[k - 1]
+            h = h * masks.decoder[k - 1].T
         h = _linear_p(h, A("decoder.fc2.weight"), A("decoder.fc2.bias"))
         x_hat = h + prev
         preds.append(x_hat)
         if hp.eta == 1.0:
             blended.append(x_hat)
         else:
-            blended.append(x_hat * hp.eta + target[k - 1] * (1.0 - hp.eta))
+            blended.append(x_hat * hp.eta
+                           + target[k - 1, :, None] * (1.0 - hp.eta))
         prev = x_hat
 
-    pw = max(p.shape[0] for p in preds)
-    pred_stack = np.stack([np.broadcast_to(p, (pw, L)) for p in preds], axis=1)
-    mse = np.square(pred_stack - target[None]).sum(axis=(1, 2)) / Tn
+    pw = max(p.shape[1] for p in preds)
+    pred_stack = np.stack([np.broadcast_to(p, (L, pw)) for p in preds])
+    # contiguous variant rows: numpy sums each pairwise (lower FD noise)
+    sq = np.square(pred_stack - target[..., None]).reshape(Tn * L, -1)
+    mse = np.ascontiguousarray(sq.T).sum(axis=1) / Tn
 
     l2 = np.zeros(1)
-    gen_prefixes = ["short", "decoder"] if hp.no_long_term else ["long", "short",
-                                                                 "decoder"]
+    gen_prefixes = ("short", "decoder") + (() if hp.no_long_term else ("long",))
     for name in sorted(arrays):
         if name.split(".")[0] in gen_prefixes:
-            a = A(name)
-            l2 = l2 + np.square(a).reshape(a.shape[0], -1).sum(axis=1)
+            rows = A(name).reshape(-1, arrays[name].size)
+            # 64 rows at a time: a squared copy of a stack sets the peak RSS
+            l2 = l2 + np.concatenate([np.square(rows[i:i + 64]).sum(axis=1)
+                                      for i in range(0, len(rows), 64)])
     loss = mse + hp.lambda_l2 * l2
 
     if adversarial:
         full = np.concatenate(
-            [np.broadcast_to(seed[None], (pred_stack.shape[0], t, L)), pred_stack],
-            axis=1)
+            [np.broadcast_to(seed[..., None], (t, L, pw)), pred_stack])
         code = cem("disc.cem", full, None)
         logit = _linear_p(code, A("disc.head.weight"), A("disc.head.bias"))
-        prob = 1.0 / (1.0 + np.exp(-logit[:, 0]))
+        prob = 1.0 / (1.0 + np.exp(-logit[0]))
         prob = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
         loss = loss + hp.lambda_adv * (-np.log(prob))
 
@@ -290,6 +299,7 @@ class GradCheckEntry:
 class GradCheckReport:
     entries: list
     tol: float
+    wall_s: float = 0.0
 
     @property
     def max_rel_err(self) -> float:
@@ -341,6 +351,8 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
     activation-kink crossings (at seed 13 every step down to 2e-6 straddles
     a leaky-ReLU kink). An actual gradient defect fails at every step.
     """
+    t0 = time.perf_counter()
+    _check_tol(tol)
     hp = hp or tiny_hyperparams()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
     params = generic_params(hp, pose_dim, rng)
@@ -392,7 +404,12 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
             name, p.shape, float(rel[worst]),
             tuple(np.unravel_index(worst, p.shape)),
             float(a_flat[worst]), float(numeric[worst])))
-    return GradCheckReport(entries, tol)
+    return GradCheckReport(entries, tol, time.perf_counter() - t0)
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < float("inf"):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _rel_err(a, n):
@@ -428,6 +445,8 @@ def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
     when every report passes. ``jobs > 1`` fans the (seed, variant) grid out
     over worker processes.
     """
+    t0 = time.perf_counter()
+    _check_tol(tol)
     grid = [(seed, adversarial) for seed in seeds for adversarial in variants]
     if jobs > 1:
         results = _run_grid_parallel(grid, tol, hp, pose_dim, jobs)
@@ -438,7 +457,8 @@ def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
         for seed, adversarial, report in results:
             tag = "full" if adversarial else "mse+l2"
             print(f"seed {seed} [{tag}]: max_rel_err {report.max_rel_err:.3e} "
-                  f"{'PASS' if report.passed else 'FAIL'}")
+                  f"{'PASS' if report.passed else 'FAIL'} in {report.wall_s:.1f}s")
+        print(f"suite: {len(results)} checks in {time.perf_counter() - t0:.1f}s")
     return results
 
 

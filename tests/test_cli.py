@@ -270,6 +270,10 @@ def test_gradcheck_cli_micro_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # each check's seconds, then the suite total
+    assert re.search(r"^seed 0 \[mse\+l2\]: .* PASS in \d+\.\ds$", out, re.M)
+    assert re.search(r"^seed 0 \[full\]: .* PASS in \d+\.\ds$", out, re.M)
+    assert re.search(r"^suite: 2 checks in \d+\.\ds$", out, re.M)
 
 
 def test_unknown_flag_rejected():
@@ -397,6 +401,18 @@ def test_gradcheck_pose_dim_zero_is_one_error_line(capsys):
 def test_gradcheck_rejects_counts_below_one(capsys, flag, value):
     assert cli.main(["gradcheck", flag, value]) == 1
     assert f"{flag} must be >= 1, got {value}" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("value,shown", [("inf", "inf"), ("nan", "nan"),
+                                         ("0", "0.0"), ("-1e-4", "-0.0001")])
+def test_gradcheck_rejects_bad_tolerance(capsys, value, shown):
+    # an infinite tolerance would pass every check and a NaN one fail every
+    # check without a reason; such values are refused before any check runs
+    assert cli.main(["gradcheck", "--seeds", "1", f"--tol={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tol must be finite and > 0, got {shown}" in \
+        _one_error_line(captured.err)
 
 
 def test_train_report_rows_kept_on_resume(corpus, tmp_path, capsys):

@@ -55,6 +55,7 @@ def test_micro_model_gradients_pass(adversarial):
     report = G.full_model_grad_check(hp=micro_hp(), pose_dim=POSE, seed=0,
                                      adversarial=adversarial)
     assert report.passed, report.summary()
+    assert report.wall_s > 0.0
     # covers every generator parameter tensor
     names = {e.name for e in report.entries}
     assert "decoder.fc2.weight" in names
@@ -129,14 +130,19 @@ def test_broken_fused_conv_activation_gradient_is_caught(monkeypatch):
     assert {"long.conv1.kernel", "short.conv1.kernel"} <= failed
 
 
+def _micro_problem(hp, seed=5):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = G.generic_params(hp, POSE, rng)
+    arrays = {n: t.data for n, t in params.all_named().items()}
+    frames = rng.normal(size=(hp.seed_frames, POSE))
+    target = rng.normal(size=(hp.target_frames, POSE))
+    return arrays, frames, target, rng
+
+
 def test_reference_chunk_consistency():
     # identical losses whether variants are evaluated singly or stacked
     hp = micro_hp(dropout=0.0)
-    rng = np.random.Generator(np.random.PCG64(5))
-    params = G.generic_params(hp, POSE, rng)
-    arrays = {n: t.data for n, t in params.all_named().items()}
-    seed = rng.normal(size=(hp.seed_frames, POSE))
-    target = rng.normal(size=(hp.target_frames, POSE))
+    arrays, seed, target, _ = _micro_problem(hp)
     name = "decoder.fc1.weight"
     base = arrays[name]
     stack = np.repeat(base[None], 4, axis=0)
@@ -152,6 +158,60 @@ def test_reference_chunk_consistency():
     ]
     # GEMM summation order may differ between the batched and single paths
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name,eta", [
+    ("long.conv1.kernel", 1.0),   # stacked kernel, shared input
+    ("short.conv2.kernel", 1.0),  # kernel and (from step 2) input stacked
+    ("short.conv1.bias", 1.0),    # stacked bias only
+    ("decoder.fc1.weight", 1.0),  # stacked affine weight
+    ("short.conv2.kernel", 0.5),  # blended windows
+])
+def test_reference_stacked_variants_match_single_evaluations(name, eta):
+    # each layout branch of the stacked evaluator, with dropout masks and the
+    # adversary on, against one evaluation per variant
+    hp = micro_hp(eta=eta)
+    arrays, frames, target, rng = _micro_problem(hp)
+    masks = G.draw_mask_factors(hp, POSE,
+                                np.random.Generator(np.random.PCG64(7)))
+    base = arrays[name]
+    stack = base[None] + rng.normal(scale=1e-2, size=(5, *base.shape))
+    batched = G.reference_objective(arrays, frames, target, masks, hp, True,
+                                    override={name: stack})
+    singles = [
+        G.reference_objective(arrays, frames, target, masks, hp, True,
+                              override={name: stack[i:i + 1]})[0]
+        for i in range(5)
+    ]
+    assert np.unique(batched).size == 5  # every variant moved the loss
+    np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=0)
+
+
+def test_reference_refuses_malformed_override():
+    hp = micro_hp(dropout=0.0)
+    arrays, frames, target, _ = _micro_problem(hp)
+    w, b = arrays["decoder.fc1.weight"], arrays["decoder.fc1.bias"]
+    cases = [
+        ({"decoder.fc1.weights": w[None]},
+         "unknown parameter 'decoder.fc1.weights'"),
+        ({"decoder.fc1.weight": w.T[None]}, "'decoder.fc1.weight' stacks"),
+        ({"decoder.fc1.weight": w}, "'decoder.fc1.weight' stacks"),
+        ({"decoder.fc1.weight": np.stack([w, w]), "decoder.fc1.bias": b[None]},
+         r"stack sizes disagree: \[1, 2\]"),
+    ]
+    for override, message in cases:
+        with pytest.raises(ValueError, match=message):
+            G.reference_objective(arrays, frames, target, None, hp, False,
+                                  override=override)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-4])
+def test_gradient_check_refuses_bad_tolerance(tol):
+    # inf would pass every check and nan fail every one without a reason
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        G.full_model_grad_check(hp=micro_hp(), pose_dim=POSE, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        G.run_suite(seeds=(0,), tol=tol, hp=micro_hp(), pose_dim=POSE)
 
 
 # ---------------------------------------------------------------------------
