@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 import traceback
 from dataclasses import replace
@@ -251,8 +252,17 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--lr -1e-4`` and ``--lr -inf`` as values: argparse's own
+    negative-number pattern has neither, so the range check never saw them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convmotion",
         description="Convolutional sequence-to-sequence human motion prediction")
     parser.add_argument("-v", "--verbose", action="store_true")

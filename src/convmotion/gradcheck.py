@@ -5,10 +5,15 @@ parameter by parameter, against central differences of an independent
 reference evaluator. The reference implementation below recomputes the whole
 forward pass (encoders, recursive decoding, losses, optional discriminator
 score) in plain numpy with no autodiff machinery, and evaluates many
-perturbed parameter copies at once, which makes differencing every scalar
-parameter affordable. Activations carry the parameter-variant axis last
-(conv grids ``[C, H, W, P]``, codes and frames ``[features, P]``), so im2col
-copies move contiguous variant runs and GEMMs write the next layer's layout.
+perturbed parameter variants at once, which makes differencing every scalar
+parameter affordable. A variant is given as single-entry deltas
+(``Deltas``: variant, flat index, delta); a dense ``[P, *shape]`` stack is
+turned into the same triples by its nonzero differences from the base. Each
+perturbed layer is one GEMM with the shared base weight plus a scatter-add
+of delta times the input entry that weight entry multiplies. Activations
+carry the parameter-variant axis last (conv grids ``[C, H, W, P]``, codes
+and frames ``[features, P]``), so im2col copies move contiguous variant
+runs and GEMMs write the next layer's layout.
 
 Dropout is exercised under a fixed mask: both routes draw identical masks
 from the same seeded stream, re-drawn per evaluation, so the objective stays
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -59,56 +64,55 @@ def _same_pad(n, k, s):
     return -(-total // 2)
 
 
-def _zero_pad(x, pads):
-    xp = np.zeros([n + 2 * p for n, p in zip(x.shape, pads)])
-    xp[tuple(slice(p, p + n) for n, p in zip(x.shape, pads))] = x
-    return xp
-
-
-def _conv_p(x, k, b, stride):
-    """Batched conv, variant axis last: x [C,H,W,Px], k [Pk,Co,C,kh,kw],
-    b [Pb,Co] -> [Co,Ho,Wo,P'].
-
-    One kernel or one input: im2col copies contiguous variant runs for one
-    GEMM. Both stacked: variant-first columns, kw innermost, for a batched
-    GEMM of transposed outputs (einsum would take the non-BLAS kernel).
-    """
+def _conv_p(x, k, b, stride, dk, db, P):
+    """Conv with the variant axis last: x [C,H,W,Px], base kernel
+    k [Co,C,kh,kw] and bias b [Co], deltas dk and db -> [Co,Ho,Wo,P'].
+    im2col copies contiguous variant runs for one GEMM."""
     sH, sW = stride
-    Pk, Co, C, kh, kw = k.shape
+    Co, C, kh, kw = k.shape
     _, H, W, Px = x.shape
     pH, pW = _same_pad(H, kh, sH), _same_pad(W, kw, sW)
     Ho = (H + 2 * pH - kh) // sH + 1
     Wo = (W + 2 * pW - kw) // sW + 1
-    ckk = C * kh * kw
-    k2 = k.reshape(Pk, Co, ckk)
-    if Pk > 1 and Px > 1:
-        xp = _zero_pad(x.transpose(3, 0, 1, 2), (0, 0, pH, pW))
-        s0, s1, s2, s3 = xp.strides
-        win = as_strided(xp, (Px, Ho, Wo, C, kh, kw),
-                         (s0, s2 * sH, s3 * sW, s1, s2, s3))
-        out = np.matmul(win.reshape(Px, Ho * Wo, ckk), k2.transpose(0, 2, 1))
-        out = out.reshape(Px, Ho, Wo, Co).transpose(3, 1, 2, 0)
-    else:
-        xp = _zero_pad(x, (0, pH, pW, 0))
-        s0, s1, s2, s3 = xp.strides
-        win = as_strided(xp, (C, kh, kw, Ho, Wo, Px),
-                         (s0, s1, s2, s1 * sH, s2 * sW, s3))
-        out = k2.reshape(Pk * Co, ckk) @ win.reshape(ckk, Ho * Wo * Px)
-        out = out.reshape(Pk, Co, Ho, Wo, Px)
-        out = out[0] if Pk == 1 else out[..., 0].transpose(1, 2, 3, 0)
-    return out + b.T[:, None, None]
+    xp = np.zeros((C, H + 2 * pH, W + 2 * pW, Px))
+    xp[:, pH:pH + H, pW:pW + W] = x
+    s0, s1, s2, s3 = xp.strides
+    cols = as_strided(xp, (C, kh, kw, Ho, Wo, Px), (s0, s1, s2, s1 * sH,
+                      s2 * sW, s3)).reshape(C * kh * kw, -1, Px)
+    out = k.reshape(Co, -1) @ cols.reshape(len(cols), -1)
+    out = _add_deltas(out.reshape(Co, -1, Px) + b[:, None, None], cols, dk,
+                      db, P)
+    return out.reshape(Co, Ho, Wo, -1)
 
 
-def _linear_p(x, w, b):
-    """Variant-last affine: x [i,Px], w [Pw,o,i], b [Pb,o] -> [o,P']."""
-    Pw, O, I = w.shape
-    if Pw == 1:
-        out = w[0] @ x
-    elif x.shape[1] == 1:
-        out = (w.reshape(Pw * O, I) @ x[:, 0]).reshape(Pw, O).T
-    else:
-        out = np.matmul(w, x.T[:, :, None])[:, :, 0].T
-    return out + b.T
+def _linear_p(x, w, b, dw, db, P):
+    """Variant-last affine: x [i,Px], base w [o,i], b [o] -> [o,P']."""
+    return _add_deltas((w @ x + b[:, None])[:, None], x[:, None], dw, db,
+                       P)[:, 0]
+
+
+def _add_deltas(out, src, dw, db, P):
+    """Widen a layer's base output out [O,S,Px] to [O,S,P] and add its
+    deltas: a weight delta times the src [I,S,Px] entry that weight entry
+    multiplies, and a bias delta. A scatter-add, as a dense stack may
+    perturb several entries of one variant."""
+    _, S, Px = out.shape
+    parts = []  # (output row, variant, term [n, S]) per perturbed tensor
+    if dw is not None:
+        v, f, d = dw
+        o, i = np.divmod(f, len(src))
+        parts.append((o, v, d[:, None] * src[i, :, v if Px > 1 else 0]))
+    if db is not None:
+        v, o, d = db
+        parts.append((o, v, np.repeat(d[:, None], S, axis=1)))
+    if not parts:
+        return out
+    o, v, terms = (np.concatenate(a) for a in zip(*parts))
+    flat = (o[:, None] * S + np.arange(S)) * P + v[:, None]
+    out = out if Px == P else np.repeat(out, P, axis=2)
+    out += np.bincount(flat.ravel(), terms.ravel(),
+                       minlength=out.size).reshape(out.shape)
+    return out
 
 
 @dataclass
@@ -141,6 +145,42 @@ def draw_mask_factors(hp: M.HyperParams, pose_dim: int,
     return MaskFactors(long_f, shorts, decs)
 
 
+class Deltas(NamedTuple):
+    """``count`` variants: variant[j] adds delta[j] at flat entry index[j]."""
+    variant: np.ndarray
+    index: np.ndarray
+    delta: np.ndarray
+    count: int
+
+
+def _as_deltas(name, value, base):
+    """Validated (variant, index, delta) arrays and P of one override; a
+    dense ``[P, *base.shape]`` stack becomes its nonzero differences."""
+    if isinstance(value, Deltas):
+        (v, f, d), P = (np.asarray(a) for a in value[:3]), value.count
+        if not (v.ndim == 1 and v.shape == f.shape == d.shape):
+            raise ValueError(f"override {name!r}: variant, index and delta "
+                             f"shapes differ: {v.shape}, {f.shape}, {d.shape}")
+    else:
+        if value.shape[1:] != base.shape:
+            raise ValueError(f"override {name!r} stacks {value.shape[1:]}, "
+                             f"expected {base.shape}")
+        P = value.shape[0]
+        diff = value.reshape(P, -1) - base.reshape(-1)
+        v, f = np.nonzero(diff)
+        d = diff[v, f]
+    if not P >= 1 or v.size and not (0 <= v.min() and v.max() < P):
+        raise ValueError(f"override {name!r}: variant outside [0, {P})")
+    if f.size and not (0 <= f.min() and f.max() < base.size):
+        raise ValueError(f"override {name!r}: index outside its "
+                         f"{base.size} entries")
+    # the penalty's (2w + delta) * delta sums per triple, so a pair repeated
+    # would drop its cross term (a dense stack's nonzeros are distinct)
+    if isinstance(value, Deltas) and np.unique(v * base.size + f).size < v.size:
+        raise ValueError(f"override {name!r} repeats a (variant, index) pair")
+    return (v, f, d), P
+
+
 def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
                         masks: Optional[MaskFactors], hp: M.HyperParams,
                         adversarial: bool,
@@ -148,24 +188,26 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
     """Evaluate the training objective for a stack of parameter variants.
 
     ``arrays`` maps parameter names to base values; ``override`` maps some
-    of them to ``[P, *base.shape]`` stacks, one P for all (else ValueError).
-    Returns the per-variant objective ``[P]`` (``[1]`` without override).
-    Batch size is one sequence.
+    of them to ``Deltas`` or to dense ``[P, *base.shape]`` stacks, one P for
+    all (else ValueError). Returns the per-variant objective ``[P]``
+    (``[1]`` without override). Batch size is one sequence.
     """
-    override = override or {}
-    for name, stack in override.items():
+    deltas, sizes = {}, {}
+    for name, value in (override or {}).items():
         if name not in arrays:
             raise ValueError(f"override names unknown parameter {name!r}")
-        if stack.shape[1:] != arrays[name].shape:
-            raise ValueError(f"override {name!r} stacks {stack.shape[1:]}, "
-                             f"expected {arrays[name].shape}")
-    sizes = {v.shape[0] for v in override.values()}
-    if len(sizes) > 1:
-        raise ValueError(f"override stack sizes disagree: {sorted(sizes)}")
-    P = max(sizes, default=1)
+        triples, sizes[name] = _as_deltas(name, value, arrays[name])
+        if triples[0].size:
+            deltas[name] = triples
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"override stack sizes disagree: "
+                         f"{sorted(set(sizes.values()))} ({sizes})")
+    P = max(sizes.values(), default=1)
 
-    def A(name):
-        return override[name] if name in override else arrays[name][None]
+    def layer(x, fn, name, weight, *args):
+        w, b = f"{name}.{weight}", f"{name}.bias"
+        return fn(x, arrays[w], arrays[b], *args, deltas.get(w),
+                  deltas.get(b), P)
 
     t, Tn, C = hp.seed_frames, hp.target_frames, hp.window
     L = seed.shape[1]
@@ -178,12 +220,12 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
     def cem(prefix, frames, mask_factor):
         x = frames[None]  # [1, n, L, P']
         for i in (1, 2, 3):
-            x = lrelu(_conv_p(x, A(f"{prefix}.conv{i}.kernel"),
-                              A(f"{prefix}.conv{i}.bias"), hp.stride))
+            x = lrelu(layer(x, _conv_p, f"{prefix}.conv{i}", "kernel",
+                            hp.stride))
         if mask_factor is not None:
             x = x * mask_factor[0, ..., None]
-        return _linear_p(x.reshape(-1, x.shape[-1]), A(f"{prefix}.fc.weight"),
-                         A(f"{prefix}.fc.bias"))
+        return layer(x.reshape(-1, x.shape[-1]), _linear_p, f"{prefix}.fc",
+                     "weight")
 
     if hp.no_long_term:
         zl = np.zeros((hp.fc_out, 1))
@@ -202,10 +244,10 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
         win = np.stack([np.broadcast_to(r, (L, pw)) for r in rows])
         zs = cem("short", win, masks.short_enc[k - 1] if masks else None)
         h = np.concatenate(np.broadcast_arrays(zl, zs))
-        h = lrelu(_linear_p(h, A("decoder.fc1.weight"), A("decoder.fc1.bias")))
+        h = lrelu(layer(h, _linear_p, "decoder.fc1", "weight"))
         if masks is not None:
             h = h * masks.decoder[k - 1].T
-        h = _linear_p(h, A("decoder.fc2.weight"), A("decoder.fc2.bias"))
+        h = layer(h, _linear_p, "decoder.fc2", "weight")
         x_hat = h + prev
         preds.append(x_hat)
         if hp.eta == 1.0:
@@ -221,21 +263,24 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
     sq = np.square(pred_stack - target[..., None]).reshape(Tn * L, -1)
     mse = np.ascontiguousarray(sq.T).sum(axis=1) / Tn
 
+    # a variant's penalty is the base one plus (2w + delta) * delta over
+    # its changed entries
     l2 = np.zeros(1)
     gen_prefixes = ("short", "decoder") + (() if hp.no_long_term else ("long",))
     for name in sorted(arrays):
         if name.split(".")[0] in gen_prefixes:
-            rows = A(name).reshape(-1, arrays[name].size)
-            # 64 rows at a time: a squared copy of a stack sets the peak RSS
-            l2 = l2 + np.concatenate([np.square(rows[i:i + 64]).sum(axis=1)
-                                      for i in range(0, len(rows), 64)])
+            l2 = l2 + np.square(arrays[name].reshape(1, -1)).sum(axis=1)
+    for name, (v, f, d) in deltas.items():
+        if name.split(".")[0] in gen_prefixes:
+            w = arrays[name].reshape(-1)[f]
+            l2 = l2 + np.bincount(v, (2.0 * w + d) * d, minlength=P)
     loss = mse + hp.lambda_l2 * l2
 
     if adversarial:
         full = np.concatenate(
             [np.broadcast_to(seed[..., None], (t, L, pw)), pred_stack])
         code = cem("disc.cem", full, None)
-        logit = _linear_p(code, A("disc.head.weight"), A("disc.head.bias"))
+        logit = layer(code, _linear_p, "disc.head", "weight")
         prob = 1.0 / (1.0 + np.exp(-logit[0]))
         prob = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
         loss = loss + hp.lambda_adv * (-np.log(prob))
@@ -419,19 +464,14 @@ def _rel_err(a, n):
 def _fd_gradient(arrays, name, indices, seed, target, masks, hp, adversarial,
                  h):
     """Central differences of the reference objective at selected flat indices."""
-    base = arrays[name]
-    flat = base.reshape(-1)
     grad = np.empty(indices.size)
     for start in range(0, indices.size, FD_CHUNK):
         idxs = indices[start:start + FD_CHUNK]
         P = 2 * idxs.size
-        stack = np.repeat(flat[None, :], P, axis=0)
-        rows = np.arange(idxs.size)
-        stack[2 * rows, idxs] += h
-        stack[2 * rows + 1, idxs] -= h
+        deltas = Deltas(np.arange(P), np.repeat(idxs, 2),
+                        np.tile([h, -h], idxs.size), P)
         losses = reference_objective(arrays, seed, target, masks, hp,
-                                     adversarial,
-                                     override={name: stack.reshape(P, *base.shape)})
+                                     adversarial, override={name: deltas})
         grad[start:start + idxs.size] = (losses[0::2] - losses[1::2]) / (2.0 * h)
     return grad
 

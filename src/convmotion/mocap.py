@@ -13,12 +13,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 # One predicted frame spans 40 ms: the 25-frame horizon covers one second.
 FRAME_MS_DEFAULT = 40.0
@@ -219,6 +222,8 @@ class MotionSequence:
 def fit_stats(trials: Sequence[RawTrial], eps_const: float = EPS_CONST_DEFAULT,
               global_dims: int = GLOBAL_DIMS_DEFAULT) -> NormalizationStats:
     """Pool mean/std over all frames of all trials (population convention)."""
+    if not 0.0 < eps_const < math.inf:
+        raise ValueError(f"eps_const must be finite and > 0, got {eps_const}")
     trials = list(trials)
     if not trials:
         raise ValueError("fit_stats requires at least one trial")
@@ -410,20 +415,24 @@ def manifest_from_tree(root) -> DatasetManifest:
     """Scan a ``<root>/<subject>/<action>_<trial>.txt`` tree into a manifest.
 
     Every trial under ``TEST_SUBJECT`` lands in the test split; all other
-    subjects train.
+    subjects train. One warning names the ``.txt`` files not so named.
     """
     root = Path(root)
-    train_refs, test_refs = [], []
+    train_refs, test_refs, skipped = [], [], []
     for subject_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         subject = subject_dir.name
         for path in sorted(subject_dir.glob("*.txt")):
             stem = path.stem
             action, _, trial_str = stem.rpartition("_")
             if not action or not trial_str.isdigit():
+                skipped.append(f"{subject}/{path.name}")
                 continue
             ref = TrialRef(subject, action, int(trial_str),
                            f"{subject}/{path.name}")
             (test_refs if subject == TEST_SUBJECT else train_refs).append(ref)
+    if skipped:
+        log.warning("skipped %d .txt file(s) not named <action>_<trial>.txt "
+                    "under %s: %s", len(skipped), root, ", ".join(skipped))
     if not train_refs:
         raise ValueError(f"no trials found under {root}")
     return DatasetManifest(train=train_refs, test=test_refs, root=root)
@@ -480,6 +489,9 @@ def generate_corpus(root, actions=("walk", "swing", "wave"), joints: int = 8,
                     seed: int = 0, train_trials: int = 2,
                     test_trials: int = 2) -> Path:
     """Write a synthetic corpus tree plus its manifest; returns the manifest path."""
+    if not 0.0 < freq_lo <= freq_hi < math.inf:
+        raise ValueError(f"freq_lo and freq_hi must satisfy 0 < freq_lo <= "
+                         f"freq_hi < inf, got {freq_lo} and {freq_hi}")
     root = Path(root)
     rng = np.random.default_rng(seed)
     train_refs, test_refs = [], []

@@ -389,6 +389,37 @@ def test_negative_learning_rate_is_one_error_line(capsys):
     assert cli.main(RUN_ARGV["train"] + ["--lr", "-1"]) == 1
     assert "learning_rate must be finite and > 0, got -1.0" in \
         _error_line(capsys)
+    # exponent form, space-separated: argparse's own pattern takes it for a flag
+    assert cli.main(RUN_ARGV["train"] + ["--lr", "-1e-4"]) == 1
+    assert "learning_rate must be finite and > 0, got -0.0001" in \
+        _error_line(capsys)
+
+
+def _float_flags():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0], a.dest)
+            for name, p in sub.choices.items() for a in p._actions
+            if a.type is float]
+
+
+@pytest.mark.parametrize("value,shown", [("-1e-4", "-0.0001"),
+                                         ("-inf", "-inf")])
+@pytest.mark.parametrize("command,flag,field", _float_flags())
+def test_negative_float_flag_reaches_its_refusal(
+        corpus, tmp_path, capsys, command, flag, field, value, shown):
+    # every float flag of every subcommand, given a negative value that
+    # argparse's own pattern misses, space-separated, exits 1 with one error
+    # line naming its field (not argparse's exit 2)
+    manifest, _ = corpus
+    argv = {"synth": ["synth", "--out", str(tmp_path / "c")],
+            "prep": ["prep", "--data", str(manifest),
+                     "--out", str(tmp_path / "s.json")],
+            "gradcheck": ["gradcheck", "--seeds", "1"], **RUN_ARGV}[command]
+    assert cli.main(argv + [flag, value]) == 1
+    line = _error_line(capsys)
+    assert field in line and shown in line, line
+    assert not (tmp_path / "c").exists() and not (tmp_path / "s.json").exists()
 
 
 def test_gradcheck_pose_dim_zero_is_one_error_line(capsys):
@@ -408,11 +439,12 @@ def test_gradcheck_rejects_counts_below_one(capsys, flag, value):
 def test_gradcheck_rejects_bad_tolerance(capsys, value, shown):
     # an infinite tolerance would pass every check and a NaN one fail every
     # check without a reason; such values are refused before any check runs
-    assert cli.main(["gradcheck", "--seeds", "1", f"--tol={value}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"tol must be finite and > 0, got {shown}" in \
-        _one_error_line(captured.err)
+    for tol in ([f"--tol={value}"], ["--tol", value]):
+        assert cli.main(["gradcheck", "--seeds", "1", *tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tol must be finite and > 0, got {shown}" in \
+            _one_error_line(captured.err)
 
 
 def test_train_report_rows_kept_on_resume(corpus, tmp_path, capsys):

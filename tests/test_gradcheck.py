@@ -5,6 +5,8 @@ across configurations, the finite-difference comparison must pass for correct
 gradients at desk scale, and it must fail loudly when a gradient is broken.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,15 +163,20 @@ def test_reference_chunk_consistency():
 
 
 @pytest.mark.parametrize("name,eta", [
-    ("long.conv1.kernel", 1.0),   # stacked kernel, shared input
+    ("long.conv1.kernel", 1.0),   # perturbed kernel, shared input
     ("short.conv2.kernel", 1.0),  # kernel and (from step 2) input stacked
-    ("short.conv1.bias", 1.0),    # stacked bias only
-    ("decoder.fc1.weight", 1.0),  # stacked affine weight
+    ("short.conv1.bias", 1.0),    # perturbed conv bias only
+    ("decoder.fc1.weight", 1.0),  # perturbed affine weight
     ("short.conv2.kernel", 0.5),  # blended windows
+    ("short.fc.weight", 1.0),     # encoder affine weight, stacked input
+    ("long.fc.bias", 1.0),        # encoder affine bias, shared input
+    ("decoder.fc2.weight", 1.0),  # output layer
+    ("decoder.fc2.bias", 0.5),    # output bias, blended windows
 ])
 def test_reference_stacked_variants_match_single_evaluations(name, eta):
-    # each layout branch of the stacked evaluator, with dropout masks and the
-    # adversary on, against one evaluation per variant
+    # each layer kind of the stacked evaluator, with dropout masks and the
+    # adversary on, against one evaluation per variant; then one-entry
+    # perturbations given as a dense stack and as Deltas
     hp = micro_hp(eta=eta)
     arrays, frames, target, rng = _micro_problem(hp)
     masks = G.draw_mask_factors(hp, POSE,
@@ -178,13 +185,63 @@ def test_reference_stacked_variants_match_single_evaluations(name, eta):
     stack = base[None] + rng.normal(scale=1e-2, size=(5, *base.shape))
     batched = G.reference_objective(arrays, frames, target, masks, hp, True,
                                     override={name: stack})
+    # each variant as the base value itself: no override, no deltas
     singles = [
-        G.reference_objective(arrays, frames, target, masks, hp, True,
-                              override={name: stack[i:i + 1]})[0]
+        G.reference_objective({**arrays, name: stack[i]}, frames, target,
+                              masks, hp, True)[0]
         for i in range(5)
     ]
     assert np.unique(batched).size == 5  # every variant moved the loss
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=0)
+
+    index = rng.integers(base.size, size=5)
+    delta = rng.normal(scale=1e-2, size=5)
+    dense = np.repeat(base[None], 5, axis=0)
+    dense.reshape(5, -1)[np.arange(5), index] += delta
+    from_dense = G.reference_objective(arrays, frames, target, masks, hp, True,
+                                       override={name: dense})
+    from_deltas = G.reference_objective(
+        arrays, frames, target, masks, hp, True,
+        override={name: G.Deltas(np.arange(5), index, delta, 5)})
+    assert np.unique(from_deltas).size == 5
+    np.testing.assert_allclose(from_dense, from_deltas, rtol=1e-12, atol=0)
+
+
+def test_reference_zero_delta_stack_is_the_base_evaluation():
+    # the benchmark's warm-up shape: a dense stack equal to the base value
+    hp = micro_hp()
+    arrays, frames, target, _ = _micro_problem(hp)
+    masks = G.draw_mask_factors(hp, POSE,
+                                np.random.Generator(np.random.PCG64(7)))
+    name = "short.conv2.kernel"
+    base_loss = G.reference_objective(arrays, frames, target, masks, hp, True)
+    stacked = G.reference_objective(
+        arrays, frames, target, masks, hp, True,
+        override={name: np.repeat(arrays[name][None], 6, axis=0)})
+    np.testing.assert_array_equal(stacked, np.repeat(base_loss, 6))
+
+
+def test_fd_chunk_peaks_below_a_dense_stack():
+    # one full chunk of the largest tiny-config parameter: a dense
+    # [2 * FD_CHUNK, 64, 128] perturbed stack alone would be 128 MiB
+    hp = G.tiny_hyperparams()
+    rng = np.random.Generator(np.random.PCG64(0))
+    params = G.generic_params(hp, G.TINY_POSE_DIM, rng)
+    arrays = {n: t.data for n, t in params.all_named().items()}
+    frames = 0.5 * rng.normal(size=(hp.seed_frames, G.TINY_POSE_DIM))
+    target = 0.5 * rng.normal(size=(hp.target_frames, G.TINY_POSE_DIM))
+    masks = G.draw_mask_factors(hp, G.TINY_POSE_DIM, rng)
+    name = "decoder.fc1.weight"
+    dense_bytes = 2 * G.FD_CHUNK * arrays[name].nbytes
+    assert dense_bytes == 128 * 2**20
+    tracemalloc.start()
+    try:
+        G._fd_gradient(arrays, name, np.arange(G.FD_CHUNK), frames, target,
+                       masks, hp, True, G.FD_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes, f"{peak / 2**20:.1f} MiB"
 
 
 def test_reference_refuses_malformed_override():
@@ -198,6 +255,21 @@ def test_reference_refuses_malformed_override():
         ({"decoder.fc1.weight": w}, "'decoder.fc1.weight' stacks"),
         ({"decoder.fc1.weight": np.stack([w, w]), "decoder.fc1.bias": b[None]},
          r"stack sizes disagree: \[1, 2\]"),
+        ({"decoder.fc1.weight": G.Deltas([0], [w.size], [1e-3], 1)},
+         f"'decoder.fc1.weight': index outside its {w.size} entries"),
+        ({"decoder.fc1.bias": G.Deltas([0], [-1], [1e-3], 1)},
+         "'decoder.fc1.bias': index outside"),
+        ({"decoder.fc1.bias": G.Deltas([2], [0], [1e-3], 2)},
+         r"'decoder.fc1.bias': variant outside \[0, 2\)"),
+        ({"decoder.fc1.bias": G.Deltas([0, 1], [0, 1], [1e-3], 2)},
+         "'decoder.fc1.bias': variant, index and delta shapes differ"),
+        ({"decoder.fc1.bias": G.Deltas([1, 0, 1], [3, 3, 3], [1e-3] * 3, 2)},
+         r"'decoder.fc1.bias' repeats a \(variant, index\) pair"),
+        ({"decoder.fc1.bias": G.Deltas([], [], [], 0)},
+         r"'decoder.fc1.bias': variant outside \[0, 0\)"),
+        ({"decoder.fc1.weight": G.Deltas([0, 1], [0, 0], [1e-3, -1e-3], 2),
+          "decoder.fc1.bias": b[None]},
+         r"stack sizes disagree: \[1, 2\] .*'decoder.fc1.bias': 1"),
     ]
     for override, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -121,6 +121,13 @@ def test_fit_stats_pools_across_trials():
     np.testing.assert_allclose(stats.std, np.full(7, math.sqrt(3.0) / 4.0))
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-4, math.inf, math.nan])
+def test_fit_stats_refuses_non_positive_eps_const(eps):
+    # eps_const <= 0 keeps zero-variance dimensions, which normalize to inf
+    with pytest.raises(ValueError, match="eps_const must be finite and > 0"):
+        fit_stats([_trial(np.ones((4, 9)))], eps_const=eps)
+
+
 def test_fit_stats_empty_rejected():
     with pytest.raises(ValueError):
         fit_stats([])
@@ -346,6 +353,34 @@ def test_generate_corpus_layout_and_manifest(tmp_path):
     assert all(t.frames.shape == (40, 15) for t in trials)
     stats = fit_stats(trials)
     assert stats.reduced_dim == 9  # 3 joints x 3 dims; global block masked
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.1, 0.5), (0.0, 0.5), (0.6, 0.5),
+                                   (0.2, math.inf)])
+def test_generate_corpus_refuses_bad_frequency_band(tmp_path, lo, hi):
+    with pytest.raises(ValueError, match="freq_lo and freq_hi must satisfy"):
+        generate_corpus(tmp_path / "d", freq_lo=lo, freq_hi=hi)
+    assert not (tmp_path / "d").exists()
+
+
+def test_manifest_from_tree_names_the_files_it_skips(tmp_path, caplog):
+    def tree(*rels):
+        for rel in rels:
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_text("")
+        with caplog.at_level("WARNING", logger="convmotion.mocap"):
+            return mocap.manifest_from_tree(tmp_path)
+
+    tree("S1/walk_1.txt", "S1/walk_2.csv", "S5/walk_1.txt")
+    assert not caplog.records  # nothing skipped: no warning
+    manifest = tree("S1/walk_x.txt", "S1/notes.txt", "S5/README.txt")
+    assert [r.path for r in manifest.train] == ["S1/walk_1.txt"]
+    assert [r.path for r in manifest.test] == ["S5/walk_1.txt"]
+    (record,) = caplog.records
+    assert record.levelname == "WARNING"
+    message = record.getMessage()
+    assert "skipped 3 .txt file(s)" in message
+    assert message.endswith("S1/notes.txt, S1/walk_x.txt, S5/README.txt")
 
 
 def test_prep_pipeline_reduced_dim_matches_joint_count(tmp_path):
