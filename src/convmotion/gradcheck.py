@@ -12,8 +12,9 @@ turned into the same triples by its nonzero differences from the base. Each
 perturbed layer is one GEMM with the shared base weight plus a scatter-add
 of delta times the input entry that weight entry multiplies. Activations
 carry the parameter-variant axis last (conv grids ``[C, H, W, P]``, codes
-and frames ``[features, P]``), so im2col copies move contiguous variant
-runs and GEMMs write the next layer's layout.
+and frames ``[features, P]``), so a conv's im2col columns, gathered one
+kernel tap at a time from its unpadded input, move contiguous variant runs,
+and GEMMs write the next layer's layout.
 
 Dropout is exercised under a fixed mask: both routes draw identical masks
 from the same seeded stream, re-drawn per evaluation, so the objective stays
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import model as M
 from . import training as T
@@ -64,31 +65,72 @@ def _same_pad(n, k, s):
     return -(-total // 2)
 
 
+@lru_cache
+def _conv_taps(H, W, kh, kw, sH, sW, pH, pW):
+    """The gather plan of one conv geometry: per kernel tap (i, j), the
+    output block whose windows read the input and the strided input slice
+    they read; then the blocks of each tap row and tap column that read
+    padding."""
+    Ho = (H + 2 * pH - kh) // sH + 1
+    Wo = (W + 2 * pW - kw) // sW + 1
+
+    def spans(n, k, s, p, no):
+        # tap d reads input index o * s + d - p at output o: outputs
+        # [lo, hi) read inside [0, n), from input index a on; the rest of
+        # [0, no) reads padding
+        out = []
+        for d in range(k):
+            lo = min(no, max(0, -(-(p - d) // s)))
+            hi = max(lo, min(no, (n - 1 + p - d) // s + 1))
+            a = lo * s + d - p
+            pad = [z for z in (slice(0, lo), slice(hi, no))
+                   if z.start < z.stop]
+            out.append((slice(lo, hi), slice(a, a + (hi - lo - 1) * s + 1, s),
+                        pad))
+        return out
+
+    every = slice(None)
+    rows, cols = spans(H, kh, sH, pH, Ho), spans(W, kw, sW, pW, Wo)
+    copies = tuple(((every, i, j, ro, co), (every, ri, ci))
+                   for i, (ro, ri, _) in enumerate(rows)
+                   for j, (co, ci, _) in enumerate(cols)
+                   if ro.start < ro.stop and co.start < co.stop)
+    zeros = tuple((every, i, every, z)
+                  for i, (_, _, pad) in enumerate(rows) for z in pad)
+    zeros += tuple((every, every, j, every, z)
+                   for j, (_, _, pad) in enumerate(cols) for z in pad)
+    return Ho, Wo, copies, zeros
+
+
 def _conv_p(x, k, b, stride, dk, db, P):
     """Conv with the variant axis last: x [C,H,W,Px], base kernel
     k [Co,C,kh,kw] and bias b [Co], deltas dk and db -> [Co,Ho,Wo,P'].
-    im2col copies contiguous variant runs for one GEMM."""
+    The im2col buffer is filled one kernel tap at a time, each tap's block
+    copied from a strided slice of the unpadded x, so every copy moves
+    contiguous variant runs; only the entries that read padding are zeroed.
+    One GEMM follows."""
     sH, sW = stride
     Co, C, kh, kw = k.shape
     _, H, W, Px = x.shape
-    pH, pW = _same_pad(H, kh, sH), _same_pad(W, kw, sW)
-    Ho = (H + 2 * pH - kh) // sH + 1
-    Wo = (W + 2 * pW - kw) // sW + 1
-    xp = np.zeros((C, H + 2 * pH, W + 2 * pW, Px))
-    xp[:, pH:pH + H, pW:pW + W] = x
-    s0, s1, s2, s3 = xp.strides
-    cols = as_strided(xp, (C, kh, kw, Ho, Wo, Px), (s0, s1, s2, s1 * sH,
-                      s2 * sW, s3)).reshape(C * kh * kw, -1, Px)
-    out = k.reshape(Co, -1) @ cols.reshape(len(cols), -1)
-    out = _add_deltas(out.reshape(Co, -1, Px) + b[:, None, None], cols, dk,
-                      db, P)
-    return out.reshape(Co, Ho, Wo, -1)
+    Ho, Wo, copies, zeros = _conv_taps(H, W, kh, kw, sH, sW,
+                                       _same_pad(H, kh, sH),
+                                       _same_pad(W, kw, sW))
+    cols = np.empty((C, kh, kw, Ho, Wo, Px))
+    for dst, src in copies:
+        cols[dst] = x[src]
+    for z in zeros:
+        cols[z] = 0.0
+    cols = cols.reshape(C * kh * kw, -1, Px)
+    out = (k.reshape(Co, -1) @ cols.reshape(len(cols), -1)).reshape(Co, -1, Px)
+    out += b[:, None, None]
+    return _add_deltas(out, cols, dk, db, P).reshape(Co, Ho, Wo, -1)
 
 
 def _linear_p(x, w, b, dw, db, P):
     """Variant-last affine: x [i,Px], base w [o,i], b [o] -> [o,P']."""
-    return _add_deltas((w @ x + b[:, None])[:, None], x[:, None], dw, db,
-                       P)[:, 0]
+    out = w @ x
+    out += b[:, None]
+    return _add_deltas(out[:, None], x[:, None], dw, db, P)[:, 0]
 
 
 def _add_deltas(out, src, dw, db, P):
@@ -112,6 +154,15 @@ def _add_deltas(out, src, dw, db, P):
     out = out if Px == P else np.repeat(out, P, axis=2)
     out += np.bincount(flat.ravel(), terms.ravel(),
                        minlength=out.size).reshape(out.shape)
+    return out
+
+
+def _stack_rows(rows):
+    """Stack [L, 1] and [L, P] frames into one [n, L, P] array, widening
+    the variant-shared ones."""
+    out = np.empty((len(rows), len(rows[0]), max(r.shape[1] for r in rows)))
+    for n, r in enumerate(rows):
+        out[n] = r
     return out
 
 
@@ -214,8 +265,9 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
     slope = hp.leaky_slope
 
     def lrelu(x):
-        # equals np.where(x >= 0, x, slope * x) bit for bit: 0 < slope < 1
-        return np.maximum(x, slope * x)
+        # in place on a fresh layer output; equals
+        # np.where(x >= 0, x, slope * x) bit for bit: 0 < slope < 1
+        return np.maximum(x, slope * x, out=x)
 
     def cem(prefix, frames, mask_factor):
         x = frames[None]  # [1, n, L, P']
@@ -240,9 +292,8 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
         ids = M.window_frame_ids(t, C, k)
         rows = [seed_rows[idx - (t - C)] if kind == "seed" else blended[idx - 1]
                 for kind, idx in ids]
-        pw = max(r.shape[1] for r in rows)
-        win = np.stack([np.broadcast_to(r, (L, pw)) for r in rows])
-        zs = cem("short", win, masks.short_enc[k - 1] if masks else None)
+        zs = cem("short", _stack_rows(rows),
+                 masks.short_enc[k - 1] if masks else None)
         h = np.concatenate(np.broadcast_arrays(zl, zs))
         h = lrelu(layer(h, _linear_p, "decoder.fc1", "weight"))
         if masks is not None:
@@ -257,8 +308,8 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
                            + target[k - 1, :, None] * (1.0 - hp.eta))
         prev = x_hat
 
-    pw = max(p.shape[1] for p in preds)
-    pred_stack = np.stack([np.broadcast_to(p, (L, pw)) for p in preds])
+    pred_stack = _stack_rows(preds)
+    pw = pred_stack.shape[2]
     # contiguous variant rows: numpy sums each pairwise (lower FD noise)
     sq = np.square(pred_stack - target[..., None]).reshape(Tn * L, -1)
     mse = np.ascontiguousarray(sq.T).sum(axis=1) / Tn
@@ -483,11 +534,12 @@ def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
 
     Returns ``[(seed, adversarial, GradCheckReport), ...]``; the suite passes
     when every report passes. ``jobs > 1`` fans the (seed, variant) grid out
-    over worker processes.
+    over at most one worker process per check.
     """
     t0 = time.perf_counter()
     _check_tol(tol)
     grid = [(seed, adversarial) for seed in seeds for adversarial in variants]
+    jobs = min(jobs, len(grid))
     if jobs > 1:
         results = _run_grid_parallel(grid, tol, hp, pose_dim, jobs)
     else:

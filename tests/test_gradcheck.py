@@ -15,6 +15,7 @@ from convmotion import gradcheck as G
 from convmotion import model as M
 from convmotion import training as T
 from convmotion.autodiff import GradTape, Tensor, backward
+from im2col_oracle import padded_conv_p
 from serial_grad_check import grad_check
 
 
@@ -28,15 +29,28 @@ def micro_hp(**overrides):
 POSE = 6
 
 
-@pytest.mark.parametrize("dropout,eta,adversarial,no_long", [
-    (0.0, 1.0, False, False),
-    (0.5, 1.0, False, False),
-    (0.5, 0.5, True, False),
-    (0.0, 0.0, True, False),
-    (0.5, 1.0, True, True),
+@pytest.mark.parametrize("dropout,eta,adversarial,no_long,kernel,stride", [
+    pytest.param(0.0, 1.0, False, False, (2, 7), (2, 2),
+                 id="0.0-1.0-False-False"),
+    pytest.param(0.5, 1.0, False, False, (2, 7), (2, 2),
+                 id="0.5-1.0-False-False"),
+    pytest.param(0.5, 0.5, True, False, (2, 7), (2, 2),
+                 id="0.5-0.5-True-False"),
+    pytest.param(0.0, 0.0, True, False, (2, 7), (2, 2),
+                 id="0.0-0.0-True-False"),
+    pytest.param(0.5, 1.0, True, True, (2, 7), (2, 2),
+                 id="0.5-1.0-True-True"),
+    # the reference's tap gather against autodiff's padded im2col at the
+    # ablation kernels (7 rows is taller than the 4-row short window) and
+    # at stride 1; an even kernel needs stride 2 along its even side
+    (0.5, 1.0, True, False, (7, 2), (2, 2)),
+    (0.5, 0.5, True, False, (4, 4), (2, 2)),
+    (0.5, 1.0, True, False, (3, 3), (1, 1)),
 ])
-def test_reference_agrees_with_taped_forward(dropout, eta, adversarial, no_long):
-    hp = micro_hp(dropout=dropout, eta=eta, no_long_term=no_long)
+def test_reference_agrees_with_taped_forward(dropout, eta, adversarial, no_long,
+                                             kernel, stride):
+    hp = micro_hp(dropout=dropout, eta=eta, no_long_term=no_long,
+                  kernel=kernel, stride=stride)
     rng = np.random.Generator(np.random.PCG64(3))
     params = G.generic_params(hp, POSE, rng)
     seed = rng.normal(size=(hp.seed_frames, POSE))
@@ -242,6 +256,117 @@ def test_fd_chunk_peaks_below_a_dense_stack():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes, f"{peak / 2**20:.1f} MiB"
+
+
+def test_fd_chunk_reference_peak_memory():
+    # one full finite-difference chunk of short.conv2.kernel (2 * FD_CHUNK
+    # variants): with the input copied into a zero-padded canvas before its
+    # im2col copy, the tracemalloc peak was 83.45e6 bytes; gathering the
+    # columns from the unpadded input peaks at 56.66e6 bytes
+    hp = G.tiny_hyperparams()
+    rng = np.random.Generator(np.random.PCG64(0))
+    params = G.generic_params(hp, G.TINY_POSE_DIM, rng)
+    arrays = {n: t.data for n, t in params.all_named().items()}
+    frames = 0.5 * rng.normal(size=(hp.seed_frames, G.TINY_POSE_DIM))
+    target = 0.5 * rng.normal(size=(hp.target_frames, G.TINY_POSE_DIM))
+    masks = G.draw_mask_factors(hp, G.TINY_POSE_DIM, rng)
+    P = 2 * G.FD_CHUNK
+    deltas = G.Deltas(np.arange(P), np.repeat(np.arange(G.FD_CHUNK), 2),
+                      np.tile([G.FD_STEP, -G.FD_STEP], G.FD_CHUNK), P)
+    tracemalloc.start()
+    try:
+        G.reference_objective(arrays, frames, target, masks, hp, True,
+                              override={"short.conv2.kernel": deltas})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * 10**6, f"{peak:,} bytes"
+
+
+@pytest.mark.parametrize("C,H,W,kernel,stride", [
+    (3, 16, 12, (2, 7), (2, 2)),  # the paper kernel, no row padding
+    (3, 11, 6, (2, 7), (2, 2)),   # odd height: one padded row on each side
+    (3, 8, 12, (7, 2), (2, 2)),   # ablation kernels
+    (3, 9, 12, (4, 4), (2, 2)),
+    (3, 5, 6, (3, 3), (1, 1)),
+    (2, 6, 4, (2, 7), (2, 2)),    # narrower than the kernel
+    (2, 4, 6, (7, 2), (2, 2)),    # shorter than the kernel
+    (2, 3, 2, (3, 7), (1, 1)),    # kernel column 0 reads only padding
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+@pytest.mark.parametrize("Px,P,perturbed", [
+    (1, 1, False), (1, 5, True), (5, 5, False), (5, 5, True)])
+def test_conv_gather_equals_padded_copy_oracle(monkeypatch, C, H, W, kernel,
+                                               stride, Px, P, perturbed):
+    kh, kw = kernel
+    sH, sW = stride
+    pH, pW = G._same_pad(H, kh, sH), G._same_pad(W, kw, sW)
+    Ho, Wo = (H + 2 * pH - kh) // sH + 1, (W + 2 * pW - kw) // sW + 1
+    if (H, W) == (3, 2):
+        assert all(not 0 <= o * sW - pW < W for o in range(Wo))
+    rng = np.random.Generator(np.random.PCG64(H * W + Px))
+    x = rng.normal(size=(C, H, W, Px))
+    k = rng.normal(size=(4, C, kh, kw))
+    b = rng.normal(size=4)
+    dk = db = None
+    if perturbed:
+        n = 7
+        dk = (rng.integers(P, size=n), rng.choice(k.size, n, replace=False),
+              rng.normal(size=n))
+        db = (np.arange(P), rng.integers(4, size=P), rng.normal(size=P))
+    expected = padded_conv_p(x, k, b, stride, dk, db, P)
+    assert expected.shape == (4, Ho, Wo, P)
+    # a column-buffer entry the gather leaves unwritten would show as NaN
+    empty = np.empty
+
+    def nan_empty(shape, *args, **kwargs):
+        out = empty(shape, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(G.np, "empty", nan_empty)
+    np.testing.assert_array_equal(G._conv_p(x, k, b, stride, dk, db, P),
+                                  expected)
+
+
+class _RecordingContext:
+    """A multiprocessing context whose pools record their size and run the
+    jobs in this process."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("seeds,variants,pool_sizes", [
+    ((0,), (False,), []),          # one check runs in-process
+    ((0,), (False, True), [2]),
+    ((0, 1, 2), (False, True), [6]),
+    ((0, 1, 2, 3, 4), (False, True), [8]),
+])
+def test_run_suite_starts_no_more_workers_than_checks(monkeypatch, seeds,
+                                                      variants, pool_sizes):
+    import multiprocessing
+
+    ctx = _RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(G, "full_model_grad_check",
+                        lambda **kw: G.GradCheckReport([], kw["tol"]))
+    results = G.run_suite(seeds=seeds, variants=variants, jobs=8)
+    assert ctx.pool_sizes == pool_sizes
+    assert [(s, a) for s, a, _ in results] == [(s, a) for s in seeds
+                                               for a in variants]
 
 
 def test_reference_refuses_malformed_override():
