@@ -32,7 +32,7 @@ import numpy as np
 
 from . import model as M
 from . import training as T
-from .autodiff import GradTape, Tensor, backward
+from .autodiff import Tensor, backward
 
 PROB_EPS = T.PROB_EPS
 
@@ -347,24 +347,15 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
 def taped_objective(params: M.ModelParams, gen_named: dict, seed: np.ndarray,
                     target: np.ndarray, hp: M.HyperParams, adversarial: bool,
                     mask_seed: int):
-    """One tape evaluation of the objective on a single ``[t, L]`` seed and
-    ``[T, L]`` target; returns (loss tensor, tape).
-
-    As in ``training.train``, the adversarial fake pass reads its
-    seed-prefix conv rows from an untaped real pass over
-    ``[seed, target]``, so the check differentiates the pass that
-    convolves only the rows that read a predicted frame."""
+    """``training.train``'s generator step at batch 1, on a single ``[t, L]``
+    seed and ``[T, L]`` target; returns (loss tensor, tape). With the
+    adversary on, ``training.generator_objective`` records the real pass
+    over ``[seed, target]`` itself, and the fake pass reads its seed-prefix
+    conv rows."""
     hp = replace(hp, adversarial=adversarial)
     rng = np.random.Generator(np.random.PCG64(mask_seed))
-    disc_cache = None
-    if hp.effective_lambda_adv > 0.0:
-        disc_cache = M.RowCache(limit=hp.seed_frames)
-        M.discriminate(Tensor(np.concatenate([seed, target])[None]), params,
-                       hp, cache=disc_cache)
-    with GradTape() as tape:
-        _pred, loss, _terms = T.generator_objective(
-            params, gen_named, Tensor(seed[None]), Tensor(target[None]), hp,
-            rng, disc_cache=disc_cache)
+    _pred, loss, _terms, tape, _real = T.generator_objective(
+        params, gen_named, Tensor(seed[None]), Tensor(target[None]), hp, rng)
     return loss, tape
 
 

@@ -649,8 +649,11 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
             f"{expected_fingerprint[:12]}...)"
         )
     tensors = {}
+    # save_checkpoint writes the tensors back to back in name order
     end = base
     for name, dtype, shape, offset, nbytes in entries:
+        if name in tensors:
+            raise ValueError(f"{path}: tensor {name!r} is named twice")
         start = base + offset
         stop = start + nbytes
         need = math.prod(shape) * dtype.itemsize
@@ -658,13 +661,17 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
             raise ValueError(
                 f"{path}: tensor {name!r} has {nbytes} bytes, but "
                 f"shape {shape} of {dtype} needs {need}")
-        if start < base or stop > len(data):
+        if start != end:
+            raise ValueError(
+                f"{path}: tensor {name!r} starts at byte {start}, not where "
+                f"the previous tensor ended ({end})")
+        if stop > len(data):
             raise ValueError(
                 f"{path}: truncated checkpoint: tensor {name!r} spans bytes "
                 f"{start}-{stop} of {len(data)}")
         arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(shape)
         tensors[name] = arr.copy()
-        end = max(end, stop)
+        end = stop
     if end != len(data):
         raise ValueError(
             f"{path}: {len(data) - end} unexpected bytes after the last tensor")

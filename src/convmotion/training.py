@@ -6,9 +6,10 @@ penalty - adversarial log-score) and, when the adversarial regularizer is
 enabled, the discriminator's real/generated classification loss with the
 generated sequences detached, then takes one Adam step over both players'
 tensors; the gradient sets are disjoint, so this equals a step per player.
-The discriminator's three passes of an iteration share their seed frames,
-so the real pass runs first and the two fake passes reuse its seed-prefix
-conv rows.
+The discriminator's three passes of an iteration share their seed frames:
+``generator_objective`` records the real pass first, and both fake passes
+reuse its seed-prefix conv rows. The gradient check runs that generator
+step at batch 1 (``gradcheck.taped_objective``).
 Everything is deterministic under the master seed: iteration ``i`` draws
 from RNG streams derived from ``(master_seed, i)``, so resuming from a
 checkpoint replays the exact trajectory of an uninterrupted run.
@@ -110,30 +111,38 @@ def loss_generator(pred: Tensor, target, gen_params: dict,
 
 def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
                         targets: Tensor, hp: M.HyperParams,
-                        rng: np.random.Generator,
-                        disc_cache: Optional[M.RowCache] = None):
-    """Closed-loop prediction and the combined objective, recorded on the
-    active tape; returns ``(pred, loss, terms)``. ``seeds``/``targets`` are
-    ``[B, t, L]`` and ``[B, T, L]`` batches.
+                        rng: np.random.Generator):
+    """The generator step of an iteration; ``seeds``/``targets`` are
+    ``[B, t, L]`` and ``[B, T, L]`` batches. Returns ``(pred, loss, terms,
+    tape, real)``: closed-loop prediction and the combined objective on
+    ``tape``, and ``real = (d_tape, cache, real_prob)``, or ``None`` with
+    the adversary off.
 
-    The discriminator scores the prediction through detached copies of the
-    ``disc.*`` tensors (same data, no gradient): this objective trains the
-    generator only, so its ``backward`` returns no ``disc.*`` gradient and
-    skips the discriminator's kernel and weight products. ``disc_cache``
-    holds the seed-prefix rows of a discriminator pass over sequences that
-    start with ``seeds``; the fake pass reads them as data and convolves
-    only the rows that read a predicted frame."""
-    pred = M.predict_sequence(seeds, params, hp, teacher=targets, mode="train",
-                              rng=rng)
-    fake_prob = None
+    The discriminator's real pass over ``[seeds, targets]`` is recorded
+    first, on ``d_tape``, for the discriminator step to extend, and leaves
+    the seed-prefix conv rows in ``cache``. The generator's fake pass reads
+    them as data and convolves only the rows that read a predicted frame,
+    through detached copies of the ``disc.*`` tensors (same data, no
+    gradient), so its ``backward`` returns no ``disc.*`` gradient and skips
+    the discriminator's kernel and weight products."""
+    real = None
     if hp.effective_lambda_adv > 0.0:
-        frozen = M.ModelParams({n: p.detach() for n, p
-                                in params.discriminator_named().items()})
-        fake_prob = M.discriminate(
-            ad.concat([seeds, pred], axis=1), frozen, hp,
-            cache=None if disc_cache is None else disc_cache.detached())
-    loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
-    return pred, loss, terms
+        cache = M.RowCache(limit=hp.seed_frames)
+        with GradTape() as d_tape:
+            real_prob = M.discriminate(ad.concat([seeds, targets], axis=1),
+                                       params, hp, cache=cache)
+        real = (d_tape, cache, real_prob)
+    with GradTape() as tape:
+        pred = M.predict_sequence(seeds, params, hp, teacher=targets,
+                                  mode="train", rng=rng)
+        fake_prob = None
+        if real is not None:
+            frozen = M.ModelParams({n: p.detach() for n, p
+                                    in params.discriminator_named().items()})
+            fake_prob = M.discriminate(ad.concat([seeds, pred], axis=1),
+                                       frozen, hp, cache=cache.detached())
+        loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
+    return pred, loss, terms, tape, real
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +408,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         seeds_t = Tensor(batch.seeds)
         targets_t = Tensor(batch.targets)
 
-        # the discriminator's real pass comes first: its cache then holds
-        # the seed-prefix conv rows that both fake passes share
-        disc_cache = d_tape = None
-        if hp.effective_lambda_adv > 0.0:
-            disc_cache = M.RowCache(limit=hp.seed_frames)
-            with GradTape() as d_tape:
-                real_p = M.discriminate(ad.concat([seeds_t, targets_t], axis=1),
-                                        params, hp, cache=disc_cache)
-
-        # generator gradients of the combined objective; each tape, with
-        # the activations it saved, is dropped as soon as it is replayed
-        with GradTape() as tape:
-            pred, loss, terms = generator_objective(params, gen_named, seeds_t,
-                                                    targets_t, hp, gen_rng,
-                                                    disc_cache=disc_cache)
+        # each tape and its saved activations go as soon as it is replayed
+        pred, loss, terms, tape, real = generator_objective(
+            params, gen_named, seeds_t, targets_t, hp, gen_rng)
         if not np.isfinite(terms.total):
             raise FloatingPointError(
                 f"non-finite generator loss at iteration {it}: {terms}"
@@ -424,11 +421,12 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         # discriminator gradients of the classification loss, fake detached;
         # backward sums the real and fake gradients of the shared rows
         d_loss_val = None
-        if d_tape is not None:
+        if real is not None:
+            d_tape, cache, real_p = real
             with d_tape:
                 fake_p = M.discriminate(ad.concat([seeds_t, pred.detach()],
                                                   axis=1), params, hp,
-                                        cache=disc_cache)
+                                        cache=cache)
                 d_loss = loss_discriminator(real_p, fake_p)
             d_loss_val = d_loss.item()
             if not np.isfinite(d_loss_val):
@@ -436,7 +434,7 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
                     f"non-finite discriminator loss at iteration {it}"
                 )
             grads.update(backward(d_loss, d_tape))
-            del d_tape, disc_cache
+            del real, d_tape, cache
 
         adam_step(trained, grads_by_name(trained, grads), state,
                   hp.learning_rate)

@@ -78,14 +78,23 @@ def test_micro_model_gradients_pass(adversarial):
     assert "long.conv1.kernel" in names
 
 
-def test_adversarial_odd_target_length_gradients_pass():
-    # t = 6, T = 3: with the 2x2 kernel and stride, layer 1's top padding is
-    # (t + T) mod 2 = 1 row, so one discriminator row reads [f(t-1), f(t)],
-    # the last seed frame and the first target frame. An even T has no such
-    # row, so only an odd T checks that the shared seed-prefix rows stop at
-    # the seed's last frame.
-    report = G.full_model_grad_check(hp=micro_hp(target_frames=3),
-                                     pose_dim=POSE, seed=0, adversarial=True)
+ABLATION_KERNELS = [((2, 7), (2, 2)), ((7, 2), (2, 2)), ((4, 4), (2, 2)),
+                    ((3, 3), (1, 1))]
+
+
+@pytest.mark.parametrize("kernel,stride", ABLATION_KERNELS, ids=[
+    f"k{k[0]}x{k[1]}-s{s[0]}x{s[1]}" for k, s in ABLATION_KERNELS])
+def test_adversarial_odd_target_length_gradients_pass(kernel, stride):
+    # t = 6, T = 3: with the paper's 2-row kernel at row stride 2, layer 1's
+    # top padding is (t + T) mod 2 = 1 row, so one discriminator row reads
+    # [f(t-1), f(t)], the last seed frame and the first target frame. An
+    # even T has no such row, so only an odd T checks that the shared
+    # seed-prefix rows stop at the seed's last frame. (7, 2) and (4, 4) are
+    # the other kernels ``ablate --axis kernel`` trains; (3, 3) runs at
+    # stride 1.
+    hp = micro_hp(target_frames=3, kernel=kernel, stride=stride)
+    report = G.full_model_grad_check(hp=hp, pose_dim=POSE, seed=0,
+                                     adversarial=True)
     assert report.passed, report.summary()
 
 

@@ -674,12 +674,20 @@ def _edited_header(header: dict, what: str):
         return [header]
     elif what == "extra is a list":
         header["extra"] = [1, 2]
+    elif what == "repeated name":
+        header["tensors"][1]["name"] = header["tensors"][0]["name"]
+    elif what == "swapped offsets":
+        first, second = header["tensors"][:2]
+        first["offset"], second["offset"] = second["offset"], first["offset"]
+    elif what == "overlapping offsets":
+        header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
     return header
 
 
 HEADER_EDITS = ("nbytes vs shape", "no stats_fingerprint", "no tensors",
                 "unknown hyper key", "bad dtype", "header is a list",
-                "extra is a list")
+                "extra is a list", "repeated name", "swapped offsets",
+                "overlapping offsets")
 
 
 def _corrupted(good: bytes, what: str) -> bytes:

@@ -171,9 +171,8 @@ def test_generator_objective_tape_one_penalty_node_no_blend_at_eta_one():
         rng = np.random.default_rng(1)
         seeds = Tensor(rng.normal(size=(1, hp.seed_frames, TINY_POSE_DIM)))
         targets = Tensor(rng.normal(size=(1, hp.target_frames, TINY_POSE_DIM)))
-        with GradTape() as tape:
-            T.generator_objective(params, params.generator_named(), seeds,
-                                  targets, hp, np.random.default_rng(2))
+        tape = T.generator_objective(params, params.generator_named(), seeds,
+                                     targets, hp, np.random.default_rng(2))[3]
         return [(node.vjp.__qualname__.split(".")[0], len(node.inputs))
                 for node in tape._nodes]
 
@@ -414,9 +413,8 @@ def test_generator_backward_returns_generator_gradients_only():
     rng = np.random.default_rng(1)
     seeds = Tensor(rng.normal(size=(2, hp.seed_frames, TINY_POSE_DIM)))
     targets = Tensor(rng.normal(size=(2, hp.target_frames, TINY_POSE_DIM)))
-    with GradTape() as tape:
-        _, loss, terms = T.generator_objective(params, gen_named, seeds,
-                                               targets, hp, rng)
+    _, loss, terms, tape, _ = T.generator_objective(params, gen_named, seeds,
+                                                    targets, hp, rng)
     assert terms.adv > 0.0
     grads = backward(loss, tape)
     # every returned gradient is used by the generator step, and no disc.*
@@ -792,6 +790,37 @@ def test_train_empty_dataset_rejected():
     seqs, stats = make_dataset()
     with pytest.raises(ValueError):
         T.train([], stats, micro_hp(), T.TrainSchedule(iterations=1))
+
+
+def test_train_refuses_non_finite_generator_loss():
+    seqs, stats = make_dataset(frames=30)
+    hp = micro_hp(lambda_adv=0.01, adversarial=True)
+    params = M.init_params(hp, seqs[0].pose_dim, np.random.default_rng(0))
+    bias = params["decoder.fc2.bias"]
+    bias.assign_(np.full(bias.shape, np.inf))
+    # inf - inf in the decoder's products is the expected NaN
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match="non-finite generator loss at iteration 1:"):
+        T.train(seqs, stats, hp, T.TrainSchedule(iterations=2), params=params)
+
+
+def test_train_refuses_non_finite_discriminator_loss(monkeypatch):
+    # only the second iteration's discriminator loss is NaN
+    seqs, stats = make_dataset(frames=30)
+    hp = micro_hp(lambda_adv=0.01, adversarial=True)
+    real_loss, calls = T.loss_discriminator, []
+
+    def nan_on_second_call(real_prob, fake_prob):
+        calls.append(None)
+        loss = real_loss(real_prob, fake_prob)
+        return ad.mul(loss, np.nan) if len(calls) == 2 else loss
+
+    monkeypatch.setattr(T, "loss_discriminator", nan_on_second_call)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite discriminator loss at iteration 2$"):
+        T.train(seqs, stats, hp, T.TrainSchedule(iterations=3))
+    assert len(calls) == 2
 
 
 def test_report_csv_round_trip(tmp_path):
