@@ -3,8 +3,9 @@
 Implements exactly the operations the motion predictor needs: strided 2D
 convolution (optionally with its leaky ReLU in the same node), affine maps,
 leaky ReLU, inverted dropout, elementwise arithmetic, reductions,
-concat/stack/slice plumbing, and reverse-mode differentiation driven by an
-explicit gradient tape.
+concat/stack/slice plumbing, a row gather that joins conv rows and frames
+from several tensors in one node, and reverse-mode differentiation driven
+by an explicit gradient tape.
 
 Tensors are immutable values during a taped computation; parameters are
 updated between passes, in place by ``training.adam_step``. A ``GradTape``
@@ -612,21 +613,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             raise ShapeError(
                 f"concat: rank mismatch {tensors[0].data.shape} vs {t.data.shape}"
             )
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=req)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                 requires_grad=any(t.requires_grad for t in tensors))
     if out.requires_grad and _active_tape() is not None:
-        # each input's extent along ``axis``, as one index into the output;
-        # constant inputs (zero padding rows, data) get no partial
-        lead, parts, lo = (slice(None),) * (axis % rank), [], 0
-        for t in tensors:
-            hi = lo + t.data.shape[axis]
-            parts.append(lead + (slice(lo, hi),) if t.requires_grad else None)
-            lo = hi
+        # where each input ends along ``axis``; constant inputs (data) get
+        # no partial
+        ends = np.cumsum([t.data.shape[axis] for t in tensors[:-1]], dtype=int)
 
         def vjp(g):
-            return tuple(None if part is None else np.ascontiguousarray(g[part])
-                         for part in parts)
+            return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                         for t, p in zip(tensors, np.split(g, ends, axis)))
 
         _record(tensors, out, vjp)
     return out
@@ -640,15 +636,12 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     for t in tensors[1:]:
         if t.data.shape != base:
             raise ShapeError(f"stack: shapes {base} and {t.data.shape} differ")
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=req)
+    out = Tensor(np.stack([t.data for t in tensors], axis=axis),
+                 requires_grad=any(t.requires_grad for t in tensors))
     if out.requires_grad and _active_tape() is not None:
-        def vjp(g):
-            # constant inputs (seed frames in a decoding window) get no partial
-            moved = np.moveaxis(g, axis, 0)
-            return tuple(np.ascontiguousarray(moved[i]) if t.requires_grad
-                         else None for i, t in enumerate(tensors))
+        def vjp(g):  # constant inputs get no partial
+            return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                         for t, p in zip(tensors, np.moveaxis(g, axis, 0)))
 
         _record(tensors, out, vjp)
     return out
@@ -656,16 +649,46 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def tslice(x: Tensor, key) -> Tensor:
     """Basic (non-advanced) indexing with gradient scatter on the way back."""
-    out_data = x.data[key]
-    out = Tensor(out_data, requires_grad=x.requires_grad)
+    out = Tensor(x.data[key], requires_grad=x.requires_grad)
     if out.requires_grad and _active_tape() is not None:
-        shape, dtype = x.data.shape, x.data.dtype
-
         def vjp(g):
-            gx = np.zeros(shape, dtype=dtype)
+            gx = np.zeros_like(x.data)
             gx[key] = g
             return (gx,)
 
         _record((x,), out, vjp)
     return out
 
+
+def gather_rows(rows: list) -> Tensor:
+    """Join ``(block, r)`` rows into one ``[B, ch, n, W]`` tensor along the
+    height axis, as one tape node over the distinct blocks. Row ``r`` is
+    ``block[..., r, :]`` of a ``[B, ch, H, W]`` block or a ``[B, n, W]``
+    frame batch, all of a ``[B, W]`` block when ``r`` is ``None``, and zeros
+    when the block is ``None``. Every row of one 4-D block, in order, is that
+    block. The VJP adds each row's gradient into one partial per block that
+    needs a gradient (a row read twice gets both), ``None`` for the rest."""
+    def row(arr, r):  # a [B, ch, 1, W] view; frames have one channel
+        arr = arr if arr.ndim == 4 else arr[:, None]
+        return arr[:, :, None] if r is None else arr[:, :, r:r + 1]
+
+    blocks = list(dict.fromkeys(b for b, _ in rows if b is not None))
+    first = blocks[0]
+    if first.ndim == 4 and rows == [(first, j) for j in range(first.shape[2])]:
+        return first
+    zero = np.zeros_like(row(first.data, next(r for b, r in rows if b is first)))
+    # np.concatenate refuses rows of different shapes
+    out = Tensor(np.concatenate([zero if b is None else row(b.data, r)
+                                 for b, r in rows], axis=2),
+                 requires_grad=any(b.requires_grad for b in blocks))
+    if out.requires_grad and _active_tape() is not None:
+        def vjp(g):
+            partials = {b: np.zeros_like(b.data) for b in blocks
+                        if b.requires_grad}
+            for j, (b, r) in enumerate(rows):
+                if b in partials:
+                    row(partials[b], r)[...] += g[:, :, j:j + 1]
+            return tuple(partials.get(b) for b in blocks)
+
+        _record(tuple(blocks), out, vjp)
+    return out

@@ -221,6 +221,11 @@ def cmd_ablate(args) -> int:
 
     horizons = [ms for ms in E.HORIZONS_MS_DEFAULT
                 if ms // manifest.frame_ms <= base_hp.target_frames]
+    if not horizons:
+        raise ValueError(
+            f"no evaluation horizon of {E.HORIZONS_MS_DEFAULT} ms fits in "
+            f"{base_hp.target_frames} target frames of {manifest.frame_ms} ms")
+    E.horizon_frames(horizons, manifest.frame_ms)  # before any run trains
     rows = ["axis,value," + ",".join(f"ms{ms}" for ms in horizons) + ",train_mse"]
     # every axis value is validated before the first one trains
     runs = [(field_name, value, replace(base_hp, **{field_name: value}))

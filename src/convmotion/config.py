@@ -57,8 +57,9 @@ HYPER_KEYS = {key: parser_for(d) for key, d in HYPER_DEFAULTS.items()}
 def parse_config_text(text: str, parsers=HYPER_KEYS, known=()) -> dict:
     """Parse ``key=value`` lines with ``parsers`` (key -> parser). A key
     outside ``parsers`` is rejected: as one this command has no use for
-    when it is in ``known``, otherwise as unknown."""
-    out = {}
+    when it is in ``known``, otherwise as unknown; so is a key given
+    twice."""
+    out, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +72,10 @@ def parse_config_text(text: str, parsers=HYPER_KEYS, known=()) -> dict:
                 raise ValueError(
                     f"config line {lineno}: key {key!r} is not used by this command")
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in linenos:
+            raise ValueError(f"config line {lineno}: key {key!r} is already "
+                             f"given on line {linenos[key]}")
+        linenos[key] = lineno
         try:
             out[key] = parsers[key](value)
         except ValueError as exc:

@@ -47,6 +47,8 @@ def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
                    frame_ms: float = FRAME_MS_DEFAULT) -> list:
     """Map strictly ascending horizons to 1-based predicted frame numbers:
     floor(ms / frame_ms)."""
+    if len(horizons_ms) == 0:
+        raise ValueError("no horizons given: at least one is needed")
     frames = []
     for prev, ms in zip((None, *horizons_ms), horizons_ms):
         if prev is not None and ms <= prev:

@@ -4,15 +4,16 @@ Two convolutional encoders share one architecture (three stride-2 conv layers
 with a rectangular 2x7 kernel, then one affine layer to a 512-dim code): the
 long-term encoder digests the whole seed sequence once, the short-term encoder
 encodes a sliding window of the most recent ``C`` frames at every decoding
-step. Consecutive windows share ``C - 1`` frames, so a per-sequence
-``RowCache`` lets each step convolve only the conv rows that its new frame
-reaches. A two-layer spatial decoder maps the concatenated codes to a pose
-residual added onto the previous frame, so a zeroed decoder reproduces the
-last seed frame forever (the zero-velocity baseline). A discriminator with the
-same convolutional trunk scores full sequences for the adversarial
-regularizer. The sequences it scores in one training iteration share their
-t seed frames, so a ``RowCache`` with a frame limit lets every pass after
-the first convolve only the conv rows that read a target frame.
+step, reading them in place from the seed batch and the decoded frames.
+Consecutive windows share ``C - 1`` frames, so a per-sequence ``RowCache``
+lets each step convolve only the conv rows that its new frame reaches. A
+two-layer spatial decoder maps the concatenated codes to a pose residual
+added onto the previous frame, so a zeroed decoder reproduces the last seed
+frame forever (the zero-velocity baseline). A discriminator with the same
+convolutional trunk scores full sequences for the adversarial regularizer.
+The sequences it scores in one training iteration share their t seed frames,
+so a ``RowCache`` with a frame limit lets every pass after the first
+convolve only the conv rows that read a target frame.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ class RowCache(dict):
     field, ``first`` being ``None`` when the field holds top padding; such
     a row is shared only by passes that start at frame 0. A row that reads
     bottom padding, or a frame at or past ``limit``, belongs to its own pass
-    and is not cached. The value is ``(block, r)``, row ``r`` of the
-    leaky-ReLU output of the conv call that made it.
+    and is not cached. The value is ``(block, r)``, for ``ad.gather_rows``:
+    row ``r`` of the leaky-ReLU output of the conv call that made it.
     """
 
     def __init__(self, limit: Optional[int] = None):
@@ -348,35 +349,13 @@ def _row_spans(cfg: CemConfig) -> tuple:
 _PAD_ROW = (None, 0)
 
 
-def _join_rows(rows: list) -> Tensor:
-    """Concatenate ``(block, r)`` rows along the height axis, ``_PAD_ROW``
-    as a zero row; consecutive rows of one block are taken as one slice."""
-    runs = []
-    for block, r in rows:
-        if runs and runs[-1][0] is block and (block is None or runs[-1][2] == r):
-            runs[-1][2] += 1
-        else:
-            runs.append([block, r, r + 1])
-    ref = next(block for block, _ in rows if block is not None)
-    B, ch, _, w = ref.shape
-    pieces = []
-    for block, lo, hi in runs:
-        if block is None:
-            pieces.append(Tensor(np.zeros((B, ch, hi - lo, w), dtype=ref.dtype)))
-        elif lo == 0 and hi == block.shape[2]:
-            pieces.append(block)
-        else:
-            pieces.append(ad.tslice(block, (slice(None), slice(None),
-                                            slice(lo, hi))))
-    return pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=2)
-
-
-def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
+def cem_forward(frames, params: ModelParams, cfg: CemConfig,
                 mode: str = "eval",
                 rng: Optional[np.random.Generator] = None,
                 cache: Optional[RowCache] = None) -> Tensor:
     """Encode a ``[B, n, L]`` batch of frame grids into ``[B, fc_out]`` codes
-    with the ``cfg.prefix`` tensors of ``params``.
+    with the ``cfg.prefix`` tensors of ``params``; ``frames`` is that tensor
+    or its n frame rows, ``(tensor, r)`` pairs as ``ad.gather_rows`` reads.
 
     The frames form a one-channel image, time along the height axis and pose
     dimension along the width axis. Each conv layer applies symmetric
@@ -386,25 +365,26 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
     With a ``cache``, each conv layer computes only the output rows that no
     earlier pass over the same frames produced (dense sliding-window
     evaluation, Sermanet et al. 2014): their ``kH``-row input groups are
-    concatenated and convolved in one call at height stride ``kH``. A layer
+    gathered and convolved in one call at height stride ``kH``. A layer
     with no cached rows is one conv over its whole padded input. The pass
     stores the rows that later passes may share in the cache.
     """
-    if frames.ndim != 3:
-        raise ad.ShapeError(f"encoder expects [B, n, L] frames, got {frames.shape}")
-    B, n, L = frames.shape
-    if n != cfg.input_frames:
+    if isinstance(frames, Tensor):
+        if frames.ndim != 3:
+            raise ad.ShapeError(
+                f"encoder expects [B, n, L] frames, got {frames.shape}")
+        frames = [(frames, j) for j in range(frames.shape[1])]
+    rows = frames  # the current layer's rows, in order
+    if len(rows) != cfg.input_frames:
         raise ad.ShapeError(
-            f"encoder expects {cfg.input_frames} frames, got {n}"
-        )
+            f"encoder expects {cfg.input_frames} frames, got {len(rows)}")
+    L = rows[0][0].shape[-1]
     if L != cfg.pose_dim:
         raise ad.ShapeError(f"encoder expects pose dim {cfg.pose_dim}, got {L}")
     if cache is None:
         cache = RowCache()
     kH, kW = cfg.kernel
     sH, sW = cfg.stride
-    h = ad.reshape(frames, (B, 1, n, L))
-    rows = [(h, j) for j in range(n)]  # the current layer's rows, in order
     layers = zip(cfg.grid_trace(), _row_spans(cfg))
     for i, ((gh, gw), spans) in enumerate(layers, 1):
         pH, pW = same_padding(gh, kH, sH), same_padding(gw, kW, sW)
@@ -413,11 +393,11 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
         missing = [j for j, row in enumerate(out_rows) if row is None]
         if missing:
             if len(missing) == len(keys):
-                x, stride, pad = _join_rows(rows), (sH, sW), (pH, pW)
+                x, stride, pad = ad.gather_rows(rows), (sH, sW), (pH, pW)
             else:
                 padded = [_PAD_ROW] * pH + rows + [_PAD_ROW] * pH
-                x = _join_rows([row for j in missing
-                                for row in padded[j * sH:j * sH + kH]])
+                x = ad.gather_rows([row for j in missing
+                                    for row in padded[j * sH:j * sH + kH]])
                 stride, pad = (kH, sW), (0, pW)
             out = ad.conv2d(x, params[f"{cfg.prefix}.conv{i}.kernel"],
                             params[f"{cfg.prefix}.conv{i}.bias"],
@@ -427,8 +407,8 @@ def cem_forward(frames: Tensor, params: ModelParams, cfg: CemConfig,
                 if keys[j] is not None:
                     cache[keys[j]] = out_rows[j]
         rows = out_rows
-    h = ad.dropout(_join_rows(rows), cfg.dropout, mode=mode, rng=rng)
-    h = ad.reshape(h, (B, -1))
+    h = ad.dropout(ad.gather_rows(rows), cfg.dropout, mode=mode, rng=rng)
+    h = ad.reshape(h, (h.shape[0], -1))
     return ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
                      params[f"{cfg.prefix}.fc.bias"])
 
@@ -503,27 +483,24 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     else:
         zl = cem_forward(x, params, hp.long_cem(L), mode=mode, rng=rng)
 
-    # the seed tail, then what the window sees of each generated frame; step
-    # k stacks the last C entries, the layout ``window_frame_ids`` specifies
-    frames = [ad.tslice(x, (slice(None), i, slice(None)))
-              for i in range(t - C, t)]
+    # the window's frame rows: the seed tail, then what it sees of each
+    # generated frame; step k reads the last C (``window_frame_ids``)
+    frames = [(x, i) for i in range(t - C, t)]
     short_cfg = hp.short_cem(L)
     cache = RowCache()
-    prev = frames[-1]
+    prev = ad.tslice(x, (slice(None), t - 1, slice(None)))
     outputs = []
     for k in range(1, T + 1):
-        win = ad.stack(frames[-C:], axis=1)
         cache.start = k - 1
-        zs = cem_forward(win, params, short_cfg, mode=mode, rng=rng,
+        zs = cem_forward(frames[-C:], params, short_cfg, mode=mode, rng=rng,
                          cache=cache)
         x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
         outputs.append(x_hat)
+        frame = x_hat  # at eta = 1 the blend is the identity
         if teacher is not None and hp.eta < 1.0:
-            pred_part = ad.mul(x_hat, hp.eta)
             truth = ad.tslice(teacher, (slice(None), k - 1, slice(None)))
-            frames.append(ad.add(pred_part, ad.mul(truth, 1.0 - hp.eta)))
-        else:
-            frames.append(x_hat)  # at eta = 1 the blend is the identity
+            frame = ad.add(ad.mul(x_hat, hp.eta), ad.mul(truth, 1.0 - hp.eta))
+        frames.append((frame, None))
         prev = x_hat
     out = ad.stack(outputs, axis=1)
     return out if batched else ad.reshape(out, (T, L))

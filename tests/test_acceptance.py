@@ -222,13 +222,16 @@ def test_criterion_5_window_semantics(monkeypatch):
     seed = rng.normal(size=(t, 6))
     teacher = rng.normal(size=(T_, 6))
 
-    # the windows the short-term encoder sees, one [1, C, L] grid per step
+    # the windows the short-term encoder sees, one [1, C, L] grid per step,
+    # from its frame rows: row r of the seed batch, or a whole decoded frame
     windows = []
     real_cem = M.cem_forward
 
     def recording(frames, params, cfg, **kw):
         if cfg.prefix == "short":
-            windows.append(frames.data.copy())
+            windows.append(np.stack([block.data if r is None
+                                     else block.data[:, r]
+                                     for block, r in frames], axis=1))
         return real_cem(frames, params, cfg, **kw)
 
     monkeypatch.setattr(M, "cem_forward", recording)

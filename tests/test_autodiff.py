@@ -652,6 +652,101 @@ def test_values_finite_after_forward_backward():
 
 
 # ---------------------------------------------------------------------------
+# row gather
+# ---------------------------------------------------------------------------
+
+PAD = (None, 0)
+
+
+def _gather_oracle(rows, B, ch, W):
+    """The gathered grid, built row by row with explicit indexing."""
+    out = np.zeros((B, ch, len(rows), W))
+    for j, (block, r) in enumerate(rows):
+        if block is None:
+            continue
+        d = block.data
+        if r is None:
+            out[:, 0, j] = d
+        elif d.ndim == 3:
+            out[:, 0, j] = d[:, r]
+        else:
+            out[:, :, j] = d[:, :, r]
+    return out
+
+
+def _weighted_gather_loss(rows, weights):
+    return lambda: sumsq(mul(ad.gather_rows(rows), Tensor(weights)))
+
+
+@pytest.mark.parametrize("seeds_need_grad", [False, True])
+def test_gather_rows_of_frames_matches_finite_differences(seeds_need_grad):
+    # a short-term window: seed-batch rows next to decoded-frame rows
+    rng = np.random.default_rng(31)
+    seeds = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=seeds_need_grad)
+    f1 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    f2 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    rows = [PAD, (seeds, 3), (seeds, 4), (f1, None), (f2, None), PAD]
+    weights = rng.normal(size=(2, 1, 6, 4))
+    out = ad.gather_rows(rows)
+    np.testing.assert_array_equal(out.data, _gather_oracle(rows, 2, 1, 4))
+    named = {"f1": f1, "f2": f2}
+    if seeds_need_grad:
+        named["seeds"] = seeds
+    report = grad_check(_weighted_gather_loss(rows, weights), named, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+def test_gather_rows_of_conv_blocks_matches_finite_differences():
+    # kH = 3 over stride 2 reads the middle row of each group twice
+    rng = np.random.default_rng(32)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 2, 5)), requires_grad=True)
+    rows = [PAD, (a, 0), (a, 1), (a, 1), (a, 2), (a, 3), (a, 3), (b, 0),
+            (b, 1), (b, 1), PAD]
+    weights = rng.normal(size=(2, 3, len(rows), 5))
+    out = ad.gather_rows(rows)
+    np.testing.assert_array_equal(out.data, _gather_oracle(rows, 2, 3, 5))
+    report = grad_check(_weighted_gather_loss(rows, weights),
+                        {"a": a, "b": b}, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+def test_gather_rows_records_one_node_over_distinct_blocks():
+    rng = np.random.default_rng(33)
+    data = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    param = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    rows = [(param, 2), (data, 0), PAD, (param, 2), (data, 3), (param, 0)]
+    with GradTape() as tape:
+        out = ad.gather_rows(rows)
+    (node,) = tape._nodes
+    assert node.inputs == (param, data) and node.output is out
+    g = rng.normal(size=out.shape)
+    gp, gd = node.vjp(g)
+    assert gd is None
+    want = np.zeros(param.shape)
+    want[:, :, 2] = g[:, :, 0] + g[:, :, 3]
+    want[:, :, 0] = g[:, :, 5]
+    np.testing.assert_array_equal(gp, want)
+
+
+def test_gather_rows_of_a_whole_block_in_order_is_the_block():
+    x = Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
+    with GradTape() as tape:
+        out = ad.gather_rows([(x, r) for r in range(4)])
+    assert out is x and len(tape) == 0
+    # anything else is a copy, even one that starts with the whole block
+    assert ad.gather_rows([(x, r) for r in range(4)] + [PAD]) is not x
+
+
+def test_gather_rows_rejects_mismatched_rows():
+    rng = np.random.default_rng(34)
+    frames = Tensor(rng.normal(size=(2, 5, 4)))
+    conv = Tensor(rng.normal(size=(2, 3, 4, 4)))
+    with pytest.raises(ValueError, match="must match exactly"):
+        ad.gather_rows([(frames, 0), (conv, 0)])
+
+
+# ---------------------------------------------------------------------------
 # grad_check utility
 # ---------------------------------------------------------------------------
 

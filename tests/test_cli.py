@@ -125,6 +125,12 @@ def test_config_parses_comments_and_blanks():
     assert cfg == {"window": 10}
 
 
+def test_config_rejects_a_key_given_twice():
+    with pytest.raises(ValueError, match=r"^config line 3: key 'window' is "
+                                         r"already given on line 1$"):
+        C.parse_config_text("window=5\neta=0.5\nwindow=10\n")
+
+
 def test_config_bad_value_reports_line():
     with pytest.raises(ValueError, match="line 2"):
         C.parse_config_text("window=10\neta=notafloat\n")
@@ -632,6 +638,23 @@ def test_ablate_checks_every_axis_value_before_training(corpus, tmp_path,
                   + ["--seed-frames", "16", "--no-adv"])
     assert rc == 1
     assert "C=20 t=16" in _error_line(capsys)
+    assert trained == []
+    assert not out.exists()
+
+
+def test_ablate_refuses_no_fitting_horizon_before_training(corpus, tmp_path,
+                                                          capsys, monkeypatch):
+    manifest, stats_path = corpus
+    trained = []
+    monkeypatch.setattr(cli.T, "train", lambda *a, **k: trained.append(a))
+    out = tmp_path / "ablate.csv"
+    # one 40 ms target frame is shorter than the shortest horizon, 80 ms
+    rc = cli.main(["ablate", "--axis", "kernel", "--data", str(manifest),
+                   "--stats", str(stats_path), "--out", str(out),
+                   "--iters", "1", "--num-sequences", "1"] + MICRO_FLAGS
+                  + ["--target-frames", "1", "--no-adv"])
+    assert rc == 1
+    assert "no evaluation horizon" in _error_line(capsys)
     assert trained == []
     assert not out.exists()
 

@@ -211,6 +211,15 @@ def test_evaluate_rejects_fewer_than_one_sequence(num_sequences):
                    num_sequences=num_sequences, horizons_ms=(80, 160))
 
 
+def test_evaluate_refuses_an_empty_horizon_list():
+    seqs, stats = make_test_sequences()
+    called = []
+    with pytest.raises(ValueError, match="no horizons given"):
+        E.evaluate(lambda s: called.append(s) or E.zero_velocity_predict(s, 4),
+                   seqs, stats, seed_frames=6, target_frames=4, horizons_ms=())
+    assert called == []
+
+
 def test_evaluate_calls_the_predictor_once_per_report():
     seqs, stats = make_test_sequences(actions=("c", "a", "b"))
     calls = []

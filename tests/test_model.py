@@ -336,6 +336,14 @@ def _rich_params(hp, seed=8):
     return p
 
 
+def _window_grid(rows) -> np.ndarray:
+    """The [B, C, L] grid that the short-term encoder's frame rows stand
+    for: row ``r`` of a [B, t, L] seed batch, or a whole [B, L] frame when
+    ``r`` is None."""
+    return np.stack([block.data if r is None else block.data[:, r]
+                     for block, r in rows], axis=1)
+
+
 def _record_short_windows(monkeypatch) -> list:
     """Record the [B, C, L] grid the short-term encoder sees at each step."""
     windows = []
@@ -343,7 +351,7 @@ def _record_short_windows(monkeypatch) -> list:
 
     def recording(frames, params, cfg, **kw):
         if cfg.prefix == "short":
-            windows.append(frames.data.copy())
+            windows.append(_window_grid(frames))
         return real(frames, params, cfg, **kw)
 
     monkeypatch.setattr(M, "cem_forward", recording)
@@ -418,11 +426,16 @@ def test_long_code_computed_exactly_once(monkeypatch):
 
 
 def _per_window(monkeypatch):
-    """Make ``predict_sequence`` encode every window from scratch: the
-    oracle for the row cache."""
+    """Make ``predict_sequence`` encode every window from scratch, as one
+    [B, C, L] tensor stacked from its frames: the oracle for the row cache
+    and for the encoder's reading of frame rows."""
     real = M.cem_forward
 
     def uncached(frames, params, cfg, cache=None, **kw):
+        if cfg.prefix == "short":
+            frames = ad.stack([block if r is None
+                               else ad.tslice(block, (slice(None), r))
+                               for block, r in frames], axis=1)
         return real(frames, params, cfg, **kw)
 
     monkeypatch.setattr(M, "cem_forward", uncached)

@@ -5,6 +5,8 @@ that lowers a count updates ROADMAP aim 2's counter in the same change; one
 that raises it also gives the reason in CHANGES.md.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from convmotion import gradcheck as G
@@ -12,8 +14,32 @@ from convmotion import model as M
 from convmotion import training as T
 from convmotion.mocap import MotionSequence, NormalizationStats
 
-MOVED = ("tape nodes per {} moved: update ROADMAP aim 2's counter "
-         "in the same change")
+# each pinned tape's nodes by op, the op being the function whose closure
+# is the node's VJP; the totals are ROADMAP aim 2's counter
+GENERATOR_OPS = Counter(  # 417: the short-term window is read in place
+    add=27, clip=1, concat=26, conv2d=81, dropout=51, gather_rows=89,
+    leaky_relu=25, linear=78, mul=4, reshape=28, sigmoid=1, stack=1, sub=1,
+    sumsq=2, tlog=1, tmean=1)
+DISCRIMINATOR_OPS = Counter(  # 30
+    add=2, clip=2, conv2d=6, gather_rows=3, linear=4, mul=3, reshape=4,
+    sigmoid=2, tlog=2, tmean=2)
+GRADCHECK_OPS = Counter(  # 114
+    add=8, clip=1, concat=7, conv2d=24, dropout=13, gather_rows=14,
+    leaky_relu=6, linear=21, mul=4, reshape=9, sigmoid=1, stack=1, sub=1,
+    sumsq=2, tlog=1, tmean=1)
+
+
+def _ops(tape) -> Counter:
+    return Counter(node.vjp.__qualname__.split(".")[0] for node in tape._nodes)
+
+
+def _moved(what: str, pinned: Counter, got: Counter) -> str:
+    """Which ops' node counts moved, for the failure message."""
+    moved = {op: f"{pinned[op]} -> {got[op]}" for op in sorted(pinned | got)
+             if pinned[op] != got[op]}
+    return (f"tape nodes per {what} moved, {pinned.total()} -> {got.total()}, "
+            f"by op {moved}: update the pins and ROADMAP aim 2's counter in "
+            f"the same change")
 
 
 def test_training_iteration_tape_nodes_at_paper_architecture(monkeypatch):
@@ -29,13 +55,17 @@ def test_training_iteration_tape_nodes_at_paper_architecture(monkeypatch):
     real_backward = T.backward
 
     def counting_backward(loss, tape):
-        taped.append(len(tape))
+        taped.append(_ops(tape))
         return real_backward(loss, tape)
 
     monkeypatch.setattr(T, "backward", counting_backward)
     T.train(seqs, stats, hp, T.TrainSchedule(iterations=1))
     # the generator step, then the discriminator step
-    assert taped == [534, 33], MOVED.format("training iteration")
+    generator, discriminator = taped
+    assert generator == GENERATOR_OPS, _moved(
+        "generator step", GENERATOR_OPS, generator)
+    assert discriminator == DISCRIMINATOR_OPS, _moved(
+        "discriminator step", DISCRIMINATOR_OPS, discriminator)
 
 
 def test_gradcheck_objective_tape_nodes():
@@ -47,4 +77,6 @@ def test_gradcheck_objective_tape_nodes():
     target = 0.5 * data.normal(size=(hp.target_frames, pose_dim))
     _, tape = G.taped_objective(params, params.generator_named(), seed, target,
                                 hp, True, 0)
-    assert len(tape) == 128, MOVED.format("gradcheck objective")
+    ops = _ops(tape)
+    assert ops == GRADCHECK_OPS, _moved("gradcheck objective", GRADCHECK_OPS,
+                                        ops)
