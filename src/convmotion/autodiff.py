@@ -1,10 +1,11 @@
 """Minimal dense-tensor autodiff core.
 
 Implements exactly the operations the motion predictor needs: strided 2D
-convolution (optionally with its leaky ReLU in the same node), affine maps,
-leaky ReLU, inverted dropout, elementwise arithmetic, reductions,
-concat/stack/slice plumbing, a row gather that joins conv rows and frames
-from several tensors in one node, and reverse-mode differentiation driven
+convolution of an unpadded input (optionally with its leaky ReLU in the
+same node), affine maps that flatten their input, leaky ReLU, inverted
+dropout, elementwise arithmetic, reductions, concat/stack/slice plumbing, a
+row gather that joins conv rows and frames from several tensors into one
+zero-padded conv input in one node, and reverse-mode differentiation driven
 by an explicit gradient tape.
 
 Tensors are immutable values during a taped computation; parameters are
@@ -23,6 +24,7 @@ place into an accumulator that ``backward`` allocated itself.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -421,69 +423,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise affine map: ``x @ weight.T + bias`` with weight ``[out, in]``.
-
-    The VJP returns the weight partial as the ``Outer`` pair ``(g, x)``;
-    ``backward`` contracts all pairs of one weight in one GEMM."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"linear expects a 2-D input, got {x.data.shape}")
-    if weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[1]:
+    """Affine map of a ``[B, ...]`` input flattened to ``[B, in]``:
+    ``x @ weight.T + bias`` with weight ``[out, in]``. The VJP returns the
+    input gradient in the input's shape, and the weight partial as the
+    ``Outer`` pair ``(g, x)``; ``backward`` contracts all pairs of one
+    weight in one GEMM."""
+    shape = x.data.shape
+    if len(shape) < 2:
+        raise ShapeError(f"linear expects a [B, ...] input, got {shape}")
+    xd, wd = x.data.reshape(shape[0], -1), weight.data
+    if wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeError(
-            f"linear: input {x.data.shape} incompatible with weight {weight.data.shape}"
-        )
-    if bias.data.shape != (weight.data.shape[0],):
+            f"linear: input {shape} incompatible with weight {wd.shape}")
+    if bias.data.shape != (wd.shape[0],):
         raise ShapeError(
-            f"linear: bias {bias.data.shape} incompatible with weight {weight.data.shape}"
-        )
-    out_data = x.data @ weight.data.T + bias.data
+            f"linear: bias {bias.data.shape} incompatible with weight {wd.shape}")
+    out_data = xd @ wd.T + bias.data
     req = x.requires_grad or weight.requires_grad or bias.requires_grad
     out = Tensor(out_data, requires_grad=req)
-    xd, wd = x.data, weight.data
     need_x, need_w = x.requires_grad, weight.requires_grad
     need_b = bias.requires_grad
     _record((x, weight, bias), out,
-            lambda g: (g @ wd if need_x else None,
+            lambda g: ((g @ wd).reshape(shape) if need_x else None,
                        Outer(g, xd) if need_w else None,
                        g.sum(axis=0) if need_b else None))
     return out
 
 
 # ---------------------------------------------------------------------------
-# 2D convolution (explicit zero padding, per-axis stride)
+# 2D convolution (unpadded, per-axis stride)
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _col_scatter(W: int, kW: int, Wo: int, sW: int, pW: int) -> np.ndarray:
+def _col_scatter(W: int, kW: int, Wo: int, sW: int) -> np.ndarray:
     """The read-only 0/1 matrix ``[kW*Wo, W]`` that sends im2col column
-    ``(j, wo)`` to input column ``j + sW*wo - pW``; padding columns have no
-    entry, as their gradient is discarded."""
+    ``(j, wo)`` to input column ``j + sW*wo``."""
     scatter = np.zeros((kW, Wo, W))
     for j in range(kW):
         for wo in range(Wo):
-            if 0 <= j + sW * wo - pW < W:
-                scatter[j, wo, j + sW * wo - pW] = 1.0
+            scatter[j, wo, j + sW * wo] = 1.0
     scatter = scatter.reshape(kW * Wo, W)
     scatter.flags.writeable = False
     return scatter
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
-           stride=(1, 1), padding=(0, 0),
-           slope: Optional[float] = None) -> Tensor:
-    """Strided 2D cross-correlation with zero padding, followed by a leaky
-    ReLU of negative-side ``slope`` when one is given.
+           stride=(1, 1), slope: Optional[float] = None) -> Tensor:
+    """Strided 2D cross-correlation of ``x`` as given (a caller pads it, as
+    ``gather_rows`` does), followed by a leaky ReLU of negative-side
+    ``slope`` when one is given.
 
     ``x`` is ``[N, Cin, H, W]``, ``kernel`` is ``[Cout, Cin, kH, kW]``,
     ``bias`` is ``[Cout]``; output is ``[N, Cout, H', W']`` with
-    ``H' = floor((H + 2*pH - kH)/sH) + 1`` and likewise for ``W'``.
+    ``H' = floor((H - kH)/sH) + 1`` and likewise for ``W'``.
 
     Lowered to GEMMs over the im2col matrix ``cols [Cin*kH*kW, N*H'*W']``
-    (Chellapilla et al. 2006). ``cols`` is rebuilt from the padded input in
-    the backward pass rather than kept on the tape, which would hold one
-    such matrix per layer call until the tape is replayed. For the same
-    reason the kernel gradient is formed in the VJP, not deferred as an
-    ``Outer`` pair like ``linear``'s weight gradient.
+    (Chellapilla et al. 2006). ``cols`` is rebuilt from the input in the
+    backward pass rather than kept on the tape, which would hold one such
+    matrix per layer call until the tape is replayed. For the same reason
+    the kernel gradient is formed in the VJP, not deferred as an ``Outer``
+    pair like ``linear``'s weight gradient.
 
     The activation is applied in place to the GEMM output and recorded in
     the same tape node; the VJP masks the output gradient by the sign of
@@ -512,28 +512,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     if slope is not None:
         _check_slope(slope)
     sH, sW = stride
-    pH, pW = padding
     if sH < 1 or sW < 1:
         raise ValueError(f"conv2d: stride components must be >= 1, got {stride}")
-    if kH > H + 2 * pH or kW > W + 2 * pW:
+    if kH > H or kW > W:
         raise ShapeError(
-            f"conv2d: kernel ({kH}, {kW}) exceeds padded input "
-            f"({H + 2 * pH}, {W + 2 * pW})"
-        )
-    Ho = (H + 2 * pH - kH) // sH + 1
-    Wo = (W + 2 * pW - kW) // sW + 1
-    if pH or pW:
-        xp = np.zeros((N, Cin, H + 2 * pH, W + 2 * pW), dtype=xd.dtype)
-        xp[:, :, pH:pH + H, pW:pW + W] = xd
-    else:
-        xp = xd
-    sN, sC, sh, sw = xp.strides
+            f"conv2d: kernel ({kH}, {kW}) exceeds input ({H}, {W})")
+    Ho = (H - kH) // sH + 1
+    Wo = (W - kW) // sW + 1
+    sN, sC, sh, sw = xd.strides
     win_shape = (Cin, kH, kW, N, Ho, Wo)
     K, P = Cin * kH * kW, N * Ho * Wo
 
     def im2col():
         # the reshape of the strided window view is the one copy
-        return as_strided(xp, win_shape,
+        return as_strided(xd, win_shape,
                           (sC, sh, sw, sN, sh * sH, sw * sW)).reshape(K, P)
 
     w2 = kd.reshape(Cout, K)
@@ -550,8 +542,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     need_x, need_k = x.requires_grad, kernel.requires_grad
     need_b = bias.requires_grad
-    if not need_k:
-        xp = None  # only the kernel gradient reads the padded input
 
     def vjp(g):
         # an input that needs no gradient gets None and costs nothing: a
@@ -571,9 +561,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # per kernel row and input column, the sum of the kernel columns'
         # terms: [Cin*kH, N*Ho, W], viewed as [N, Cin, Ho, kH, W]
         rows = np.matmul(dcols.transpose(0, 2, 1),
-                         _col_scatter(W, kW, Wo, sW, pW))
+                         _col_scatter(W, kW, Wo, sW))
         rows = rows.reshape(Cin, kH, N, Ho, W).transpose(2, 0, 3, 1, 4)
-        canvas = np.zeros((N, Cin, H + 2 * pH, W), dtype=xd.dtype)
+        canvas = np.zeros((N, Cin, H, W), dtype=xd.dtype)
         cN, cC, ch, cw = canvas.strides
         for i in range(0, kH, sH):
             # kernel rows i .. i+m-1 land on disjoint canvas rows
@@ -584,8 +574,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                 dst[...] = rows[:, :, :, :m]
             else:
                 dst += rows[:, :, :, i:i + m]
-        gx = canvas[:, :, pH:pH + H] if pH else canvas
-        return gx, gk, gb
+        return canvas, gk, gb
 
     _record((x, kernel, bias), out, vjp)
     return out
@@ -660,34 +649,60 @@ def tslice(x: Tensor, key) -> Tensor:
     return out
 
 
-def gather_rows(rows: list) -> Tensor:
-    """Join ``(block, r)`` rows into one ``[B, ch, n, W]`` tensor along the
+def gather_rows(rows: list, pad: int = 0) -> Tensor:
+    """Join ``(block, r)`` rows into one ``[B, ch, n, W + 2*pad]`` tensor, a
+    conv input zero padded by ``pad`` columns on either side, along the
     height axis, as one tape node over the distinct blocks. Row ``r`` is
     ``block[..., r, :]`` of a ``[B, ch, H, W]`` block or a ``[B, n, W]``
     frame batch, all of a ``[B, W]`` block when ``r`` is ``None``, and zeros
-    when the block is ``None``. Every row of one 4-D block, in order, is that
-    block. The VJP adds each row's gradient into one partial per block that
-    needs a gradient (a row read twice gets both), ``None`` for the rest."""
-    def row(arr, r):  # a [B, ch, 1, W] view; frames have one channel
+    when the block is ``None``. At ``pad`` 0, every row of one 4-D block, in
+    order, is that block. Consecutive rows of one block are copied as one
+    run. The VJP adds each run's gradient into one partial per block that
+    needs a gradient (a row read twice gets both), copies it for a block
+    read whole and once, and gives ``None`` for the rest."""
+    def span(arr, r, n):  # a [B, ch, n, W] view; frames have one channel
         arr = arr if arr.ndim == 4 else arr[:, None]
-        return arr[:, :, None] if r is None else arr[:, :, r:r + 1]
+        return arr[:, :, None] if r is None else arr[:, :, r:r + n]
 
     blocks = list(dict.fromkeys(b for b, _ in rows if b is not None))
     first = blocks[0]
-    if first.ndim == 4 and rows == [(first, j) for j in range(first.shape[2])]:
+    if not pad and first.ndim == 4 and rows == [
+            (first, j) for j in range(first.shape[2])]:
         return first
-    zero = np.zeros_like(row(first.data, next(r for b, r in rows if b is first)))
-    # np.concatenate refuses rows of different shapes
-    out = Tensor(np.concatenate([zero if b is None else row(b.data, r)
-                                 for b, r in rows], axis=2),
-                 requires_grad=any(b.requires_grad for b in blocks))
+    runs = []  # [j, block, r, n]: rows r .. r+n-1 of block land at j ..
+    for j, (b, r) in enumerate(rows):
+        if (runs and b is not None and runs[-1][1] is b and r is not None
+                and runs[-1][2] + runs[-1][3] == r):
+            runs[-1][3] += 1
+        else:
+            runs.append([j, b, r, 1])
+    r0 = next(r for b, r in rows if b is first)
+    zero = np.zeros_like(span(first.data, r0, 1))
+    B, ch, _, W = zero.shape
+    data = np.zeros((B, ch, len(rows), W + 2 * pad), dtype=zero.dtype)
+    # np.concatenate refuses rows of different shapes, where an assignment
+    # would broadcast a one-channel row into a many-channel slot
+    np.concatenate([zero if b is None else span(b.data, r, n)
+                    for _, b, r, n in runs],
+                   axis=2, out=data[:, :, :, pad:pad + W])
+    out = Tensor(data, requires_grad=any(b.requires_grad for b in blocks))
     if out.requires_grad and _active_tape() is not None:
+        uses = Counter(b for _, b, _, _ in runs)
+
         def vjp(g):
-            partials = {b: np.zeros_like(b.data) for b in blocks
-                        if b.requires_grad}
-            for j, (b, r) in enumerate(rows):
-                if b in partials:
-                    row(partials[b], r)[...] += g[:, :, j:j + 1]
+            partials = {}
+            for j, b, r, n in runs:
+                if b is None or not b.requires_grad:
+                    continue
+                part = g[:, :, j:j + n, pad:pad + W]
+                if uses[b] == 1 and part.size == b.size:
+                    # a copy, not a view: the padded gradient ``g`` can go
+                    # before the VJP of the conv that made ``b`` runs
+                    partials[b] = part.reshape(b.shape).copy()
+                else:
+                    if b not in partials:
+                        partials[b] = np.zeros_like(b.data)
+                    span(partials[b], r, n)[...] += part
             return tuple(partials.get(b) for b in blocks)
 
         _record(tuple(blocks), out, vjp)

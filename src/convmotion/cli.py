@@ -135,12 +135,12 @@ def cmd_prep(args) -> int:
 
 def cmd_train(args) -> int:
     hp = _resolve_hyper(args)
-    _, stats, sequences = _load_dataset(args.data, args.stats, "train")
     out_dir = Path(args.out)
     schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
                                checkpoint_every=args.checkpoint_every,
                                out_dir=out_dir,
                                report_path=args.report or out_dir / "report.csv")
+    _, stats, sequences = _load_dataset(args.data, args.stats, "train")
     result = T.train(sequences, stats, hp, schedule,
                      resume_from=args.resume)
     last = result.reports[-1]
@@ -171,11 +171,10 @@ def cmd_eval(args) -> int:
     manifest, stats, sequences = _load_dataset(args.data, args.stats, "test")
     ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint())
     hp = ckpt.hyper
-    horizons = tuple(int(x) for x in args.horizons.split(","))
     report = E.evaluate(E.model_predictor(ckpt.to_params(), hp), sequences,
                         stats, hp.seed_frames, hp.target_frames,
                         num_sequences=args.num_sequences, seed=args.seed,
-                        horizons_ms=horizons, frame_ms=manifest.frame_ms,
+                        horizons_ms=args.horizons, frame_ms=manifest.frame_ms,
                         dump_dir=args.dump)
     log.info("eval: %d windows, predictor %.3f s, scoring %.3f s",
              len(report.actions) * report.num_sequences, report.predict_s,
@@ -215,6 +214,8 @@ ABLATION_AXES = {
 
 def cmd_ablate(args) -> int:
     base_hp = _resolve_hyper(args)
+    schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
+                               checkpoint_every=max(args.iters, 1))
     manifest, stats, train_seqs = _load_dataset(args.data, args.stats, "train")
     test_trials = mocap.load_split(manifest, "test")
     test_seqs = [mocap.normalize(t, stats) for t in test_trials]
@@ -231,8 +232,6 @@ def cmd_ablate(args) -> int:
     runs = [(field_name, value, replace(base_hp, **{field_name: value}))
             for field_name, value in ABLATION_AXES[args.axis]]
     for field_name, value, hp in runs:
-        schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
-                                   checkpoint_every=max(args.iters, 1))
         result = T.train(train_seqs, stats, hp, schedule)
         report = E.evaluate(E.model_predictor(result.params, hp), test_seqs,
                             stats, hp.seed_frames, hp.target_frames,
@@ -255,6 +254,11 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def int_list(text: str) -> tuple:
+    """A flag's comma-separated integers; argparse names it in a refusal."""
+    return tuple(int(tok) for tok in text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -316,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--num-sequences", type=int, default=8, dest="num_sequences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizons",
-                   default=",".join(map(str, E.HORIZONS_MS_DEFAULT)))
+    p.add_argument("--horizons", type=int_list, default=E.HORIZONS_MS_DEFAULT)
     p.add_argument("--out", type=Path, help="CSV report path")
     p.add_argument("--dump", type=Path, help="directory for predicted sequences")
     p.set_defaults(func=cmd_eval)

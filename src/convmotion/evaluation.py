@@ -181,6 +181,8 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
     """
     if num_sequences < 1:
         raise ValueError(f"num_sequences must be at least 1, got {num_sequences}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     frames_at = horizon_frames(horizons_ms, frame_ms)
     if max(frames_at) > target_frames:
         raise ValueError(

@@ -123,8 +123,12 @@ def write_trial(frames: np.ndarray, path) -> None:
 
 def load_trial(path, action="unknown", subject="unknown",
                trial_id=0) -> RawTrial:
-    return parse_trial(Path(path).read_text(), action=action, subject=subject,
-                       trial_id=trial_id)
+    """Read and parse a trial file; a parse or decode error names it."""
+    try:
+        return parse_trial(Path(path).read_text(), action=action,
+                           subject=subject, trial_id=trial_id)
+    except ValueError as exc:  # a ParseError or a UnicodeDecodeError
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +183,20 @@ class NormalizationStats:
         missing = [f.name for f in fields(cls) if f.name not in doc]
         if missing:
             raise ValueError(f"stats document has no {', '.join(missing)}")
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            std=np.asarray(doc["std"], dtype=np.float64),
-            kept=np.asarray(doc["kept"], dtype=bool),
-            eps_const=float(doc["eps_const"]),
-            global_dims=int(doc["global_dims"]),
-        )
+        mean, std = (np.asarray(doc[k], dtype=np.float64) for k in ("mean", "std"))
+        kept, eps = np.asarray(doc["kept"], dtype=bool), float(doc["eps_const"])
+        if mean.ndim != 1 or not mean.shape == std.shape == kept.shape:
+            raise ValueError(f"mean, std and kept must be lists of one length, "
+                             f"got shapes {mean.shape}, {std.shape}, {kept.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("mean and std must be finite")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"eps_const must be finite and > 0, got {eps}")
+        low = np.flatnonzero(kept & (std < eps))
+        if low.size:
+            raise ValueError(f"kept dimension {low[0]} has std "
+                             f"{std[low[0]]}, below eps_const {eps!r}")
+        return cls(mean, std, kept, eps, int(doc["global_dims"]))
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -239,6 +250,9 @@ def fit_stats(trials: Sequence[RawTrial], eps_const: float = EPS_CONST_DEFAULT,
     std = pooled.std(axis=0)  # ddof=0
     kept = std >= eps_const
     kept[:global_dims] = False
+    if not kept.any():
+        raise ValueError(f"no dimension is kept: all {width} are global or "
+                         f"vary less than eps_const {eps_const}")
     return NormalizationStats(mean=mean, std=std, kept=kept,
                               eps_const=eps_const, global_dims=global_dims)
 
@@ -489,6 +503,14 @@ def generate_corpus(root, actions=("walk", "swing", "wave"), joints: int = 8,
                     seed: int = 0, train_trials: int = 2,
                     test_trials: int = 2) -> Path:
     """Write a synthetic corpus tree plus its manifest; returns the manifest path."""
+    for name, value, low in (("joints", joints, 1), ("frames", frames, 1),
+                             ("train_trials", train_trials, 1),
+                             ("test_trials", test_trials, 0), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not actions or "" in actions or len(set(actions)) < len(actions):
+        raise ValueError(f"actions must be one or more distinct non-empty "
+                         f"names, got {list(actions)}")
     if not 0.0 < freq_lo <= freq_hi < math.inf:
         raise ValueError(f"freq_lo and freq_hi must satisfy 0 < freq_lo <= "
                          f"freq_hi < inf, got {freq_lo} and {freq_hi}")

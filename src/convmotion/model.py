@@ -13,7 +13,8 @@ frame forever (the zero-velocity baseline). A discriminator with the same
 convolutional trunk scores full sequences for the adversarial regularizer.
 The sequences it scores in one training iteration share their t seed frames,
 so a ``RowCache`` with a frame limit lets every pass after the first
-convolve only the conv rows that read a target frame.
+convolve only the conv rows that read a target frame. ``cem_forward`` alone
+pads a conv input: it gathers the rows zero padded.
 """
 
 from __future__ import annotations
@@ -358,14 +359,15 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
     or its n frame rows, ``(tensor, r)`` pairs as ``ad.gather_rows`` reads.
 
     The frames form a one-channel image, time along the height axis and pose
-    dimension along the width axis. Each conv layer applies symmetric
-    "same"-style zero padding, stride-2 subsampling, and a leaky ReLU; dropout
-    sits between the last conv layer and the affine map.
+    dimension along the width axis. Each conv layer convolves its input rows
+    gathered with symmetric "same"-style zero padding (``same_padding``; no
+    other code pads a conv input) at stride 2, then applies a leaky ReLU;
+    dropout sits between the last conv layer and the flattening affine map.
 
     With a ``cache``, each conv layer computes only the output rows that no
     earlier pass over the same frames produced (dense sliding-window
-    evaluation, Sermanet et al. 2014): their ``kH``-row input groups are
-    gathered and convolved in one call at height stride ``kH``. A layer
+    evaluation, Sermanet et al. 2014): their ``kH``-row padded input groups
+    are gathered and convolved in one call at height stride ``kH``. A layer
     with no cached rows is one conv over its whole padded input. The pass
     stores the rows that later passes may share in the cache.
     """
@@ -392,23 +394,21 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
         out_rows = [cache.get(key) for key in keys]
         missing = [j for j, row in enumerate(out_rows) if row is None]
         if missing:
-            if len(missing) == len(keys):
-                x, stride, pad = ad.gather_rows(rows), (sH, sW), (pH, pW)
-            else:
-                padded = [_PAD_ROW] * pH + rows + [_PAD_ROW] * pH
-                x = ad.gather_rows([row for j in missing
-                                    for row in padded[j * sH:j * sH + kH]])
-                stride, pad = (kH, sW), (0, pW)
-            out = ad.conv2d(x, params[f"{cfg.prefix}.conv{i}.kernel"],
+            padded, step = [_PAD_ROW] * pH + rows + [_PAD_ROW] * pH, sH
+            if len(missing) < len(keys):
+                padded = [row for j in missing
+                          for row in padded[j * sH:j * sH + kH]]
+                step = kH
+            out = ad.conv2d(ad.gather_rows(padded, pW),
+                            params[f"{cfg.prefix}.conv{i}.kernel"],
                             params[f"{cfg.prefix}.conv{i}.bias"],
-                            stride=stride, padding=pad, slope=cfg.leaky_slope)
+                            stride=(step, sW), slope=cfg.leaky_slope)
             for r, j in enumerate(missing):
                 out_rows[j] = (out, r)
                 if keys[j] is not None:
                     cache[keys[j]] = out_rows[j]
         rows = out_rows
     h = ad.dropout(ad.gather_rows(rows), cfg.dropout, mode=mode, rng=rng)
-    h = ad.reshape(h, (h.shape[0], -1))
     return ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
                      params[f"{cfg.prefix}.fc.bias"])
 

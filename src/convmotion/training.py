@@ -280,13 +280,19 @@ class WindowSampler:
 
 @dataclass
 class TrainSchedule:
-    """``report_path`` receives one CSV row per iteration as it finishes."""
+    """``report_path`` receives one CSV row per iteration as it finishes. A
+    ``master_seed`` below 0 or a ``checkpoint_every`` below 1 is refused."""
 
     iterations: int
     master_seed: int = 0
     checkpoint_every: int = 1000
     out_dir: Optional[Path] = None
     report_path: Optional[Path] = None
+
+    def __post_init__(self):
+        for name, low in (("master_seed", 0), ("checkpoint_every", 1)):
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -348,18 +354,14 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     iteration with restored optimizer moments and reproduces the
     uninterrupted trajectory exactly. The checkpoint must hold optimizer
     moments and have been trained with ``hp`` and ``schedule.master_seed``,
-    ``schedule.iterations`` must exceed its iteration (0 for a fresh run),
-    and ``schedule.checkpoint_every`` must be at least 1, or ``ValueError``
-    is raised before anything is written.
+    and ``schedule.iterations`` must exceed its iteration (0 for a fresh
+    run), or ``ValueError`` is raised before anything is written.
 
     With ``schedule.report_path``, each iteration's row is appended (and
     the file closed) as the iteration finishes, before its checkpoint, so a
     crashed run keeps its rows. A resumed run keeps the file's rows up to the
     checkpoint's iteration and replaces the rest.
     """
-    if schedule.checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got "
-                         f"{schedule.checkpoint_every}")
     sequences = list(sequences)
     if not sequences:
         raise ValueError("training requires a non-empty dataset")

@@ -60,6 +60,13 @@ def conv2d_oracle(x, k, b, stride, padding):
     return out
 
 
+def pad(x, padding):
+    """``x`` with ``padding`` zero rows and columns on either side of its
+    grid: ``conv2d`` convolves its input as given."""
+    pH, pW = padding
+    return np.pad(x, ((0, 0), (0, 0), (pH, pH), (pW, pW)))
+
+
 def linear_oracle(x, w, b):
     """Per-element dot products, no matrix machinery."""
     N, Din = x.shape
@@ -110,7 +117,7 @@ def test_conv2d_zero_input_gives_bias():
     x = Tensor(np.zeros((2, 3, 6, 8)))
     k = Tensor(rng.normal(size=(4, 3, 2, 3)))
     b = Tensor(np.array([0.5, -1.0, 2.0, 0.0]))
-    out = conv2d(x, k, b, stride=(1, 1), padding=(0, 0))
+    out = conv2d(x, k, b, stride=(1, 1))
     for co in range(4):
         assert np.all(out.data[:, co] == b.data[co])
 
@@ -119,7 +126,7 @@ def test_conv2d_ones_counting():
     x = Tensor(np.ones((1, 1, 3, 3)))
     k = Tensor(np.ones((1, 1, 2, 2)))
     b = Tensor(np.zeros(1))
-    out = conv2d(x, k, b, stride=(1, 1), padding=(0, 0))
+    out = conv2d(x, k, b, stride=(1, 1))
     assert out.data.shape == (1, 1, 2, 2)
     np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
@@ -129,7 +136,7 @@ def test_conv2d_strided_rect_kernel_vs_oracle():
     x = rng.normal(size=(1, 1, 5, 9))
     k = rng.normal(size=(2, 1, 2, 7))
     b = rng.normal(size=2)
-    out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=(2, 2), padding=(0, 0))
+    out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=(2, 2))
     expected = conv2d_oracle(x, k, b, (2, 2), (0, 0))
     assert out.data.shape == (1, 2, 2, 2)
     np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
@@ -152,7 +159,8 @@ def test_conv2d_randomized_vs_oracle(seed):
     x = rng.normal(size=(N, Cin, H, W))
     k = rng.normal(size=(Cout, Cin, kH, kW))
     b = rng.normal(size=Cout)
-    out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=(sH, sW), padding=(pH, pW))
+    out = conv2d(Tensor(pad(x, (pH, pW))), Tensor(k), Tensor(b),
+                 stride=(sH, sW))
     expected = conv2d_oracle(x, k, b, (sH, sW), (pH, pW))
     np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
 
@@ -166,11 +174,11 @@ def test_conv2d_channel_mismatch_rejected():
 
 
 def test_conv2d_kernel_larger_than_padded_input_rejected():
-    x = Tensor(np.zeros((1, 1, 2, 2)))
+    x = Tensor(pad(np.zeros((1, 1, 2, 2)), (1, 0)))
     k = Tensor(np.zeros((1, 1, 5, 1)))
     b = Tensor(np.zeros(1))
     with pytest.raises(ShapeError):
-        conv2d(x, k, b, stride=(1, 1), padding=(1, 0))
+        conv2d(x, k, b, stride=(1, 1))
 
 
 CONV_GRAD_CASES = [
@@ -187,14 +195,14 @@ CONV_GRAD_CASES = [
     ids=[f"s{s[0]}x{s[1]}-p{p[0]}x{p[1]}-k{k[0]}x{k[1]}" for s, p, k in CONV_GRAD_CASES])
 def test_conv2d_gradients_match_finite_differences(stride, padding, khw):
     rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(2, 2, 5, 6)), requires_grad=True)
+    x = Tensor(pad(rng.normal(size=(2, 2, 5, 6)), padding), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2) + khw), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
-    out_shape = conv2d(x, k, b, stride=stride, padding=padding).shape
+    out_shape = conv2d(x, k, b, stride=stride).shape
     tgt = rng.normal(size=out_shape)
 
     def build():
-        out = conv2d(x, k, b, stride=stride, padding=padding)
+        out = conv2d(x, k, b, stride=stride)
         return tsum(square(ad.sub(out, Tensor(tgt))))
 
     check_vjp(build, [x, k, b])
@@ -211,15 +219,16 @@ PAPER_CONV_LAYERS = [
 
 def _conv_input_grad_vs_oracle(x_shape, k_shape, stride, padding):
     rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    x = Tensor(pad(rng.normal(size=x_shape), padding), requires_grad=True)
     k = Tensor(rng.normal(size=k_shape))
     b = Tensor(rng.normal(size=k_shape[0]))
     with GradTape() as tape:
-        out = conv2d(x, k, b, stride=stride, padding=padding)
+        out = conv2d(x, k, b, stride=stride)
     g = rng.normal(size=out.shape)
     (node,) = tape._nodes
     gx = node.vjp(g)[0]
-    return gx, col2im_input_grad(g, k.data, x_shape, stride, padding)
+    # the padding's gradient too: the oracle's canvas over the padded input
+    return gx, col2im_input_grad(g, k.data, x.shape, stride, (0, 0))
 
 
 @pytest.mark.parametrize(
@@ -327,6 +336,38 @@ def test_linear_vs_dot_product_oracle():
     np.testing.assert_allclose(out.data, linear_oracle(x, w, b), atol=1e-12, rtol=0)
 
 
+def test_linear_flattens_its_input_like_reshape_then_linear():
+    rng = np.random.default_rng(5)
+    x_data = rng.normal(size=(3, 2, 4, 5))
+    w_data, b_data = rng.normal(size=(6, 40)), rng.normal(size=6)
+    weights = rng.normal(size=(3, 6))
+
+    def run(flatten_first):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True)
+        with GradTape() as tape:
+            h = reshape(x, (3, -1)) if flatten_first else x
+            out = linear(h, w, b)
+            loss = sumsq(mul(out, Tensor(weights)))
+        grads = backward(loss, tape)
+        return (out.data, *(grads[t] for t in (x, w, b))), (x, w, b)
+
+    got, (x, w, b) = run(False)
+    want, _ = run(True)
+    assert got[1].shape == x.shape
+    for g, r in zip(got, want):
+        np.testing.assert_array_equal(_bits(g), _bits(r))
+    report = grad_check(lambda: sumsq(mul(linear(x, w, b), Tensor(weights))),
+                        {"x": x, "w": w, "b": b}, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+def test_linear_refuses_an_input_without_a_batch_axis():
+    with pytest.raises(ShapeError, match=r"\[B, \.\.\.\] input"):
+        linear(Tensor(np.zeros(3)), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
+
+
 def test_linear_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
@@ -398,13 +439,13 @@ def test_vjps_return_none_for_inputs_without_gradient():
         if need[1]:
             assert isinstance(partials[1], ad.Outer)
             assert partials[1].shape == w.shape and partials[1].size == w.size
-    x4 = rng.normal(size=(2, 2, 5, 6))
+    x4 = pad(rng.normal(size=(2, 2, 5, 6)), (1, 1))
     k4 = rng.normal(size=(3, 2, 2, 3))
     for need in [(True, False, False), (False, True, False),
                  (False, False, True), (True, True, True)]:
         ins = [Tensor(a, requires_grad=r) for a, r in zip((x4, k4, b), need)]
         partials = _vjp_partials(
-            lambda: conv2d(*ins, stride=(2, 1), padding=(1, 1)))
+            lambda: conv2d(*ins, stride=(2, 1)))
         assert [p is not None for p in partials] == list(need)
     data, param = Tensor(x), Tensor(x, requires_grad=True)
     partials = _vjp_partials(lambda: stack([data, param], axis=1))
@@ -550,11 +591,12 @@ def test_gradient_accumulates_over_reuse():
 def test_backward_deterministic_bit_identical():
     def run():
         rng = np.random.default_rng(42)
-        x = Tensor(rng.normal(size=(2, 1, 8, 6)), requires_grad=True)
+        x = Tensor(pad(rng.normal(size=(2, 1, 8, 6)), (1, 1)),
+                   requires_grad=True)
         k = Tensor(rng.normal(size=(3, 1, 2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         with GradTape() as tape:
-            h = leaky_relu(conv2d(x, k, b, stride=(2, 2), padding=(1, 1)))
+            h = leaky_relu(conv2d(x, k, b, stride=(2, 2)))
             h = dropout(h, 0.5, mode="train", rng=np.random.default_rng(7))
             loss = tsum(square(h))
         grads = backward(loss, tape)
@@ -639,11 +681,11 @@ def test_tape_records_in_execution_order_and_replays_reversed():
 
 def test_values_finite_after_forward_backward():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(2, 1, 10, 8)), requires_grad=True)
+    x = Tensor(pad(rng.normal(size=(2, 1, 10, 8)), (1, 3)), requires_grad=True)
     k = Tensor(rng.normal(size=(4, 1, 2, 7)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
     with GradTape() as tape:
-        h = leaky_relu(conv2d(x, k, b, stride=(2, 2), padding=(1, 3)))
+        h = leaky_relu(conv2d(x, k, b, stride=(2, 2)))
         h = reshape(h, (2, -1))
         loss = tmean(square(h))
     assert np.isfinite(loss.item())
@@ -674,8 +716,8 @@ def _gather_oracle(rows, B, ch, W):
     return out
 
 
-def _weighted_gather_loss(rows, weights):
-    return lambda: sumsq(mul(ad.gather_rows(rows), Tensor(weights)))
+def _weighted_gather_loss(rows, weights, pad=0):
+    return lambda: sumsq(mul(ad.gather_rows(rows, pad), Tensor(weights)))
 
 
 @pytest.mark.parametrize("seeds_need_grad", [False, True])
@@ -744,6 +786,106 @@ def test_gather_rows_rejects_mismatched_rows():
     conv = Tensor(rng.normal(size=(2, 3, 4, 4)))
     with pytest.raises(ValueError, match="must match exactly"):
         ad.gather_rows([(frames, 0), (conv, 0)])
+
+
+def test_gather_rows_refuses_a_one_channel_row_after_many_channel_rows():
+    # the padded buffer is [B, 3, n, W]: a frame row would broadcast into
+    # all three channels of its slot
+    rng = np.random.default_rng(35)
+    frames = Tensor(rng.normal(size=(2, 5, 4)))
+    conv = Tensor(rng.normal(size=(2, 3, 4, 4)))
+    for pad in (0, 2):
+        with pytest.raises(ValueError, match="must match exactly, but along "
+                                             "dimension 1"):
+            ad.gather_rows([(conv, 0), (frames, 0)], pad)
+
+
+def test_gather_rows_pads_the_width_with_zero_columns():
+    rng = np.random.default_rng(36)
+    seeds = Tensor(rng.normal(size=(2, 5, 4)))
+    frame = Tensor(rng.normal(size=(2, 4)))
+    rows = [PAD, (seeds, 4), (frame, None), PAD, PAD]
+    out = ad.gather_rows(rows, 3)
+    want = pad(_gather_oracle(rows, 2, 1, 4), (0, 3))
+    assert out.shape == (2, 1, 5, 10)
+    np.testing.assert_array_equal(out.data, want)
+
+
+def test_gather_rows_with_padding_is_never_the_block_itself():
+    x = Tensor(np.random.default_rng(37).normal(size=(2, 3, 4, 5)),
+               requires_grad=True)
+    with GradTape() as tape:
+        out = ad.gather_rows([(x, r) for r in range(4)], 1)
+    (node,) = tape._nodes
+    assert out is not x and node.output is out and node.inputs == (x,)
+    np.testing.assert_array_equal(out.data, pad(x.data, (0, 1)))
+    gx, = node.vjp(np.ones(out.shape))
+    np.testing.assert_array_equal(gx, np.ones(x.shape))
+
+
+def test_gather_rows_copies_the_gradient_of_a_block_read_whole_once():
+    # a block read whole, once, gets a copy of its slice of the output
+    # gradient (a view would keep the padded gradient alive); a block with
+    # a row read again gets one partial with both added
+    rng = np.random.default_rng(40)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 2, 5)), requires_grad=True)
+    seeds = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+    with GradTape() as tape:
+        ad.gather_rows([PAD, *[(a, r) for r in range(4)], (b, 0), (b, 1),
+                        (b, 1), PAD], 2)
+        ad.gather_rows([(seeds, r) for r in range(4)], 1)
+    node, frames_node = tape._nodes
+    g = rng.normal(size=node.output.shape)
+    ga, gb = node.vjp(g)
+    assert not np.shares_memory(ga, g) and ga.flags.c_contiguous
+    np.testing.assert_array_equal(ga, g[:, :, 1:5, 2:7])
+    np.testing.assert_array_equal(
+        gb, np.stack([g[:, :, 5, 2:7], g[:, :, 6, 2:7] + g[:, :, 7, 2:7]],
+                     axis=2))
+    g = rng.normal(size=frames_node.output.shape)
+    (gs,) = frames_node.vjp(g)
+    assert gs.shape == seeds.shape and not np.shares_memory(gs, g)
+    np.testing.assert_array_equal(gs, g[:, 0, :, 1:6])
+
+
+@pytest.mark.parametrize("width_pad", [1, 3])
+def test_padded_gather_matches_finite_differences(width_pad):
+    # padding rows and columns get no gradient: only the rows read do. The
+    # loss is quadratic, so a central difference of step 1e-3 has no
+    # truncation error and 100 times less rounding noise than 1e-5
+    rng = np.random.default_rng(38)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 2, 5)), requires_grad=True)
+    rows = [PAD, (a, 0), (a, 1), (a, 1), (a, 3), (b, 0), (b, 1), PAD]
+    weights = rng.normal(size=(2, 3, len(rows), 5 + 2 * width_pad))
+    report = grad_check(_weighted_gather_loss(rows, weights, width_pad),
+                        {"a": a, "b": b}, h=1e-3, tol=1e-6)
+    assert report.passed, report.summary()
+
+
+def test_conv_of_a_padded_gather_matches_finite_differences():
+    # the model's path: frame rows gathered with padding rows and columns,
+    # then an unpadded strided conv; the loss is quadratic, as above
+    rng = np.random.default_rng(39)
+    seeds = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    frame = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 1, 2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    rows = [PAD, *[(seeds, i) for i in range(5)], (frame, None), PAD]
+    out = conv2d(ad.gather_rows(rows, 1), k, b, stride=(2, 2))
+    np.testing.assert_allclose(
+        out.data, conv2d_oracle(_gather_oracle(rows, 2, 1, 6), k.data, b.data,
+                                (2, 2), (0, 1)), atol=1e-12, rtol=0)
+    weights = rng.normal(size=out.shape)
+
+    def loss():
+        out = conv2d(ad.gather_rows(rows, 1), k, b, stride=(2, 2))
+        return sumsq(mul(out, Tensor(weights)))
+
+    report = grad_check(loss, {"seeds": seeds, "frame": frame, "k": k, "b": b},
+                        h=1e-3, tol=1e-6)
+    assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------

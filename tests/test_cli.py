@@ -428,6 +428,69 @@ def test_negative_float_flag_reaches_its_refusal(
     assert not (tmp_path / "c").exists() and not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("value", ["80,,120", "", "80;160", "1e3"])
+def test_eval_refuses_a_malformed_horizon_list_before_reading_anything(
+        tmp_path, capsys, value):
+    # none of the files exists: the flag is refused as it is parsed
+    missing = str(tmp_path / "absent")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", missing, "--data", missing,
+                  "--stats", missing, "--horizons", value])
+    assert exc.value.code == 2
+    assert (f"argument --horizons: invalid int_list value: {value!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_master_seed_is_refused_before_any_work(tmp_path, capsys,
+                                                         command, via):
+    # RUN_ARGV names a data file that does not exist, so a refusal that
+    # names the seed came before anything was read
+    argv = RUN_ARGV[command] + MICRO_FLAGS
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("master_seed=-1\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 1
+    assert "master_seed must be >= 0, got -1" in _error_line(capsys)
+
+
+def test_synth_refuses_a_negative_seed_before_writing(tmp_path, capsys):
+    assert cli.main(["synth", "--out", str(tmp_path / "c"), "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in _error_line(capsys)
+    assert not (tmp_path / "c").exists()
+
+
+def test_eval_refuses_a_negative_seed(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
+                       channels=(2, 3, 3), fc_out=8)
+    stats = mocap.NormalizationStats.load(stats_path)
+    ckpt = tmp_path / "m.ckpt"
+    M.save_checkpoint(ckpt, hp, stats.reduced_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, stats.reduced_dim, np.random.default_rng(0))))
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(manifest),
+            "--stats", str(stats_path), "--horizons", "80", "--seed"]
+    assert cli.main(argv + ["-1"]) == 1
+    assert "seed must be >= 0, got -1" in _error_line(capsys)
+    assert cli.main(argv + ["0"]) == 0
+
+
+def test_prep_names_the_trial_it_cannot_parse(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--actions", "walk",
+                     "--joints", "1", "--frames", "10"]) == 0
+    bad = data / "S1" / "walk_2.txt"
+    bad.write_text("1,2\n3\n")
+    assert cli.main(["prep", "--data", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "s.json")]) == 1
+    assert f"{bad}: line 2: expected 2 values, got 1" in _error_line(capsys)
+
+
 def test_gradcheck_pose_dim_zero_is_one_error_line(capsys):
     assert cli.main(["gradcheck", "--seeds", "1", "--pose-dim", "0"]) == 1
     assert "pose_dim must be >= 1, got 0" in _error_line(capsys)

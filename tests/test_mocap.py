@@ -1,6 +1,8 @@
 """Mocap ingestion, normalization, and rotation-conversion tests."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +62,21 @@ def test_parse_accepts_bytes():
     np.testing.assert_array_equal(trial.frames, [[1.5, 2.5]])
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"1,2,3\n4,5\n", "line 2: expected 3 values, got 2"),
+    (b"\n", "empty file"),
+    (b"1,2\n\xff\xfe\n", "can't decode byte 0xff"),
+], ids=["ragged", "empty", "not-utf8"])
+def test_load_trial_errors_name_the_file(tmp_path, content, message):
+    path = tmp_path / "S1" / "walk_2.txt"
+    path.parent.mkdir()
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as exc:
+        mocap.load_trial(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)
+
+
 def test_write_then_parse_round_trips_bit_exactly(tmp_path):
     rng = np.random.default_rng(100)
     frames = rng.normal(scale=3.0, size=(100, 99))
@@ -87,10 +104,19 @@ def _trial(frames, **kw):
 
 
 def test_fit_stats_identical_frames_masks_everything():
+    # every dimension is constant, so none is kept: a fit that keeps no
+    # dimension is refused, as no model can train on zero pose dimensions
     frames = np.tile(np.arange(10.0), (4, 1))
-    stats = fit_stats([_trial(frames)])
-    assert stats.reduced_dim == 0
-    assert not stats.kept.any()
+    with pytest.raises(ValueError, match="no dimension is kept: all 10"):
+        fit_stats([_trial(frames)])
+
+
+def test_fit_stats_refuses_a_corpus_of_global_dimensions_only():
+    # a zero-joint trial is the global block alone, which is always masked
+    rng = np.random.default_rng(2)
+    with pytest.raises(ValueError, match="no dimension is kept: all 6 are "
+                                         "global"):
+        fit_stats([_trial(rng.normal(size=(5, 6)))])
 
 
 def test_fit_stats_hand_computed_population_std():
@@ -188,6 +214,43 @@ def test_stats_json_round_trip_and_fingerprint(tmp_path):
     # any content change changes the fingerprint
     other = fit_stats([_trial(rng.normal(size=(20, 11)))])
     assert other.fingerprint() != stats.fingerprint()
+
+
+# each edit makes a stats file disagree with itself; dimensions 0-5 are the
+# masked global block and 6-10 are kept
+STATS_EDITS = {
+    "std-one-short": (lambda d: d["std"].pop(),
+                      "mean, std and kept must be lists of one length, got "
+                      "shapes (11,), (10,), (11,)"),
+    "kept-one-long": (lambda d: d["kept"].append(True),
+                      "got shapes (11,), (11,), (12,)"),
+    "nested-mean": (lambda d: d.update(mean=[d["mean"]]),
+                    "got shapes (1, 11)"),
+    "nan-mean": (lambda d: d["mean"].__setitem__(3, math.nan),
+                 "mean and std must be finite"),
+    "inf-std": (lambda d: d["std"].__setitem__(8, math.inf),
+                "mean and std must be finite"),
+    "zero-eps": (lambda d: d.update(eps_const=0.0),
+                 "eps_const must be finite and > 0, got 0.0"),
+    "kept-std-zero": (lambda d: d["std"].__setitem__(7, 0.0),
+                      "kept dimension 7 has std 0.0, below eps_const 0.0001"),
+    "kept-std-small": (lambda d: d["std"].__setitem__(10, 5e-5),
+                       "kept dimension 10 has std 5e-05, below eps_const"),
+}
+
+
+@pytest.mark.parametrize("edit,message", STATS_EDITS.values(),
+                         ids=STATS_EDITS.keys())
+def test_inconsistent_stats_file_is_refused_whole(tmp_path, edit, message):
+    stats = fit_stats([_trial(np.random.default_rng(4).normal(size=(20, 11)))])
+    assert stats.kept.tolist() == [False] * 6 + [True] * 5
+    doc = json.loads(stats.to_json())
+    edit(doc)
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        NormalizationStats.load(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +424,33 @@ def test_generate_corpus_refuses_bad_frequency_band(tmp_path, lo, hi):
     with pytest.raises(ValueError, match="freq_lo and freq_hi must satisfy"):
         generate_corpus(tmp_path / "d", freq_lo=lo, freq_hi=hi)
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(joints=0), "joints must be >= 1, got 0"),
+    (dict(joints=-1), "joints must be >= 1, got -1"),
+    (dict(frames=0), "frames must be >= 1, got 0"),
+    (dict(train_trials=0), "train_trials must be >= 1, got 0"),
+    (dict(test_trials=-1), "test_trials must be >= 0, got -1"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(actions=("walk", "walk")), "distinct non-empty names, got "
+                                     "['walk', 'walk']"),
+    (dict(actions=("walk", "")), "got ['walk', '']"),
+    (dict(actions=()), "actions must be one or more"),
+], ids=["joints-0", "joints-neg", "frames-0", "train-trials-0",
+        "test-trials-neg", "seed-neg", "repeated-action", "empty-action",
+        "no-actions"])
+def test_generate_corpus_refuses_what_it_cannot_honour(tmp_path, kwargs,
+                                                       message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_corpus(tmp_path / "d", **kwargs)
+    assert not (tmp_path / "d").exists()
+
+
+def test_generate_corpus_without_test_trials(tmp_path):
+    manifest = DatasetManifest.load(generate_corpus(
+        tmp_path / "d", actions=("a",), joints=1, frames=10, test_trials=0))
+    assert len(manifest.train) == 2 and manifest.test == []
 
 
 def test_manifest_from_tree_names_the_files_it_skips(tmp_path, caplog):

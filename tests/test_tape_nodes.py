@@ -16,16 +16,18 @@ from convmotion.mocap import MotionSequence, NormalizationStats
 
 # each pinned tape's nodes by op, the op being the function whose closure
 # is the node's VJP; the totals are ROADMAP aim 2's counter
-GENERATOR_OPS = Counter(  # 417: the short-term window is read in place
-    add=27, clip=1, concat=26, conv2d=81, dropout=51, gather_rows=89,
-    leaky_relu=25, linear=78, mul=4, reshape=28, sigmoid=1, stack=1, sub=1,
+# (every conv input is a padded gather; the encoders' affine maps flatten
+# their own input)
+GENERATOR_OPS = Counter(  # 398
+    add=27, clip=1, concat=26, conv2d=81, dropout=51, gather_rows=97,
+    leaky_relu=25, linear=78, mul=4, reshape=1, sigmoid=1, stack=1, sub=1,
     sumsq=2, tlog=1, tmean=1)
 DISCRIMINATOR_OPS = Counter(  # 30
-    add=2, clip=2, conv2d=6, gather_rows=3, linear=4, mul=3, reshape=4,
+    add=2, clip=2, conv2d=6, gather_rows=5, linear=4, mul=3, reshape=2,
     sigmoid=2, tlog=2, tmean=2)
-GRADCHECK_OPS = Counter(  # 114
-    add=8, clip=1, concat=7, conv2d=24, dropout=13, gather_rows=14,
-    leaky_relu=6, linear=21, mul=4, reshape=9, sigmoid=1, stack=1, sub=1,
+GRADCHECK_OPS = Counter(  # 115
+    add=8, clip=1, concat=7, conv2d=24, dropout=13, gather_rows=23,
+    leaky_relu=6, linear=21, mul=4, reshape=1, sigmoid=1, stack=1, sub=1,
     sumsq=2, tlog=1, tmean=1)
 
 
