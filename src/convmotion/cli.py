@@ -24,6 +24,7 @@ from . import evaluation as E
 from . import gradcheck as G
 from . import mocap
 from . import model as M
+from . import ranges as R
 from . import training as T
 
 log = logging.getLogger("convmotion")
@@ -75,10 +76,21 @@ def _given(args, keys) -> dict:
             if getattr(args, key) is not None}
 
 
+def _check_flags(args) -> None:
+    """Refuse a flag out of its range before any file is read; a schedule
+    flag goes by its config key (``train --seed`` is ``master_seed``)."""
+    keys = {flag[2:].replace("-", "_"): key
+            for key, (flag, _) in getattr(args, "schedule", {}).items()}
+    R.check(**{keys.get(dest, dest): value
+               for dest, value in vars(args).items()
+               if keys.get(dest, dest) in R.RANGES and value is not None})
+
+
 def _resolve_hyper(args) -> M.HyperParams:
     """Resolve the hyperparameters, and set the subcommand's schedule flags
     (``args.schedule``) on ``args``, with precedence flag > ``--config`` >
-    default. A config key the subcommand has no use for is rejected."""
+    default. A config key the subcommand has no use for is rejected, and
+    so is a value out of its range."""
     mapping: dict = {}
     if args.config:
         parsers = dict(C.HYPER_KEYS)
@@ -92,6 +104,7 @@ def _resolve_hyper(args) -> M.HyperParams:
         if getattr(args, dest) is None:
             setattr(args, dest, mapping.get(key, default))
         schedule[key] = getattr(args, dest)
+    R.check(**{key: v for key, v in schedule.items() if key in R.RANGES})
     hp = C.hyperparams_from_mapping(mapping)
     for line in C.format_config(hp, schedule).strip().split("\n"):
         log.info("config: %s", line)
@@ -187,9 +200,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
     hp = G.tiny_hyperparams(**_given(args, GRADCHECK_KEYS))
     variants = {"mse": (False,), "full": (True,), "both": (False, True)}[args.variant]
     for line in C.format_config(hp).strip().split("\n"):
@@ -352,6 +362,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ValueError covers mocap.ParseError and autodiff.ShapeError

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import model as M
+from . import ranges as R
 from .mocap import (
     FRAME_MS_DEFAULT,
     MotionSequence,
@@ -179,10 +180,7 @@ def evaluate(predictor: Callable[[np.ndarray], np.ndarray],
     order. Windows are drawn deterministically from ``seed``, each action
     from its own stream; the same seed always yields the same report.
     """
-    if num_sequences < 1:
-        raise ValueError(f"num_sequences must be at least 1, got {num_sequences}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    R.check(num_sequences=num_sequences, seed=seed)
     frames_at = horizon_frames(horizons_ms, frame_ms)
     if max(frames_at) > target_frames:
         raise ValueError(

@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import model as M
+from . import ranges as R
 from . import training as T
 from .autodiff import Tensor, backward
 
@@ -439,7 +440,7 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
     a leaky-ReLU kink). An actual gradient defect fails at every step.
     """
     t0 = time.perf_counter()
-    _check_tol(tol)
+    R.check(tol=tol)
     hp = hp or tiny_hyperparams()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
     params = generic_params(hp, pose_dim, rng)
@@ -494,11 +495,6 @@ def full_model_grad_check(hp: Optional[M.HyperParams] = None,
     return GradCheckReport(entries, tol, time.perf_counter() - t0)
 
 
-def _check_tol(tol):
-    if not 0.0 < tol < float("inf"):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-
 def _rel_err(a, n):
     return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
 
@@ -528,7 +524,7 @@ def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
     over at most one worker process per check.
     """
     t0 = time.perf_counter()
-    _check_tol(tol)
+    R.check(tol=tol)
     grid = [(seed, adversarial) for seed in seeds for adversarial in variants]
     jobs = min(jobs, len(grid))
     if jobs > 1:

@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import ranges as R
+
 log = logging.getLogger(__name__)
 
 # One predicted frame spans 40 ms: the 25-frame horizon covers one second.
@@ -183,20 +185,23 @@ class NormalizationStats:
         missing = [f.name for f in fields(cls) if f.name not in doc]
         if missing:
             raise ValueError(f"stats document has no {', '.join(missing)}")
+        R.check(eps_const=doc["eps_const"], global_dims=doc["global_dims"])
         mean, std = (np.asarray(doc[k], dtype=np.float64) for k in ("mean", "std"))
         kept, eps = np.asarray(doc["kept"], dtype=bool), float(doc["eps_const"])
+        global_dims = int(doc["global_dims"])
         if mean.ndim != 1 or not mean.shape == std.shape == kept.shape:
             raise ValueError(f"mean, std and kept must be lists of one length, "
                              f"got shapes {mean.shape}, {std.shape}, {kept.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(std).all()):
             raise ValueError("mean and std must be finite")
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"eps_const must be finite and > 0, got {eps}")
         low = np.flatnonzero(kept & (std < eps))
         if low.size:
             raise ValueError(f"kept dimension {low[0]} has std "
                              f"{std[low[0]]}, below eps_const {eps!r}")
-        return cls(mean, std, kept, eps, int(doc["global_dims"]))
+        if kept[:global_dims].any():
+            raise ValueError(f"kept dimension {np.argmax(kept)} is one of the "
+                             f"{global_dims} global dimensions")
+        return cls(mean, std, kept, eps, global_dims)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -233,8 +238,7 @@ class MotionSequence:
 def fit_stats(trials: Sequence[RawTrial], eps_const: float = EPS_CONST_DEFAULT,
               global_dims: int = GLOBAL_DIMS_DEFAULT) -> NormalizationStats:
     """Pool mean/std over all frames of all trials (population convention)."""
-    if not 0.0 < eps_const < math.inf:
-        raise ValueError(f"eps_const must be finite and > 0, got {eps_const}")
+    R.check(eps_const=eps_const, global_dims=global_dims)
     trials = list(trials)
     if not trials:
         raise ValueError("fit_stats requires at least one trial")
@@ -390,9 +394,9 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         """Read a manifest; one that is not a JSON object, has no
-        ``frame_ms``, ``train`` or ``test``, has a ``frame_ms`` that is not a
-        finite number > 0, or has a trial entry without one of its keys,
-        raises ``ValueError`` naming the file."""
+        ``frame_ms``, ``train`` or ``test``, has a ``frame_ms`` out of its
+        range, or has a trial entry without one of its keys, raises
+        ``ValueError`` naming the file."""
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
@@ -403,11 +407,10 @@ class DatasetManifest:
         missing = [k for k in ("frame_ms", "train", "test") if k not in doc]
         if missing:
             raise ValueError(f"{path}: manifest has no {', '.join(missing)}")
-        frame_ms = doc["frame_ms"]
-        if not (isinstance(frame_ms, (int, float)) and math.isfinite(frame_ms)
-                and frame_ms > 0):
-            raise ValueError(f"{path}: frame_ms must be a finite number > 0, "
-                             f"got {frame_ms!r}")
+        try:
+            R.check(frame_ms=doc["frame_ms"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
         def decode(split):
             refs = []
@@ -422,7 +425,7 @@ class DatasetManifest:
             return refs
 
         return cls(train=decode("train"), test=decode("test"),
-                   frame_ms=float(frame_ms), root=path.parent)
+                   frame_ms=float(doc["frame_ms"]), root=path.parent)
 
 
 def manifest_from_tree(root) -> DatasetManifest:
@@ -503,11 +506,8 @@ def generate_corpus(root, actions=("walk", "swing", "wave"), joints: int = 8,
                     seed: int = 0, train_trials: int = 2,
                     test_trials: int = 2) -> Path:
     """Write a synthetic corpus tree plus its manifest; returns the manifest path."""
-    for name, value, low in (("joints", joints, 1), ("frames", frames, 1),
-                             ("train_trials", train_trials, 1),
-                             ("test_trials", test_trials, 0), ("seed", seed, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    R.check(joints=joints, frames=frames, train_trials=train_trials,
+            test_trials=test_trials, seed=seed)
     if not actions or "" in actions or len(set(actions)) < len(actions):
         raise ValueError(f"actions must be one or more distinct non-empty "
                          f"names, got {list(actions)}")

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import ranges as R
 from .autodiff import Tensor
 
 CHECKPOINT_MAGIC = b"CMOT"
@@ -70,37 +71,11 @@ class HyperParams:
     adversarial: bool = True
 
     def __post_init__(self):
-        for name in ("seed_frames", "target_frames", "batch_size", "fc_out"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.window <= self.seed_frames:
-            raise ValueError(
-                f"window must satisfy 0 < C <= seed_frames, got C={self.window} "
-                f"t={self.seed_frames}"
-            )
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(
-                f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got "
-                             f"{self.learning_rate}")
-        for name in ("lambda_l2", "lambda_adv"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if len(self.channels) != 3 or min(self.channels) < 1:
-            raise ValueError(
-                f"channels must be three conv widths >= 1, got {self.channels}")
-        for name in ("kernel", "stride"):
-            value = getattr(self, name)
-            if len(value) != 2 or min(value) < 1:
-                raise ValueError(
-                    f"{name} must be a (height, width) pair of values >= 1, "
-                    f"got {value}")
+        R.check(**{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name in R.RANGES})
+        if self.window > self.seed_frames:
+            raise ValueError(f"window must satisfy C <= seed_frames, got "
+                             f"C={self.window} t={self.seed_frames}")
         for axis, k, s in zip(("height", "width"), self.kernel, self.stride):
             # symmetric padding adds k - 1 rows, so an even k at stride 1
             # grows the grid by one row per layer
@@ -228,8 +203,7 @@ def init_params(hp: HyperParams, pose_dim: int, rng: np.random.Generator,
                 dtype=np.float64) -> ModelParams:
     """Fan-in uniform weights and zero biases, drawn in ``PARAM_NAMES``
     order: long encoder, short encoder, decoder, discriminator."""
-    if pose_dim < 1:
-        raise ValueError(f"pose_dim must be >= 1, got {pose_dim}")
+    R.check(pose_dim=pose_dim)
     params = ModelParams()
 
     def zeros(name, shape):
@@ -434,8 +408,7 @@ def window_frame_ids(t: int, C: int, k: int) -> list:
     up to ``t`` as ``("seed", zero_based_index)``, generated frames after as
     ``("pred", step_number)``.
     """
-    if k < 1:
-        raise ValueError(f"step must be >= 1, got {k}")
+    R.check(step=k)
     ids = []
     for j in range(C):
         f = t - C + k + j

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as M
+from . import ranges as R
 from .autodiff import GradTape, Tensor, backward
 from .mocap import MotionSequence, NormalizationStats
 
@@ -280,8 +281,7 @@ class WindowSampler:
 
 @dataclass
 class TrainSchedule:
-    """``report_path`` receives one CSV row per iteration as it finishes. A
-    ``master_seed`` below 0 or a ``checkpoint_every`` below 1 is refused."""
+    """``report_path`` receives one CSV row per iteration as it finishes."""
 
     iterations: int
     master_seed: int = 0
@@ -290,9 +290,8 @@ class TrainSchedule:
     report_path: Optional[Path] = None
 
     def __post_init__(self):
-        for name, low in (("master_seed", 0), ("checkpoint_every", 1)):
-            if (value := getattr(self, name)) < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+        R.check(master_seed=self.master_seed,
+                checkpoint_every=self.checkpoint_every)
 
 
 @dataclass

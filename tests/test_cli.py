@@ -13,6 +13,7 @@ from convmotion import cli
 from convmotion import config as C
 from convmotion import mocap
 from convmotion import model as M
+from convmotion import ranges as R
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,57 @@ def test_negative_master_seed_is_refused_before_any_work(tmp_path, capsys,
     assert "master_seed must be >= 0, got -1" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_ablate_refuses_zero_sequences_before_any_work(tmp_path, capsys, via):
+    # the data file does not exist: no axis value trains before the refusal
+    argv = RUN_ARGV["ablate"] + MICRO_FLAGS
+    if via == "flag":
+        argv += ["--num-sequences", "0"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("num_sequences=0\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 1
+    assert "num_sequences must be >= 1, got 0" in _error_line(capsys)
+
+
+def _ranged_flags():
+    """(command, flag, dest, name, parser) for every flag of every
+    subcommand whose dest has a range; a schedule flag is refused by its
+    config key (``train --seed`` is ``master_seed``)."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for command, p in sub.choices.items():
+        keys = {flag[2:].replace("-", "_"): key for key, (flag, _)
+                in (p.get_default("schedule") or {}).items()}
+        out += [pytest.param(command, a.option_strings[0], a.dest,
+                             keys.get(a.dest, a.dest), a.type,
+                             id=command + a.option_strings[0])
+                for a in p._actions if a.dest in R.RANGES]
+    return out
+
+
+@pytest.mark.parametrize("command,flag,dest,name,parse", _ranged_flags())
+def test_every_ranged_flag_is_refused_before_any_file_is_read(
+        tmp_path, capsys, command, flag, dest, name, parse):
+    count, values, _ = R.RANGES[name].partition(" values ")
+    text = ",".join(["0"] * int(count)) if values else "-1"
+    missing = str(tmp_path / "absent")
+    files = {"synth": ["--out"], "prep": ["--data", "--out"],
+             "train": ["--data", "--stats", "--out"],
+             "eval": ["--checkpoint", "--data", "--stats"], "gradcheck": [],
+             "ablate": ["--data", "--stats", "--out"]}[command]
+    argv = [command, *(["--axis", "kernel"] if command == "ablate" else []),
+            *(arg for f in files for arg in (f, missing)), flag, text]
+    assert cli.main(argv) == 1
+    line = _error_line(capsys)
+    assert dest in line
+    assert line.endswith(
+        f": {name} must be {R.RANGES[name]}, got {parse(text)!r}"), line
+    assert not (tmp_path / "absent").exists()
+
+
 def test_synth_refuses_a_negative_seed_before_writing(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "c"), "--seed", "-1"]) == 1
     assert "seed must be >= 0, got -1" in _error_line(capsys)
@@ -500,7 +552,7 @@ def test_gradcheck_pose_dim_zero_is_one_error_line(capsys):
                                         ("--jobs", "-2")])
 def test_gradcheck_rejects_counts_below_one(capsys, flag, value):
     assert cli.main(["gradcheck", flag, value]) == 1
-    assert f"{flag} must be >= 1, got {value}" in _error_line(capsys)
+    assert f"{flag[2:]} must be >= 1, got {value}" in _error_line(capsys)
 
 
 @pytest.mark.parametrize("value,shown", [("inf", "inf"), ("nan", "nan"),
@@ -584,8 +636,8 @@ def test_short_seed_file_is_one_error_line(corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, named", [
-    ("frame_ms", 0, "frame_ms must be a finite number > 0, got 0"),
-    ("frame_ms", float("nan"), "frame_ms must be a finite number > 0, got nan"),
+    ("frame_ms", 0, "frame_ms must be finite and > 0, got 0"),
+    ("frame_ms", float("nan"), "frame_ms must be finite and > 0, got nan"),
     ("frame_ms", None, "manifest has no frame_ms"),
     ("train", None, "manifest has no train"),
     ("test", None, "manifest has no test"),

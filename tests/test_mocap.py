@@ -154,6 +154,15 @@ def test_fit_stats_refuses_non_positive_eps_const(eps):
         fit_stats([_trial(np.ones((4, 9)))], eps_const=eps)
 
 
+@pytest.mark.parametrize("global_dims", [-1, -6])
+def test_fit_stats_refuses_a_negative_global_dims(global_dims):
+    # kept[:-1] = False would keep only the last dimension instead
+    with pytest.raises(ValueError, match=re.escape(
+            f"global_dims must be >= 0, got {global_dims}")):
+        fit_stats([_trial(np.random.default_rng(0).normal(size=(20, 12)))],
+                  global_dims=global_dims)
+
+
 def test_fit_stats_empty_rejected():
     with pytest.raises(ValueError):
         fit_stats([])
@@ -232,6 +241,14 @@ STATS_EDITS = {
                 "mean and std must be finite"),
     "zero-eps": (lambda d: d.update(eps_const=0.0),
                  "eps_const must be finite and > 0, got 0.0"),
+    "list-eps": (lambda d: d.update(eps_const=[1]),
+                 "eps_const must be finite and > 0, got [1]"),
+    "null-global-dims": (lambda d: d.update(global_dims=None),
+                         "global_dims must be >= 0, got None"),
+    "negative-global-dims": (lambda d: d.update(global_dims=-1),
+                             "global_dims must be >= 0, got -1"),
+    "kept-global-dim": (lambda d: d["kept"].__setitem__(2, True),
+                        "kept dimension 2 is one of the 6 global dimensions"),
     "kept-std-zero": (lambda d: d["std"].__setitem__(7, 0.0),
                       "kept dimension 7 has std 0.0, below eps_const 0.0001"),
     "kept-std-small": (lambda d: d["std"].__setitem__(10, 5e-5),
