@@ -30,34 +30,32 @@ from . import training as T
 log = logging.getLogger("convmotion")
 
 
-# config-file schedule keys a subcommand honours: key -> (flag, default);
-# the flag's parser is the type of the default
-TRAIN_SCHEDULE = {
-    "iterations": ("--iters", 1000),
-    "master_seed": ("--seed", T.TrainSchedule.master_seed),
-    "checkpoint_every": ("--checkpoint-every", T.TrainSchedule.checkpoint_every),
-}
-ABLATE_SCHEDULE = {"iterations": ("--iters", 200),
-                   "master_seed": ("--seed", T.TrainSchedule.master_seed),
-                   "num_sequences": ("--num-sequences", 4)}
+# config-file schedule keys a subcommand honours, with their defaults; each
+# is a flag like a hyperparameter (``config.SPELLING`` names --iters, --seed)
+TRAIN_SCHEDULE = {"iterations": 1000,
+                  "master_seed": T.TrainSchedule.master_seed,
+                  "checkpoint_every": T.TrainSchedule.checkpoint_every}
+ABLATE_SCHEDULE = {"iterations": 200,
+                   "master_seed": T.TrainSchedule.master_seed,
+                   "num_sequences": 4}
 SCHEDULE_KEYS = {*TRAIN_SCHEDULE, *ABLATE_SCHEDULE}
 # the hyperparameters gradcheck takes over its tiny configuration
 GRADCHECK_KEYS = ("seed_frames", "target_frames", "window", "channels",
                   "fc_out", "dropout", "eta", "no_long_term")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser, keys=C.HYPER_KEYS) -> None:
-    """A flag per hyperparameter in ``keys``; one that is not given is
-    ``None``. A bool field's flag sets the opposite of its default."""
-    for key in keys:
+def _add_key_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
+    """A flag per config key in ``defaults`` (key -> default), whose dest is
+    the key and whose parser is the type of the default; one that is not
+    given is ``None``. A bool key's flag sets the opposite of its default."""
+    for key, default in defaults.items():
         spelling = C.SPELLING.get(key, {})
         flag = spelling.get("flag", "--" + key.replace("_", "-"))
-        default = C.HYPER_DEFAULTS[key]
         if isinstance(default, bool):
             p.add_argument(flag, action="store_const", const=not default,
                            dest=key, help=spelling.get("help"))
         else:
-            p.add_argument(flag, type=C.HYPER_KEYS[key], dest=key,
+            p.add_argument(flag, type=C.parser_for(default), dest=key,
                            help=spelling.get("help"))
 
 
@@ -65,9 +63,7 @@ def _add_run_flags(p: argparse.ArgumentParser, schedule: dict) -> None:
     """``--config``, a flag per ``schedule`` key, and every hyperparameter
     flag."""
     p.add_argument("--config", type=Path, help="key=value config file")
-    for flag, default in schedule.values():
-        p.add_argument(flag, type=C.parser_for(default))
-    _add_hyper_flags(p)
+    _add_key_flags(p, {**schedule, **C.HYPER_DEFAULTS})
     p.set_defaults(schedule=schedule)
 
 
@@ -77,34 +73,25 @@ def _given(args, keys) -> dict:
 
 
 def _check_flags(args) -> None:
-    """Refuse a flag out of its range before any file is read; a schedule
-    flag goes by its config key (``train --seed`` is ``master_seed``)."""
-    keys = {flag[2:].replace("-", "_"): key
-            for key, (flag, _) in getattr(args, "schedule", {}).items()}
-    R.check(**{keys.get(dest, dest): value
-               for dest, value in vars(args).items()
-               if keys.get(dest, dest) in R.RANGES and value is not None})
+    """Refuse a flag out of its range before any file is read."""
+    R.check(**{key: value for key, value in vars(args).items()
+               if key in R.RANGES and value is not None})
 
 
 def _resolve_hyper(args) -> M.HyperParams:
-    """Resolve the hyperparameters, and set the subcommand's schedule flags
+    """Resolve the hyperparameters, and set the subcommand's schedule keys
     (``args.schedule``) on ``args``, with precedence flag > ``--config`` >
     default. A config key the subcommand has no use for is rejected, and
     so is a value out of its range."""
-    mapping: dict = {}
+    defaults = {**args.schedule, **C.HYPER_DEFAULTS}
+    mapping = dict(args.schedule)
     if args.config:
-        parsers = dict(C.HYPER_KEYS)
-        for key, (_, default) in args.schedule.items():
-            parsers[key] = C.parser_for(default)
+        parsers = {key: C.parser_for(d) for key, d in defaults.items()}
         mapping.update(C.load_config(args.config, parsers, SCHEDULE_KEYS))
-    mapping.update(_given(args, C.HYPER_KEYS))
-    schedule = {}
-    for key, (flag, default) in args.schedule.items():
-        dest = flag[2:].replace("-", "_")
-        if getattr(args, dest) is None:
-            setattr(args, dest, mapping.get(key, default))
-        schedule[key] = getattr(args, dest)
-    R.check(**{key: v for key, v in schedule.items() if key in R.RANGES})
+    mapping.update(_given(args, defaults))
+    schedule = {key: mapping[key] for key in args.schedule}
+    vars(args).update(schedule)
+    R.check(**schedule)
     hp = C.hyperparams_from_mapping(mapping)
     for line in C.format_config(hp, schedule).strip().split("\n"):
         log.info("config: %s", line)
@@ -149,7 +136,8 @@ def cmd_prep(args) -> int:
 def cmd_train(args) -> int:
     hp = _resolve_hyper(args)
     out_dir = Path(args.out)
-    schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
+    schedule = T.TrainSchedule(iterations=args.iterations,
+                               master_seed=args.master_seed,
                                checkpoint_every=args.checkpoint_every,
                                out_dir=out_dir,
                                report_path=args.report or out_dir / "report.csv")
@@ -224,8 +212,9 @@ ABLATION_AXES = {
 
 def cmd_ablate(args) -> int:
     base_hp = _resolve_hyper(args)
-    schedule = T.TrainSchedule(iterations=args.iters, master_seed=args.seed,
-                               checkpoint_every=max(args.iters, 1))
+    schedule = T.TrainSchedule(iterations=args.iterations,
+                               master_seed=args.master_seed,
+                               checkpoint_every=args.iterations)
     manifest, stats, train_seqs = _load_dataset(args.data, args.stats, "train")
     test_trials = mocap.load_split(manifest, "test")
     test_seqs = [mocap.normalize(t, stats) for t in test_trials]
@@ -245,8 +234,9 @@ def cmd_ablate(args) -> int:
         result = T.train(train_seqs, stats, hp, schedule)
         report = E.evaluate(E.model_predictor(result.params, hp), test_seqs,
                             stats, hp.seed_frames, hp.target_frames,
-                            num_sequences=args.num_sequences, seed=args.seed,
-                            horizons_ms=horizons, frame_ms=manifest.frame_ms)
+                            num_sequences=args.num_sequences,
+                            seed=args.master_seed, horizons_ms=horizons,
+                            frame_ms=manifest.frame_ms)
         avg = report.average()
         label = C.format_value(field_name, value)
         tail_mse = float(np.mean([r.mse for r in result.reports[-10:]]))
@@ -342,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("mse", "full", "both"), default="both")
     p.add_argument("--pose-dim", type=int, default=G.TINY_POSE_DIM,
                    dest="pose_dim")
-    _add_hyper_flags(p, GRADCHECK_KEYS)
+    _add_key_flags(p, {k: C.HYPER_DEFAULTS[k] for k in GRADCHECK_KEYS})
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="run a configuration sweep and compare")

@@ -1,9 +1,10 @@
 """Key=value configuration files.
 
 One flat text format drives the CLI: ``key=value`` lines, ``#`` comments.
-Every ``HyperParams`` field is a key, parsed by the type of its default;
-a subcommand adds the run-schedule keys it reads. The serialized defaults
-are the model's reference operating point and are pinned by a golden test.
+Every ``HyperParams`` field and each run-schedule key a subcommand reads
+is a key, parsed by the type of its default, and a ``--key-with-dashes``
+flag unless ``SPELLING`` names another. The serialized defaults are the
+model's reference operating point and are pinned by a golden test.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_int_tuple(s: str) -> tuple:
-    return tuple(int(tok) for tok in s.replace("x", ",").split(",") if tok)
+    return tuple(int(tok) for tok in s.replace("x", ",").split(","))
 
 
 def parser_for(default):
@@ -37,8 +38,8 @@ def parser_for(default):
     return type(default)
 
 
-# what a field's declaration does not say: a flag other than
-# --key-with-dashes (a bool field's flag sets the opposite of its default),
+# what a key's declaration does not say: a flag other than
+# --key-with-dashes (a bool key's flag sets the opposite of its default),
 # a pair written AxB rather than A,B, and a help text
 SPELLING = {
     "window": {"help": "short-term encoder width C"},
@@ -47,6 +48,8 @@ SPELLING = {
     "kernel": {"pair": True, "help": "conv kernel, e.g. 2x7, 7x2, 4x4"},
     "stride": {"pair": True},
     "adversarial": {"flag": "--no-adv"},
+    "iterations": {"flag": "--iters"},
+    "master_seed": {"flag": "--seed"},
 }
 
 HYPER_DEFAULTS = {f.name: f.default for f in fields(HyperParams)}

@@ -393,10 +393,10 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        """Read a manifest; one that is not a JSON object, has no
-        ``frame_ms``, ``train`` or ``test``, has a ``frame_ms`` out of its
-        range, or has a trial entry without one of its keys, raises
-        ``ValueError`` naming the file."""
+        """Read a manifest; one that is not a JSON object, has a version
+        other than ``MANIFEST_VERSION``, has no ``frame_ms``, ``train`` or
+        ``test``, has a ``frame_ms`` out of its range, or has a trial entry
+        without one of its keys, raises ``ValueError`` naming the file."""
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
@@ -404,6 +404,9 @@ class DatasetManifest:
             raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
             raise ValueError(f"not a dataset manifest: {path}")
+        if doc.get("version") != MANIFEST_VERSION:
+            raise ValueError(f"{path}: unsupported manifest version "
+                             f"{doc.get('version')!r}")
         missing = [k for k in ("frame_ms", "train", "test") if k not in doc]
         if missing:
             raise ValueError(f"{path}: manifest has no {', '.join(missing)}")

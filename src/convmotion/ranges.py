@@ -1,8 +1,8 @@
 """The range of every named numeric input, declared once, and the one check
 that refuses a value outside it: ``{name} must be {range}, got {value!r}``.
-NaN, a bool and a non-number are refused too. A rule that relates two
-inputs (``window <= seed_frames``) is checked where both are known. This
-module imports nothing from the package."""
+NaN, a bool, a non-number and a count that is not an integer are refused
+too. A rule that relates two inputs (``window <= seed_frames``) is checked
+where both are known. This module imports nothing from the package."""
 
 import math
 import numbers
@@ -18,13 +18,14 @@ FORMS = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, 1)": lambda v: 0 < v < 1,
 }
+COUNTS = (">= 0", ">= 1")  # the forms of counts, which admit integers only
 
 # name -> range; "3 values >= 1" asks for a tuple of three values >= 1
 RANGES = {
     **dict.fromkeys(("seed_frames", "target_frames", "window", "batch_size",
                      "fc_out", "pose_dim", "checkpoint_every", "num_sequences",
                      "seeds", "jobs", "joints", "frames", "train_trials",
-                     "step"), ">= 1"),
+                     "step", "iterations"), ">= 1"),
     **dict.fromkeys(("master_seed", "seed", "test_trials", "global_dims"),
                     ">= 0"),
     **dict.fromkeys(("learning_rate", "eps_const", "frame_ms", "tol"),
@@ -41,12 +42,16 @@ def _admits(form: str, value) -> bool:
     if values:
         return (isinstance(value, (tuple, list)) and len(value) == int(count)
                 and all(_admits(one, v) for v in value))
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+    kind = numbers.Integral if form in COUNTS else numbers.Real
+    return (isinstance(value, kind) and not isinstance(value, bool)
             and FORMS[form](value))
 
 
 def check(**values) -> None:
     """Refuse the first value, in argument order, outside its range."""
     for name, value in values.items():
-        if not _admits(RANGES[name], value):
-            raise ValueError(f"{name} must be {RANGES[name]}, got {value!r}")
+        form = RANGES[name]
+        if not _admits(form, value):
+            if form in COUNTS and isinstance(value, float):
+                form = "an integer " + form
+            raise ValueError(f"{name} must be {form}, got {value!r}")

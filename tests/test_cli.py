@@ -308,13 +308,14 @@ def test_config_schedule_keys_precedence(tmp_path):
                               "--stats", "y", "--out", "z", "--config",
                               str(cfg), "--seed", "2"])
     cli._resolve_hyper(args)
-    assert args.iters == 7           # config beats default
-    assert args.seed == 2            # flag beats config
+    assert args.iterations == 7      # config beats default
+    assert args.master_seed == 2     # flag beats config
     assert args.num_sequences == 3
     args = parser.parse_args(["ablate", "--axis", "kernel", "--data", "x",
                               "--stats", "y", "--out", "z"])
     cli._resolve_hyper(args)
-    assert (args.iters, args.seed, args.num_sequences) == (200, 0, 4)
+    assert (args.iterations, args.master_seed,
+            args.num_sequences) == (200, 0, 4)
 
 
 @pytest.mark.parametrize("command,key", [("train", "num_sequences"),
@@ -370,7 +371,7 @@ def test_train_rejects_finished_run_before_writing(corpus, tmp_path, capsys):
     assert re.search("2 iterations requested.*iteration 2", _error_line(capsys))
     assert (out_dir / "report.csv").read_text() == report
     assert cli.main(base + ["--iters", "0"]) == 1
-    assert re.search("0 iterations requested.*iteration 0", _error_line(capsys))
+    assert "iterations must be >= 1, got 0" in _error_line(capsys)
     assert (out_dir / "report.csv").read_text() == report
 
 
@@ -473,26 +474,48 @@ def test_ablate_refuses_zero_sequences_before_any_work(tmp_path, capsys, via):
     assert "num_sequences must be >= 1, got 0" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_zero_iterations_key_is_refused_before_any_work(tmp_path, capsys,
+                                                        command):
+    # the data file does not exist: the refusal names the key, not the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations=0\n")
+    argv = RUN_ARGV[command] + MICRO_FLAGS + ["--config", str(cfg)]
+    assert cli.main(argv) == 1
+    assert "iterations must be >= 1, got 0" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("key,text", [("channels", "8,,16,16"),
+                                      ("kernel", "2x7x")])
+def test_an_empty_list_entry_is_refused_as_flag_and_config_line(
+        tmp_path, capsys, key, text):
+    flag = "--" + key
+    with pytest.raises(SystemExit) as exc:
+        cli.main(RUN_ARGV["train"] + [flag, text])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: invalid _parse_int_tuple value: {text!r}"
+            in capsys.readouterr().err)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"window=10\n{key}={text}\n")
+    assert cli.main(RUN_ARGV["train"] + ["--config", str(cfg)]) == 1
+    assert _error_line(capsys).endswith(
+        "config line 2: invalid literal for int() with base 10: ''")
+
+
 def _ranged_flags():
-    """(command, flag, dest, name, parser) for every flag of every
-    subcommand whose dest has a range; a schedule flag is refused by its
-    config key (``train --seed`` is ``master_seed``)."""
+    """(command, flag, dest, parser) for every flag of every subcommand
+    whose dest has a range; the dest is the name the range goes by."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    out = []
-    for command, p in sub.choices.items():
-        keys = {flag[2:].replace("-", "_"): key for key, (flag, _)
-                in (p.get_default("schedule") or {}).items()}
-        out += [pytest.param(command, a.option_strings[0], a.dest,
-                             keys.get(a.dest, a.dest), a.type,
-                             id=command + a.option_strings[0])
-                for a in p._actions if a.dest in R.RANGES]
-    return out
+    return [pytest.param(command, a.option_strings[0], a.dest, a.type,
+                         id=command + a.option_strings[0])
+            for command, p in sub.choices.items() for a in p._actions
+            if a.dest in R.RANGES]
 
 
-@pytest.mark.parametrize("command,flag,dest,name,parse", _ranged_flags())
+@pytest.mark.parametrize("command,flag,name,parse", _ranged_flags())
 def test_every_ranged_flag_is_refused_before_any_file_is_read(
-        tmp_path, capsys, command, flag, dest, name, parse):
+        tmp_path, capsys, command, flag, name, parse):
     count, values, _ = R.RANGES[name].partition(" values ")
     text = ",".join(["0"] * int(count)) if values else "-1"
     missing = str(tmp_path / "absent")
@@ -504,7 +527,6 @@ def test_every_ranged_flag_is_refused_before_any_file_is_read(
             *(arg for f in files for arg in (f, missing)), flag, text]
     assert cli.main(argv) == 1
     line = _error_line(capsys)
-    assert dest in line
     assert line.endswith(
         f": {name} must be {R.RANGES[name]}, got {parse(text)!r}"), line
     assert not (tmp_path / "absent").exists()
@@ -689,6 +711,10 @@ def _manifest_text(manifest, case):
         del doc["train"][0]["path"]
     elif case == "trial_without_subject":
         del doc["test"][0]["subject"]
+    elif case == "version_7":
+        doc["version"] = 7
+    elif case == "no_version":
+        del doc["version"]
     elif case == "list":
         doc = [doc]
     else:  # not_json: the document cut short
@@ -699,6 +725,8 @@ def _manifest_text(manifest, case):
 @pytest.mark.parametrize("case, named", [
     ("trial_without_path", "train trial 0 has no path"),
     ("trial_without_subject", "test trial 0 has no subject"),
+    ("version_7", "unsupported manifest version 7"),
+    ("no_version", "unsupported manifest version None"),
     ("list", "not a dataset manifest"),
     ("not_json", "manifest is not JSON"),
 ])

@@ -247,6 +247,8 @@ STATS_EDITS = {
                          "global_dims must be >= 0, got None"),
     "negative-global-dims": (lambda d: d.update(global_dims=-1),
                              "global_dims must be >= 0, got -1"),
+    "fractional-global-dims": (lambda d: d.update(global_dims=6.5),
+                               "global_dims must be an integer >= 0, got 6.5"),
     "kept-global-dim": (lambda d: d["kept"].__setitem__(2, True),
                         "kept dimension 2 is one of the 6 global dimensions"),
     "kept-std-zero": (lambda d: d["std"].__setitem__(7, 0.0),

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from convmotion import ranges as R
@@ -62,3 +63,18 @@ def test_a_non_number_is_a_value_error(value):
 def test_check_refuses_the_first_value_out_of_range_in_argument_order():
     with pytest.raises(ValueError, match="^seed must be"):
         R.check(joints=1, seed=-1, frames=0)
+
+
+@pytest.mark.parametrize("name", [n for n, r in R.RANGES.items()
+                                  if r in (">= 0", ">= 1")])
+def test_a_count_refuses_a_float_as_not_an_integer(name):
+    for v in (1.5, 16.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{name} must be an integer {R.RANGES[name]}, got {v!r}") + "$"):
+            R.check(**{name: v})
+    R.check(**{name: np.int64(1)})
+
+
+def test_a_tuple_count_refuses_a_fractional_entry():
+    _refused("channels", (8.5, 16, 16))
+    _refused("kernel", (2, 7.0))
