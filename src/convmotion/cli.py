@@ -13,6 +13,7 @@ import argparse
 import logging
 import re
 import sys
+import time
 import traceback
 from dataclasses import replace
 from pathlib import Path
@@ -87,7 +88,8 @@ def _resolve_hyper(args) -> M.HyperParams:
     mapping = dict(args.schedule)
     if args.config:
         parsers = {key: C.parser_for(d) for key, d in defaults.items()}
-        mapping.update(C.load_config(args.config, parsers, SCHEDULE_KEYS))
+        mapping.update(C.parse_config_text(args.config.read_text(), parsers,
+                                           SCHEDULE_KEYS))
     mapping.update(_given(args, defaults))
     schedule = {key: mapping[key] for key in args.schedule}
     vars(args).update(schedule)
@@ -192,9 +194,14 @@ def cmd_gradcheck(args) -> int:
     variants = {"mse": (False,), "full": (True,), "both": (False, True)}[args.variant]
     for line in C.format_config(hp).strip().split("\n"):
         log.info("config: %s", line)
+    t0 = time.perf_counter()
     results = G.run_suite(seeds=tuple(range(args.seeds)), variants=variants,
-                          tol=args.tol, hp=hp, pose_dim=args.pose_dim,
-                          verbose=True, jobs=args.jobs)
+                          tol=args.tol, hp=hp, pose_dim=args.pose_dim)
+    for seed, adversarial, report in results:
+        print(f"seed {seed} [{'full' if adversarial else 'mse+l2'}]: "
+              f"max_rel_err {report.max_rel_err:.3e} "
+              f"{'PASS' if report.passed else 'FAIL'} in {report.wall_s:.1f}s")
+    print(f"suite: {len(results)} checks in {time.perf_counter() - t0:.1f}s")
     worst = max(r.max_rel_err for _, _, r in results)
     ok = all(r.passed for _, _, r in results)
     print(f"gradcheck: max rel err {worst:.3e} over {len(results)} runs -> "
@@ -219,13 +226,7 @@ def cmd_ablate(args) -> int:
     test_trials = mocap.load_split(manifest, "test")
     test_seqs = [mocap.normalize(t, stats) for t in test_trials]
 
-    horizons = [ms for ms in E.HORIZONS_MS_DEFAULT
-                if ms // manifest.frame_ms <= base_hp.target_frames]
-    if not horizons:
-        raise ValueError(
-            f"no evaluation horizon of {E.HORIZONS_MS_DEFAULT} ms fits in "
-            f"{base_hp.target_frames} target frames of {manifest.frame_ms} ms")
-    E.horizon_frames(horizons, manifest.frame_ms)  # before any run trains
+    horizons = E.fitting_horizons(base_hp.target_frames, manifest.frame_ms)
     rows = ["axis,value," + ",".join(f"ms{ms}" for ms in horizons) + ",train_mse"]
     # every axis value is validated before the first one trains
     runs = [(field_name, value, replace(base_hp, **{field_name: value}))
@@ -254,11 +255,6 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def int_list(text: str) -> tuple:
-    """A flag's comma-separated integers; argparse names it in a refusal."""
-    return tuple(int(tok) for tok in text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", type=Path, required=True)
     p.add_argument("--num-sequences", type=int, default=8, dest="num_sequences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizons", type=int_list, default=E.HORIZONS_MS_DEFAULT)
+    p.add_argument("--horizons", type=C.integer_list,
+                   default=E.HORIZONS_MS_DEFAULT)
     p.add_argument("--out", type=Path, help="CSV report path")
     p.add_argument("--dump", type=Path, help="directory for predicted sequences")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--variant", choices=("mse", "full", "both"), default="both")
     p.add_argument("--pose-dim", type=int, default=G.TINY_POSE_DIM,

@@ -10,7 +10,6 @@ model's reference operating point and are pinned by a golden test.
 from __future__ import annotations
 
 from dataclasses import fields
-from pathlib import Path
 
 from .model import HyperParams
 
@@ -25,8 +24,10 @@ def _parse_bool(s: str) -> bool:
         raise ValueError(f"expected a boolean, got {s!r}") from None
 
 
-def _parse_int_tuple(s: str) -> tuple:
-    return tuple(int(tok) for tok in s.replace("x", ",").split(","))
+def integer_list(text: str) -> tuple:
+    """The integers of a list flag or config value, separated by ``,`` or
+    ``x`` (``8,16,16``, ``2x7``); argparse names it in a refusal."""
+    return tuple(int(tok) for tok in text.replace("x", ",").split(","))
 
 
 def parser_for(default):
@@ -34,7 +35,7 @@ def parser_for(default):
     if isinstance(default, bool):
         return _parse_bool
     if isinstance(default, tuple):
-        return _parse_int_tuple
+        return integer_list
     return type(default)
 
 
@@ -84,10 +85,6 @@ def parse_config_text(text: str, parsers=HYPER_KEYS, known=()) -> dict:
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return out
-
-
-def load_config(path, parsers=HYPER_KEYS, known=()) -> dict:
-    return parse_config_text(Path(path).read_text(), parsers, known)
 
 
 def hyperparams_from_mapping(mapping: dict) -> HyperParams:

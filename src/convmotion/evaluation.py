@@ -44,6 +44,10 @@ HORIZONS_MS_DEFAULT = (80, 160, 320, 400, 1000)
 JOINT_START = 3
 
 
+def _frame_of(ms, frame_ms) -> int:
+    return int(ms // frame_ms)
+
+
 def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
                    frame_ms: float = FRAME_MS_DEFAULT) -> list:
     """Map strictly ascending horizons to 1-based predicted frame numbers:
@@ -55,11 +59,23 @@ def horizon_frames(horizons_ms=HORIZONS_MS_DEFAULT,
         if prev is not None and ms <= prev:
             raise ValueError(
                 f"horizons must be strictly ascending: {ms} ms follows {prev} ms")
-        f = int(ms // frame_ms)
+        f = _frame_of(ms, frame_ms)
         if f < 1:
             raise ValueError(f"horizon {ms} ms is shorter than one frame")
         frames.append(f)
     return frames
+
+
+def fitting_horizons(target_frames: int, frame_ms: float) -> tuple:
+    """The default horizons that land on predicted frames 1..``target_frames``;
+    a ValueError when none does."""
+    fit = tuple(ms for ms in HORIZONS_MS_DEFAULT
+                if 1 <= _frame_of(ms, frame_ms) <= target_frames)
+    if not fit:
+        raise ValueError(
+            f"no evaluation horizon of {HORIZONS_MS_DEFAULT} ms fits in "
+            f"{target_frames} target frames of {frame_ms} ms")
+    return fit
 
 
 def frame_to_euler(frame: np.ndarray) -> np.ndarray:

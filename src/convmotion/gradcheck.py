@@ -23,6 +23,7 @@ deterministic.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -515,30 +516,22 @@ def _fd_gradient(arrays, name, indices, seed, target, masks, hp, adversarial,
 
 
 def run_suite(seeds=(0, 1, 2, 3, 4), variants=(False, True), tol: float = 1e-4,
-              hp: Optional[M.HyperParams] = None, pose_dim: int = TINY_POSE_DIM,
-              verbose: bool = False, jobs: int = 1) -> list:
+              hp: Optional[M.HyperParams] = None,
+              pose_dim: int = TINY_POSE_DIM) -> list:
     """Run the full check over several seeds and objective variants.
 
     Returns ``[(seed, adversarial, GradCheckReport), ...]``; the suite passes
-    when every report passes. ``jobs > 1`` fans the (seed, variant) grid out
-    over at most one worker process per check.
+    when every report passes. The (seed, variant) grid fans out over one
+    worker process per check, at most one per CPU this process may run on;
+    with one worker it runs in this process.
     """
-    t0 = time.perf_counter()
     R.check(tol=tol)
-    grid = [(seed, adversarial) for seed in seeds for adversarial in variants]
-    jobs = min(jobs, len(grid))
-    if jobs > 1:
-        results = _run_grid_parallel(grid, tol, hp, pose_dim, jobs)
-    else:
-        results = [_grid_job((seed, adversarial, tol, hp, pose_dim))
-                   for seed, adversarial in grid]
-    if verbose:
-        for seed, adversarial, report in results:
-            tag = "full" if adversarial else "mse+l2"
-            print(f"seed {seed} [{tag}]: max_rel_err {report.max_rel_err:.3e} "
-                  f"{'PASS' if report.passed else 'FAIL'} in {report.wall_s:.1f}s")
-        print(f"suite: {len(results)} checks in {time.perf_counter() - t0:.1f}s")
-    return results
+    grid = [(seed, adversarial, tol, hp, pose_dim)
+            for seed in seeds for adversarial in variants]
+    workers = min(len(grid), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        return _run_grid_parallel(grid, workers)
+    return [_grid_job(job) for job in grid]
 
 
 def _grid_job(args):
@@ -548,26 +541,19 @@ def _grid_job(args):
     return seed, adversarial, report
 
 
-def _run_grid_parallel(grid, tol, hp, pose_dim, jobs):
+def _run_grid_parallel(grid, workers):
     """Spawned workers each pin their BLAS pool to one thread: the small
     GEMMs here gain nothing from threads, and unpinned workers contend."""
     import multiprocessing as mp
-    import os
 
-    pin_keys = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    saved = {k: os.environ.get(k) for k in pin_keys}
-    for k in pin_keys:
-        os.environ[k] = "1"
+    pin = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS"), "1")
+    saved = {k: os.environ[k] for k in pin if k in os.environ}
+    os.environ.update(pin)
     try:
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=jobs) as pool:
-            results = pool.map(
-                _grid_job,
-                [(seed, adv, tol, hp, pose_dim) for seed, adv in grid])
+        with mp.get_context("spawn").Pool(workers) as pool:
+            return pool.map(_grid_job, grid)
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-    return results
+        for k in pin:
+            os.environ.pop(k, None)
+        os.environ.update(saved)

@@ -68,13 +68,9 @@ class RawTrial:
         return self.frames.shape[1]
 
 
-def parse_trial(data, action="unknown", subject="unknown",
+def parse_trial(text: str, action="unknown", subject="unknown",
                 trial_id=0) -> RawTrial:
     """Parse comma-separated frames; every line must carry the same width."""
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -396,7 +392,8 @@ class DatasetManifest:
         """Read a manifest; one that is not a JSON object, has a version
         other than ``MANIFEST_VERSION``, has no ``frame_ms``, ``train`` or
         ``test``, has a ``frame_ms`` out of its range, or has a trial entry
-        without one of its keys, raises ``ValueError`` naming the file."""
+        without one of its keys or with a key of the wrong type, raises
+        ``ValueError`` naming the file and the entry."""
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
@@ -415,16 +412,24 @@ class DatasetManifest:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
+        kinds = {"subject": str, "action": str, "trial": int, "path": str}
+
         def decode(split):
             refs = []
             for i, e in enumerate(doc[split]):
-                missing = [k for k in ("subject", "action", "trial", "path")
+                missing = [k for k in kinds
                            if not isinstance(e, dict) or k not in e]
                 if missing:
                     raise ValueError(f"{path}: {split} trial {i} has no "
                                      f"{', '.join(missing)}")
-                refs.append(TrialRef(e["subject"], e["action"], int(e["trial"]),
-                                     e["path"]))
+                # JSON gives an exact int or str; a bool is no trial number
+                for key, kind in kinds.items():
+                    if type(e[key]) is not kind:
+                        raise ValueError(
+                            f"{path}: {split} trial {i}: {key} must be "
+                            f"{'an integer' if kind is int else 'a string'}, "
+                            f"got {e[key]!r}")
+                refs.append(TrialRef(**{k: e[k] for k in kinds}))
             return refs
 
         return cls(train=decode("train"), test=decode("test"),

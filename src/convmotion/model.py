@@ -191,27 +191,26 @@ class ModelParams(dict):
         return dict(self)
 
 
-def _uniform_fan_in(rng, shape, fan_in, dtype) -> Tensor:
+def _uniform_fan_in(rng, shape, fan_in) -> Tensor:
     # uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): keeps activation variance
     # roughly unit through the stacked leaky-ReLU conv layers
     bound = np.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def init_params(hp: HyperParams, pose_dim: int, rng: np.random.Generator,
-                dtype=np.float64) -> ModelParams:
+def init_params(hp: HyperParams, pose_dim: int,
+                rng: np.random.Generator) -> ModelParams:
     """Fan-in uniform weights and zero biases, drawn in ``PARAM_NAMES``
     order: long encoder, short encoder, decoder, discriminator."""
     R.check(pose_dim=pose_dim)
     params = ModelParams()
 
     def zeros(name, shape):
-        params[name] = ad.zeros(shape, requires_grad=True, dtype=dtype)
+        params[name] = ad.zeros(shape, requires_grad=True)
 
     def affine(prefix, fan_out, fan_in):
         params[f"{prefix}.weight"] = _uniform_fan_in(rng, (fan_out, fan_in),
-                                                     fan_in, dtype)
+                                                     fan_in)
         zeros(f"{prefix}.bias", fan_out)
 
     def cem(cfg):
@@ -219,7 +218,7 @@ def init_params(hp: HyperParams, pose_dim: int, rng: np.random.Generator,
         for i, cout in enumerate(cfg.channels, 1):
             params[f"{cfg.prefix}.conv{i}.kernel"] = _uniform_fan_in(
                 rng, (cout, cin, *cfg.kernel),
-                cin * cfg.kernel[0] * cfg.kernel[1], dtype)
+                cin * cfg.kernel[0] * cfg.kernel[1])
             zeros(f"{cfg.prefix}.conv{i}.bias", cout)
             cin = cout
         affine(f"{cfg.prefix}.fc", cfg.fc_out, cfg.flat_dim)

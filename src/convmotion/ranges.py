@@ -24,7 +24,7 @@ COUNTS = (">= 0", ">= 1")  # the forms of counts, which admit integers only
 RANGES = {
     **dict.fromkeys(("seed_frames", "target_frames", "window", "batch_size",
                      "fc_out", "pose_dim", "checkpoint_every", "num_sequences",
-                     "seeds", "jobs", "joints", "frames", "train_trials",
+                     "seeds", "joints", "frames", "train_trials",
                      "step", "iterations"), ">= 1"),
     **dict.fromkeys(("master_seed", "seed", "test_trials", "global_dims"),
                     ">= 0"),

@@ -50,8 +50,7 @@ def _synthetic_sequences(actions=("a",), trials=4, joints=4, frames=48,
 
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
-    workers = max(1, min(os.cpu_count() or 1, 4))
-    results = G.run_suite(seeds=range(5), variants=(False, True), jobs=workers)
+    results = G.run_suite(seeds=range(5), variants=(False, True))
     elapsed = time.perf_counter() - t0
 
     assert len(results) == 10

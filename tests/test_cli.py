@@ -11,6 +11,7 @@ import pytest
 
 from convmotion import cli
 from convmotion import config as C
+from convmotion import gradcheck as G
 from convmotion import mocap
 from convmotion import model as M
 from convmotion import ranges as R
@@ -96,7 +97,7 @@ OPTION_STRINGS = {
     "predict": "--checkpoint --out --seed-file --stats",
     "eval": "--checkpoint --data --dump --horizons --num-sequences --out "
             "--seed --stats",
-    "gradcheck": "--channels --dropout --eta --fc-out --jobs --no-long-term "
+    "gradcheck": "--channels --dropout --eta --fc-out --no-long-term "
                  "--pose-dim --seed-frames --seeds --target-frames --tol "
                  "--variant --window",
     "ablate": "--axis --batch-size --channels --config --data --dropout "
@@ -283,6 +284,46 @@ def test_gradcheck_cli_micro_passes(capsys):
     assert re.search(r"^suite: 2 checks in \d+\.\ds$", out, re.M)
 
 
+def test_gradcheck_prints_each_check_the_suite_and_the_result(capsys,
+                                                              monkeypatch):
+    # stubbed checks with fixed errors and seconds; one CPU runs them here
+    def check(hp, pose_dim, seed, adversarial, tol):
+        err = 2e-4 if (seed, adversarial) == (1, True) else 1.5e-7 * (seed + 1)
+        entry = G.GradCheckEntry("decoder.fc2.weight", (2, 3), err, (0, 1),
+                                 0.5, 0.5)
+        return G.GradCheckReport([entry], tol, wall_s=0.5 + seed)
+
+    monkeypatch.setattr(G, "full_model_grad_check", check)
+    monkeypatch.setattr(G.os, "sched_getaffinity", lambda pid: {0})
+    assert cli.main(["gradcheck", "--seeds", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["seed 0 [mse+l2]: max_rel_err 1.500e-07 PASS in 0.5s",
+                         "seed 0 [full]: max_rel_err 1.500e-07 PASS in 0.5s",
+                         "seed 1 [mse+l2]: max_rel_err 3.000e-07 PASS in 1.5s",
+                         "seed 1 [full]: max_rel_err 2.000e-04 FAIL in 1.5s"]
+    assert re.fullmatch(r"suite: 4 checks in \d+\.\ds", lines[4])
+    assert lines[5:] == [
+        "gradcheck: max rel err 2.000e-04 over 4 runs -> FAIL"]
+
+
+@pytest.mark.parametrize("text,values", [
+    ("80", (80,)), ("80,160,1000", (80, 160, 1000)),
+    (" 8 , 16 ,16", (8, 16, 16)), ("2x7", (2, 7)), ("2,7", (2, 7)),
+    ("8x16x16", (8, 16, 16)), ("-1", (-1,)), ("+3", (3,)), ("1_000", (1000,)),
+])
+def test_integer_list_reads_commas_and_x(text, values):
+    # every list either former parser (--horizons; --channels, --kernel,
+    # --stride) accepted reads as it did
+    assert C.integer_list(text) == values
+
+
+def test_horizons_may_be_written_with_x():
+    args = cli.build_parser().parse_args(
+        ["eval", "--checkpoint", "c", "--data", "d", "--stats", "s",
+         "--horizons", "80x160"])
+    assert args.horizons == (80, 160)
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--no-such-flag"])
@@ -439,7 +480,7 @@ def test_eval_refuses_a_malformed_horizon_list_before_reading_anything(
         cli.main(["eval", "--checkpoint", missing, "--data", missing,
                   "--stats", missing, "--horizons", value])
     assert exc.value.code == 2
-    assert (f"argument --horizons: invalid int_list value: {value!r}"
+    assert (f"argument --horizons: invalid integer_list value: {value!r}"
             in capsys.readouterr().err)
 
 
@@ -493,7 +534,7 @@ def test_an_empty_list_entry_is_refused_as_flag_and_config_line(
     with pytest.raises(SystemExit) as exc:
         cli.main(RUN_ARGV["train"] + [flag, text])
     assert exc.value.code == 2
-    assert (f"argument {flag}: invalid _parse_int_tuple value: {text!r}"
+    assert (f"argument {flag}: invalid integer_list value: {text!r}"
             in capsys.readouterr().err)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"window=10\n{key}={text}\n")
@@ -570,8 +611,7 @@ def test_gradcheck_pose_dim_zero_is_one_error_line(capsys):
     assert "pose_dim must be >= 1, got 0" in _error_line(capsys)
 
 
-@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--jobs", "0"),
-                                        ("--jobs", "-2")])
+@pytest.mark.parametrize("flag,value", [("--seeds", "0")])
 def test_gradcheck_rejects_counts_below_one(capsys, flag, value):
     assert cli.main(["gradcheck", flag, value]) == 1
     assert f"{flag[2:]} must be >= 1, got {value}" in _error_line(capsys)
@@ -800,6 +840,58 @@ def test_ablate_refuses_no_fitting_horizon_before_training(corpus, tmp_path,
     assert "no evaluation horizon" in _error_line(capsys)
     assert trained == []
     assert not out.exists()
+
+
+def test_ablate_scores_the_horizons_that_fit_longer_frames(corpus, tmp_path):
+    # at 100 ms per frame 80 ms is shorter than one frame; 160-1000 ms land
+    # on frames 1, 3, 4 and 10 of the 10 predicted
+    manifest, stats_path = corpus
+    doc = json.loads(manifest.read_text())
+    doc["frame_ms"] = 100.0
+    for entry in doc["train"] + doc["test"]:
+        entry["path"] = str(manifest.parent / entry["path"])
+    slow = tmp_path / "manifest.json"
+    slow.write_text(json.dumps(doc))
+    out = tmp_path / "ablate.csv"
+    rc = cli.main(["ablate", "--axis", "adversarial", "--data", str(slow),
+                   "--stats", str(stats_path), "--out", str(out),
+                   "--iters", "1", "--num-sequences", "1"] + MICRO_FLAGS
+                  + ["--target-frames", "10"])
+    assert rc == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "axis,value,ms160,ms320,ms400,ms1000,train_mse"
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [
+        ["adversarial", "true"], ["adversarial", "false"]]
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("path", 5, "path must be a string, got 5"),
+    ("path", None, "path must be a string, got None"),
+    ("subject", ["S1"], "subject must be a string, got ['S1']"),
+    ("action", 7, "action must be a string, got 7"),
+    ("trial", "x", "trial must be an integer, got 'x'"),
+    ("trial", 1.7, "trial must be an integer, got 1.7"),
+    ("trial", 2.0, "trial must be an integer, got 2.0"),
+    ("trial", True, "trial must be an integer, got True"),
+], ids=["path-int", "path-null", "subject-list", "action-int", "trial-str",
+        "trial-float", "trial-integral-float", "trial-bool"])
+def test_a_mistyped_manifest_entry_is_refused_before_any_trial_is_read(
+        corpus, tmp_path, capsys, monkeypatch, key, value, named):
+    manifest, _ = corpus
+    doc = json.loads(manifest.read_text())
+    last = len(doc["train"]) - 1
+    doc["train"][last][key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    read = []
+    monkeypatch.setattr(mocap, "load_trial", lambda *a, **k: read.append(a))
+    out = tmp_path / "stats.json"
+    assert cli.main(["prep", "--data", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    line = _one_error_line(err)
+    assert line.endswith(f"{bad}: train trial {last}: {named}"), line
+    assert "Traceback" not in err
+    assert read == [] and not out.exists()
 
 
 def test_width_shape_error_is_one_error_line(corpus, tmp_path, capsys):

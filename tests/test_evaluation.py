@@ -100,6 +100,30 @@ def test_horizon_frame_mapping():
     assert E.horizon_frames((80, 160, 320, 400, 1000), 40.0) == [2, 4, 8, 10, 25]
 
 
+@pytest.mark.parametrize("target_frames,frame_ms,fit", [
+    (25, 40.0, (80, 160, 320, 400, 1000)),
+    (6, 40.0, (80, 160)),
+    (1, 80.0, (80,)),
+    # 80 ms is shorter than one 100 ms frame; 1000 ms lands on frame 10
+    (10, 100.0, (160, 320, 400, 1000)),
+    (9, 100.0, (160, 320, 400)),
+])
+def test_fitting_horizons_land_on_predicted_frames(target_frames, frame_ms,
+                                                   fit):
+    assert E.fitting_horizons(target_frames, frame_ms) == fit
+    frames = E.horizon_frames(fit, frame_ms)
+    assert 1 <= min(frames) and max(frames) <= target_frames
+
+
+def test_no_fitting_horizon_is_refused():
+    with pytest.raises(ValueError, match=r"^no evaluation horizon of "
+                       r"\(80, 160, 320, 400, 1000\) ms fits in 1 target "
+                       r"frames of 40.0 ms$"):
+        E.fitting_horizons(1, 40.0)
+    with pytest.raises(ValueError, match="fits in 20 target frames of 1500"):
+        E.fitting_horizons(20, 1500.0)
+
+
 def test_horizon_too_short_rejected():
     with pytest.raises(ValueError):
         E.horizon_frames((10,), 40.0)

@@ -366,16 +366,32 @@ class _RecordingContext:
 ])
 def test_run_suite_starts_no_more_workers_than_checks(monkeypatch, seeds,
                                                       variants, pool_sizes):
+    assert _pool_sizes(monkeypatch, seeds, variants, cpus=8) == pool_sizes
+
+
+@pytest.mark.parametrize("cpus,pool_sizes", [(1, []), (3, [3]), (12, [10])])
+def test_run_suite_starts_no_more_workers_than_cpus(monkeypatch, cpus,
+                                                    pool_sizes):
+    # one CPU runs all ten checks in this process
+    assert _pool_sizes(monkeypatch, range(5), (False, True),
+                       cpus) == pool_sizes
+
+
+def _pool_sizes(monkeypatch, seeds, variants, cpus):
+    """The pools ``run_suite`` starts when this process may run on ``cpus``
+    CPUs; each check is stubbed and runs in this process."""
     import multiprocessing
 
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(G.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
     monkeypatch.setattr(G, "full_model_grad_check",
                         lambda **kw: G.GradCheckReport([], kw["tol"]))
-    results = G.run_suite(seeds=seeds, variants=variants, jobs=8)
-    assert ctx.pool_sizes == pool_sizes
+    results = G.run_suite(seeds=seeds, variants=variants)
     assert [(s, a) for s, a, _ in results] == [(s, a) for s in seeds
                                                for a in variants]
+    return ctx.pool_sizes
 
 
 def test_reference_refuses_malformed_override():

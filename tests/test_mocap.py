@@ -57,11 +57,6 @@ def test_parse_empty_file():
         parse_trial("")
 
 
-def test_parse_accepts_bytes():
-    trial = parse_trial(b"1.5,2.5\n")
-    np.testing.assert_array_equal(trial.frames, [[1.5, 2.5]])
-
-
 @pytest.mark.parametrize("content,message", [
     (b"1,2,3\n4,5\n", "line 2: expected 3 values, got 2"),
     (b"\n", "empty file"),
