@@ -10,7 +10,8 @@ by an explicit gradient tape.
 
 Tensors are immutable values during a taped computation; parameters are
 updated between passes, in place by ``training.adam_step``. A ``GradTape``
-is single-owner: one forward/backward pass at a time per tape.
+is single-owner, and a tape is consumed by its one ``backward``: the replay
+frees each node's saved operands as it passes them.
 
 ``backward`` does only the gradient work whose result is used. A VJP returns
 ``None`` for an input that needs no gradient (data, or a detached copy of a
@@ -100,12 +101,18 @@ class TapeNode:
 
 
 class GradTape:
-    """Ordered record of primitive operations executed while the tape is active."""
+    """Ordered record of primitive operations executed while the tape is
+    active. ``backward`` consumes it: afterwards it holds no node, and
+    entering it or replaying it again raises ``ValueError``."""
 
     def __init__(self):
         self._nodes: list[TapeNode] = []
+        self._replayed = False
 
     def __enter__(self):
+        if self._replayed:
+            raise ValueError("cannot record on a tape that backward has "
+                             "consumed; start a new GradTape")
         _TAPE_STACK.append(self)
         return self
 
@@ -170,14 +177,20 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
     later one is added into that array in place, never into an array a VJP
     returned (``add`` returns one array twice, ``reshape`` a view).
 
-    Each intermediate gradient is dropped as soon as its node's VJP has run.
-    Deterministic: dense partials accumulate in exact reverse execution
-    order, and ``Outer`` pairs are stacked in that order.
+    The replay consumes the tape: each node is popped before its VJP runs,
+    so its saved operands are freed once used, and each intermediate
+    gradient once its node's VJP has run. A second ``backward`` on the tape
+    raises ``ValueError``. Deterministic: dense partials accumulate in exact
+    reverse execution order, and ``Outer`` pairs are stacked in that order.
     """
+    if tape._replayed:
+        raise ValueError("this tape was already replayed by backward; a tape "
+                         "is consumed by its one backward")
     if loss.data.size != 1:
         raise ValueError(
             f"backward requires a scalar loss, got shape {loss.data.shape}"
         )
+    tape._replayed = True
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     outers: dict[Tensor, list] = {}
     owned: set = set()  # tensors whose dense sum is an array backward made
@@ -198,7 +211,9 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
             w += g
         return w
 
-    for node in reversed(tape._nodes):
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
         g_out = settle(node.output)
         if g_out is None:
             continue

@@ -174,10 +174,13 @@ def cmd_eval(args) -> int:
     manifest, stats, sequences = _load_dataset(args.data, args.stats, "test")
     ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint())
     hp = ckpt.hyper
+    horizons = args.horizons
+    if horizons is None:
+        horizons = E.fitting_horizons(hp.target_frames, manifest.frame_ms)
     report = E.evaluate(E.model_predictor(ckpt.to_params(), hp), sequences,
                         stats, hp.seed_frames, hp.target_frames,
                         num_sequences=args.num_sequences, seed=args.seed,
-                        horizons_ms=args.horizons, frame_ms=manifest.frame_ms,
+                        horizons_ms=horizons, frame_ms=manifest.frame_ms,
                         dump_dir=args.dump)
     log.info("eval: %d windows, predictor %.3f s, scoring %.3f s",
              len(report.actions) * report.num_sequences, report.predict_s,
@@ -317,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-sequences", type=int, default=8, dest="num_sequences")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizons", type=C.integer_list,
-                   default=E.HORIZONS_MS_DEFAULT)
+                   help="horizons in ms (default: those of 80-1000 ms that "
+                        "the checkpoint predicts)")
     p.add_argument("--out", type=Path, help="CSV report path")
     p.add_argument("--dump", type=Path, help="directory for predicted sequences")
     p.set_defaults(func=cmd_eval)

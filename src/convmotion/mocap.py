@@ -391,7 +391,8 @@ class DatasetManifest:
     def load(cls, path) -> "DatasetManifest":
         """Read a manifest; one that is not a JSON object, has a version
         other than ``MANIFEST_VERSION``, has no ``frame_ms``, ``train`` or
-        ``test``, has a ``frame_ms`` out of its range, or has a trial entry
+        ``test``, has a ``frame_ms`` out of its range, has a ``train`` or
+        ``test`` that is not a list, or has a trial entry
         without one of its keys or with a key of the wrong type, raises
         ``ValueError`` naming the file and the entry."""
         path = Path(path)
@@ -415,6 +416,9 @@ class DatasetManifest:
         kinds = {"subject": str, "action": str, "trial": int, "path": str}
 
         def decode(split):
+            if not isinstance(doc[split], list):
+                raise ValueError(f"{path}: {split} must be a list of trials, "
+                                 f"got {doc[split]!r}")
             refs = []
             for i, e in enumerate(doc[split]):
                 missing = [k for k in kinds

@@ -409,7 +409,8 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         seeds_t = Tensor(batch.seeds)
         targets_t = Tensor(batch.targets)
 
-        # each tape and its saved activations go as soon as it is replayed
+        # each backward consumes its tape, freeing every saved activation
+        # once its node is replayed
         pred, loss, terms, tape, real = generator_objective(
             params, gen_named, seeds_t, targets_t, hp, gen_rng)
         if not np.isfinite(terms.total):
@@ -439,6 +440,8 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
 
         adam_step(trained, grads_by_name(trained, grads), state,
                   hp.learning_rate)
+        # no gradient outlives its step into the next iteration's forward
+        del grads
 
         ms = (time.perf_counter() - t0) * 1000.0
         reports.append(IterationReport(it, terms.mse, terms.l2, terms.adv,

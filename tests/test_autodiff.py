@@ -557,6 +557,34 @@ def test_backward_rejects_non_scalar():
         backward(out, tape)
 
 
+def _replayed_tape():
+    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    with GradTape() as tape:
+        loss = tsum(square(mul(x, 3.0)))
+    np.testing.assert_allclose(backward(loss, tape)[x], [36.0, -18.0])
+    return tape, loss
+
+
+def test_backward_consumes_its_tape():
+    tape, _ = _replayed_tape()
+    assert len(tape) == 0
+
+
+def test_a_replayed_tape_is_not_replayed_again():
+    # a second replay would find no node and return only d loss / d loss
+    tape, loss = _replayed_tape()
+    with pytest.raises(ValueError, match="already replayed"):
+        backward(loss, tape)
+
+
+def test_a_replayed_tape_is_not_entered_again():
+    tape, _ = _replayed_tape()
+    with pytest.raises(ValueError, match="consumed"):
+        with tape:
+            pass
+    assert ad._active_tape() is None
+
+
 def test_least_squares_closed_form_gradient():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(6, 3))

@@ -697,18 +697,25 @@ def test_short_seed_file_is_one_error_line(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+ABSENT = object()
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("frame_ms", 0, "frame_ms must be finite and > 0, got 0"),
     ("frame_ms", float("nan"), "frame_ms must be finite and > 0, got nan"),
-    ("frame_ms", None, "manifest has no frame_ms"),
-    ("train", None, "manifest has no train"),
-    ("test", None, "manifest has no test"),
-], ids=["frame_ms_zero", "frame_ms_nan", "no_frame_ms", "no_train", "no_test"])
+    ("frame_ms", ABSENT, "manifest has no frame_ms"),
+    ("train", ABSENT, "manifest has no train"),
+    ("test", ABSENT, "manifest has no test"),
+    ("train", 5, "train must be a list of trials, got 5"),
+    ("train", None, "train must be a list of trials, got None"),
+    ("test", "S1", "test must be a list of trials, got 'S1'"),
+], ids=["frame_ms_zero", "frame_ms_nan", "no_frame_ms", "no_train", "no_test",
+        "train_int", "train_null", "test_str"])
 def test_malformed_manifest_is_one_error_line(corpus, tmp_path, capsys, key,
                                               value, named):
     manifest, stats_path = corpus
     doc = json.loads(manifest.read_text())
-    if value is None:
+    if value is ABSENT:
         del doc[key]
     else:
         doc[key] = value
@@ -892,6 +899,30 @@ def test_a_mistyped_manifest_entry_is_refused_before_any_trial_is_read(
     assert line.endswith(f"{bad}: train trial {last}: {named}"), line
     assert "Traceback" not in err
     assert read == [] and not out.exists()
+
+
+def test_eval_scores_the_horizons_the_checkpoint_predicts(corpus, tmp_path,
+                                                          capsys):
+    # 6 target frames of 40 ms reach 240 ms: of the default horizons, 80
+    # and 160 ms land on frames 2 and 4, and 320-1000 ms are left out
+    manifest, stats_path = corpus
+    stats = mocap.NormalizationStats.load(stats_path)
+    assert json.loads(manifest.read_text())["frame_ms"] == 40.0
+    hp = M.HyperParams(seed_frames=6, target_frames=6, window=4,
+                       channels=(2, 3, 3), fc_out=8, dropout=0.0)
+    ckpt = tmp_path / "six.ckpt"
+    M.save_checkpoint(ckpt, hp, stats.reduced_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, stats.reduced_dim, np.random.default_rng(0))))
+    out = tmp_path / "eval.csv"
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(manifest),
+                   "--stats", str(stats_path), "--num-sequences", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    header = capsys.readouterr().out.splitlines()[0].split()
+    assert header == ["ms", "80", "160"]
+    rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+    assert sorted({int(ms) for _, ms, _ in rows}) == [80, 160]
 
 
 def test_width_shape_error_is_one_error_line(corpus, tmp_path, capsys):

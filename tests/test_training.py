@@ -786,6 +786,70 @@ def test_one_adam_step_per_iteration_after_every_tape_is_freed(
     assert ckpt.extra == {"iteration": 3, "master_seed": 2}
 
 
+@pytest.mark.parametrize("hp", [
+    micro_hp(lambda_adv=0.01, adversarial=True),
+    micro_hp(no_long_term=True),
+], ids=["adversarial", "no_long_term"])
+def test_no_gradient_outlives_its_iteration(monkeypatch, hp):
+    seqs, stats = make_dataset(frames=30)
+    grads, alive_at_forward = [], []
+    real_objective, real_adam_step = T.generator_objective, T.adam_step
+
+    def tracking_objective(*args, **kwargs):
+        alive_at_forward.append(sum(ref() is not None for ref in grads))
+        return real_objective(*args, **kwargs)
+
+    def tracking_adam_step(params, by_name, state, lr):
+        grads.extend(weakref.ref(g) for g in by_name.values())
+        return real_adam_step(params, by_name, state, lr)
+
+    monkeypatch.setattr(T, "generator_objective", tracking_objective)
+    monkeypatch.setattr(T, "adam_step", tracking_adam_step)
+    T.train(seqs, stats, hp, T.TrainSchedule(iterations=3, master_seed=2))
+    assert grads
+    assert alive_at_forward == [0, 0, 0]
+
+
+def _assert_freed_before_replay(tape, checked: list) -> None:
+    """Wrap the VJP of the node recorded just before each recorded padded
+    conv input's gather, so that it asserts, as it runs, that the input's
+    array is freed; ``checked`` gets one entry per array so verified."""
+    nodes = tape._nodes
+    made_at = {id(node.output): i for i, node in enumerate(nodes)}
+    refs_at = {}
+    for node in nodes:
+        if node.vjp.__qualname__.split(".")[0] != "conv2d":
+            continue
+        i = made_at.get(id(node.inputs[0]))
+        if i and nodes[i].vjp.__qualname__.startswith("gather_rows"):
+            refs_at.setdefault(i - 1, []).append(
+                weakref.ref(node.inputs[0].data))
+    for i, refs in refs_at.items():
+        def watched(g, vjp=nodes[i].vjp, refs=refs):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            checked.extend(refs)
+            return vjp(g)
+        nodes[i].vjp = watched
+
+
+def test_backward_frees_each_padded_conv_input_during_the_replay(monkeypatch):
+    seqs, stats = make_dataset(frames=30)
+    hp = micro_hp(lambda_adv=0.01, adversarial=True)
+    checked = []
+    real_backward = T.backward
+
+    def checking_backward(loss, tape):
+        checked.append([])
+        _assert_freed_before_replay(tape, checked[-1])
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(T, "backward", checking_backward)
+    T.train(seqs, stats, hp, T.TrainSchedule(iterations=1))
+    # the generator step, then the discriminator step
+    generator, discriminator = checked
+    assert generator and discriminator
+
+
 def test_train_empty_dataset_rejected():
     seqs, stats = make_dataset()
     with pytest.raises(ValueError):
