@@ -423,8 +423,9 @@ def generic_params(hp: M.HyperParams, pose_dim: int,
     gradient correctness is independent of the operating point."""
     params = M.init_params(hp, pose_dim, rng)
     for tensor in params.values():
-        tensor.assign_(0.5 * tensor.data
-                       + rng.normal(scale=0.05, size=tensor.shape))
+        # in place: no full-size temporaries beyond the noise itself
+        tensor.data *= 0.5
+        tensor.data += rng.normal(scale=0.05, size=tensor.shape)
     return params
 
 

@@ -508,7 +508,9 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
     def to_params(self) -> ModelParams:
-        return params_from_tensors(self.tensors)
+        """The parameters, sharing this checkpoint's arrays (no copy): a
+        change to a parameter's values shows in ``tensors``."""
+        return params_from_tensors(self.tensors, copy=False)
 
 
 def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str,
@@ -557,73 +559,99 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
         raise
 
 
-def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpoint:
-    """Read a checkpoint; a truncated or corrupt file raises ``ValueError``."""
-    data = Path(path).read_bytes()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    if len(data) < 12:
-        raise ValueError(f"{path}: truncated checkpoint ({len(data)} bytes)")
-    version, header_len = struct.unpack("<II", data[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    base = 12 + header_len
-    if base > len(data):
-        raise ValueError(
-            f"{path}: truncated checkpoint header ({header_len} bytes declared, "
-            f"{len(data) - 12} present)")
+def _tensor_entry(entry: dict) -> tuple:
+    """One header entry as ``(name, dtype, shape, offset, nbytes)``. A dtype
+    other than float32 or float64 is refused (bytes read into an object
+    array would be taken for pointers), and so is an extent that is not an
+    integer >= 0."""
+    name = str(entry["name"])
+    dtype = np.dtype(str(entry["dtype"]))
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"tensor {name!r} has dtype {dtype.str!r}, "
+                         f"not float32 or float64")
     try:
-        header = json.loads(data[12:base].decode("utf-8"))
-        if not isinstance(header, dict):
-            raise TypeError(f"header is a JSON {type(header).__name__}, "
-                            f"not an object")
-        hyper = HyperParams.from_dict(header["hyper"])
-        pose_dim = int(header["pose_dim"])
-        fingerprint = str(header["stats_fingerprint"])
-        entries = [(str(e["name"]), np.dtype(e["dtype"]),
-                    [int(n) for n in e["shape"]], int(e["offset"]),
-                    int(e["nbytes"])) for e in header["tensors"]]
-        extra = header.get("extra", {})
-        if not isinstance(extra, dict):
-            raise TypeError(f"extra is a JSON {type(extra).__name__}, "
-                            f"not an object")
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
-        raise ValueError(
-            f"{path}: corrupt checkpoint header: {exc!r}") from None
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise ValueError(
-            f"{path}: checkpoint was trained against different normalization "
-            f"stats (fingerprint {fingerprint[:12]}... != "
-            f"{expected_fingerprint[:12]}...)"
-        )
-    tensors = {}
-    # save_checkpoint writes the tensors back to back in name order
-    end = base
-    for name, dtype, shape, offset, nbytes in entries:
-        if name in tensors:
-            raise ValueError(f"{path}: tensor {name!r} is named twice")
-        start = base + offset
-        stop = start + nbytes
-        need = math.prod(shape) * dtype.itemsize
-        if nbytes != need:
+        R.check(offset=entry["offset"], nbytes=entry["nbytes"])
+        for extent in entry["shape"]:
+            R.check(extent=extent)
+    except ValueError as exc:
+        raise ValueError(f"tensor {name!r}: {exc}") from None
+    return name, dtype, tuple(entry["shape"]), entry["offset"], entry["nbytes"]
+
+
+def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpoint:
+    """Read a checkpoint, each tensor straight from the file into its own
+    array; a truncated or corrupt file raises ``ValueError``."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file")
+        if len(head) < 12:
+            raise ValueError(f"{path}: truncated checkpoint ({len(head)} bytes)")
+        version, header_len = struct.unpack("<II", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        base = 12 + header_len
+        if base > size:
             raise ValueError(
-                f"{path}: tensor {name!r} has {nbytes} bytes, but "
-                f"shape {shape} of {dtype} needs {need}")
-        if start != end:
+                f"{path}: truncated checkpoint header ({header_len} bytes "
+                f"declared, {size - 12} present)")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+            if not isinstance(header, dict):
+                raise TypeError(f"header is a JSON {type(header).__name__}, "
+                                f"not an object")
+            hyper = HyperParams.from_dict(header["hyper"])
+            pose_dim = header["pose_dim"]
+            R.check(pose_dim=pose_dim)
+            fingerprint = str(header["stats_fingerprint"])
+            entries = [_tensor_entry(e) for e in header["tensors"]]
+            extra = header.get("extra", {})
+            if not isinstance(extra, dict):
+                raise TypeError(f"extra is a JSON {type(extra).__name__}, "
+                                f"not an object")
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
             raise ValueError(
-                f"{path}: tensor {name!r} starts at byte {start}, not where "
-                f"the previous tensor ended ({end})")
-        if stop > len(data):
+                f"{path}: corrupt checkpoint header: {exc!r}") from None
+        if expected_fingerprint is not None and \
+                fingerprint != expected_fingerprint:
             raise ValueError(
-                f"{path}: truncated checkpoint: tensor {name!r} spans bytes "
-                f"{start}-{stop} of {len(data)}")
-        arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(shape)
-        tensors[name] = arr.copy()
-        end = stop
-    if end != len(data):
-        raise ValueError(
-            f"{path}: {len(data) - end} unexpected bytes after the last tensor")
+                f"{path}: checkpoint was trained against different "
+                f"normalization stats (fingerprint {fingerprint[:12]}... != "
+                f"{expected_fingerprint[:12]}...)"
+            )
+        tensors = {}
+        # save_checkpoint writes the tensors back to back in name order
+        end = base
+        for name, dtype, shape, offset, nbytes in entries:
+            if name in tensors:
+                raise ValueError(f"{path}: tensor {name!r} is named twice")
+            start = base + offset
+            stop = start + nbytes
+            need = math.prod(shape) * dtype.itemsize
+            if nbytes != need:
+                raise ValueError(
+                    f"{path}: tensor {name!r} has {nbytes} bytes, but "
+                    f"shape {list(shape)} of {dtype} needs {need}")
+            if start != end:
+                raise ValueError(
+                    f"{path}: tensor {name!r} starts at byte {start}, not "
+                    f"where the previous tensor ended ({end})")
+            if stop > size:
+                raise ValueError(
+                    f"{path}: truncated checkpoint: tensor {name!r} spans "
+                    f"bytes {start}-{stop} of {size}")
+            tensors[name] = np.empty(shape, dtype)
+            if f.readinto(tensors[name]) != nbytes:
+                # the file shrank after its size was taken
+                raise ValueError(
+                    f"{path}: truncated checkpoint: tensor {name!r} ends "
+                    f"past the end of the file")
+            end = stop
+        if end != size:
+            raise ValueError(
+                f"{path}: {size - end} unexpected bytes after the last tensor")
     return Checkpoint(hyper=hyper, pose_dim=pose_dim,
                       stats_fingerprint=fingerprint, tensors=tensors,
                       extra=extra)
@@ -633,11 +661,14 @@ def tensors_from_params(params: ModelParams) -> dict:
     return {name: t.data for name, t in params.items()}
 
 
-def params_from_tensors(tensors: dict) -> ModelParams:
+def params_from_tensors(tensors: dict, copy: bool = True) -> ModelParams:
     """The ``PARAM_NAMES`` entries of ``tensors`` (optimizer moments and any
-    other entries are ignored), copied into fresh tensors."""
+    other entries are ignored), copied into fresh tensors, or wrapping the
+    arrays themselves when ``copy`` is false."""
     for name in PARAM_NAMES:
         if name not in tensors:
             raise KeyError(f"checkpoint is missing tensor {name!r}")
-    return ModelParams({name: Tensor(tensors[name].copy(), requires_grad=True)
-                        for name in PARAM_NAMES})
+    return ModelParams({
+        name: Tensor(tensors[name].copy() if copy else tensors[name],
+                     requires_grad=True)
+        for name in PARAM_NAMES})

@@ -26,8 +26,8 @@ RANGES = {
                      "fc_out", "pose_dim", "checkpoint_every", "num_sequences",
                      "seeds", "joints", "frames", "train_trials",
                      "step", "iterations"), ">= 1"),
-    **dict.fromkeys(("master_seed", "seed", "test_trials", "global_dims"),
-                    ">= 0"),
+    **dict.fromkeys(("master_seed", "seed", "test_trials", "global_dims",
+                     "offset", "nbytes", "extent"), ">= 0"),
     **dict.fromkeys(("learning_rate", "eps_const", "frame_ms", "tol"),
                     "finite and > 0"),
     **dict.fromkeys(("lambda_l2", "lambda_adv"), "finite and >= 0"),

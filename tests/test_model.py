@@ -4,6 +4,8 @@ import errno
 import hashlib
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -694,13 +696,37 @@ def _edited_header(header: dict, what: str):
         first["offset"], second["offset"] = second["offset"], first["offset"]
     elif what == "overlapping offsets":
         header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
+    elif what in DTYPE_EDITS:
+        # each has the itemsize of float64, so nbytes still fits the shape
+        header["tensors"][0]["dtype"] = DTYPE_EDITS[what]
+    elif what == "fractional extent":
+        header["tensors"][0]["shape"][0] += 0.7
+    elif what == "negative extents":
+        # the product is unchanged, so nbytes still fits the shape
+        entry = next(e for e in header["tensors"] if len(e["shape"]) == 2)
+        entry["shape"] = [-n for n in entry["shape"]]
+    elif what == "bool extent":
+        entry = next(e for e in header["tensors"] if e["shape"] == [1])
+        entry["shape"] = [True]
+    elif what == "fractional offset":
+        header["tensors"][0]["offset"] += 0.5
+    elif what == "float nbytes":
+        header["tensors"][0]["nbytes"] = float(header["tensors"][0]["nbytes"])
+    elif what == "fractional pose_dim":
+        header["pose_dim"] += 0.9
+    elif what == "bool pose_dim":
+        header["pose_dim"] = True
     return header
 
 
+DTYPE_EDITS = {"object dtype": "|O", "void dtype": "|V8",
+               "datetime dtype": "<M8[s]"}
 HEADER_EDITS = ("nbytes vs shape", "no stats_fingerprint", "no tensors",
                 "unknown hyper key", "bad dtype", "header is a list",
                 "extra is a list", "repeated name", "swapped offsets",
-                "overlapping offsets")
+                "overlapping offsets", *DTYPE_EDITS, "fractional extent",
+                "negative extents", "bool extent", "fractional offset",
+                "float nbytes", "fractional pose_dim", "bool pose_dim")
 
 
 def _corrupted(good: bytes, what: str) -> bytes:
@@ -732,6 +758,63 @@ def test_checkpoint_truncated_or_corrupt_rejected(tmp_path, params, what):
     bad.write_bytes(_corrupted(path.read_bytes(), what))
     with pytest.raises(ValueError, match="bad.ckpt"):
         M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("what", DTYPE_EDITS)
+def test_checkpoint_dtype_refusal_names_the_file_and_tensor(tmp_path, params,
+                                                            what):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64,
+                      M.tensors_from_params(params))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_corrupted(path.read_bytes(), what))
+    first = min(M.PARAM_NAMES)
+    with pytest.raises(ValueError, match=f"bad.ckpt: .*tensor '{first}' has "
+                                         f"dtype .*not float32 or float64"):
+        M.load_checkpoint(bad)
+
+
+def test_checkpoint_that_shrinks_while_read_is_refused(tmp_path, params,
+                                                       monkeypatch):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64,
+                      M.tensors_from_params(params))
+    size = path.stat().st_size
+    with open(path, "r+b") as f:
+        f.truncate(size - 5)
+    # the size taken before the file shrank
+    monkeypatch.setattr(M.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(ValueError, match="model.ckpt: truncated checkpoint: "
+                                         "tensor .* ends past the end"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_load_reads_each_tensor_once(tmp_path):
+    # numpy reports its array buffers to tracemalloc: a load peaks at its
+    # own arrays plus the header, with no whole-file buffer and no copy
+    tensors = {"a": np.ones((512, 1024)), "b": np.ones(1 << 19, np.float32),
+               "c": np.array(0.5)}
+    path = tmp_path / "big.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64, tensors)
+    tracemalloc.start()
+    try:
+        ckpt = M.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * path.stat().st_size
+    for name, arr in tensors.items():
+        np.testing.assert_array_equal(ckpt.tensors[name], arr)
+
+
+def test_checkpoint_params_share_the_loaded_arrays(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
+                      M.tensors_from_params(params))
+    ckpt = M.load_checkpoint(path)
+    restored = ckpt.to_params()
+    for name in M.PARAM_NAMES:
+        assert np.shares_memory(restored[name].data, ckpt.tensors[name])
 
 
 @pytest.mark.parametrize("name,value", MALFORMED_HYPER)
