@@ -155,7 +155,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     stats = mocap.NormalizationStats.load(args.stats)
-    ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint())
+    ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint(),
+                             names=M.PARAM_NAMES)
     hp = ckpt.hyper
     trial = mocap.load_trial(args.seed_file)
     if trial.num_frames < hp.seed_frames:
@@ -172,7 +173,8 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, stats, sequences = _load_dataset(args.data, args.stats, "test")
-    ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint())
+    ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint(),
+                             names=M.PARAM_NAMES)
     hp = ckpt.hyper
     horizons = args.horizons
     if horizons is None:

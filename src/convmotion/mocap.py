@@ -15,7 +15,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -157,6 +157,11 @@ class NormalizationStats:
     def reduced_dim(self) -> int:
         return int(self.kept.sum())
 
+    # the stats file, as ``to_json`` writes it and ``ranges.read`` admits it
+    DOCUMENT = {"format": (STATS_FORMAT,), "version": (STATS_VERSION,),
+                "eps_const": "eps_const", "global_dims": "global_dims",
+                "mean": ["mean"], "std": ["std"], "kept": [bool]}
+
     def to_json(self) -> str:
         doc = {
             "format": STATS_FORMAT,
@@ -171,33 +176,20 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, text: str) -> "NormalizationStats":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("stats document is not a JSON object")
-        if doc.get("format") != STATS_FORMAT:
-            raise ValueError(f"not a stats document: format={doc.get('format')!r}")
-        if doc.get("version") != STATS_VERSION:
-            raise ValueError(f"unsupported stats version {doc.get('version')!r}")
-        missing = [f.name for f in fields(cls) if f.name not in doc]
-        if missing:
-            raise ValueError(f"stats document has no {', '.join(missing)}")
-        R.check(eps_const=doc["eps_const"], global_dims=doc["global_dims"])
+        doc = R.read(json.loads(text), cls.DOCUMENT)
         mean, std = (np.asarray(doc[k], dtype=np.float64) for k in ("mean", "std"))
         kept, eps = np.asarray(doc["kept"], dtype=bool), float(doc["eps_const"])
-        global_dims = int(doc["global_dims"])
-        if mean.ndim != 1 or not mean.shape == std.shape == kept.shape:
+        if not mean.shape == std.shape == kept.shape:
             raise ValueError(f"mean, std and kept must be lists of one length, "
                              f"got shapes {mean.shape}, {std.shape}, {kept.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise ValueError("mean and std must be finite")
         low = np.flatnonzero(kept & (std < eps))
         if low.size:
             raise ValueError(f"kept dimension {low[0]} has std "
                              f"{std[low[0]]}, below eps_const {eps!r}")
-        if kept[:global_dims].any():
+        if kept[:doc["global_dims"]].any():
             raise ValueError(f"kept dimension {np.argmax(kept)} is one of the "
-                             f"{global_dims} global dimensions")
-        return cls(mean, std, kept, eps, global_dims)
+                             f"{doc['global_dims']} global dimensions")
+        return cls(mean, std, kept, eps, doc["global_dims"])
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -366,20 +358,18 @@ class DatasetManifest:
     frame_ms: float = FRAME_MS_DEFAULT
     root: Optional[Path] = None  # set when loaded from disk
 
-    def to_json(self) -> str:
-        def encode(refs):
-            return [
-                {"subject": r.subject, "action": r.action, "trial": r.trial,
-                 "path": r.path}
-                for r in refs
-            ]
+    # the manifest, as ``to_json`` writes it and ``ranges.read`` admits it
+    TRIAL = {"subject": str, "action": str, "trial": "trial", "path": str}
+    DOCUMENT = {"format": (MANIFEST_FORMAT,), "version": (MANIFEST_VERSION,),
+                "frame_ms": "frame_ms", "train": [TRIAL], "test": [TRIAL]}
 
+    def to_json(self) -> str:
         doc = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
             "frame_ms": self.frame_ms,
-            "train": encode(self.train),
-            "test": encode(self.test),
+            "train": [vars(r) for r in self.train],
+            "test": [vars(r) for r in self.test],
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -389,54 +379,19 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        """Read a manifest; one that is not a JSON object, has a version
-        other than ``MANIFEST_VERSION``, has no ``frame_ms``, ``train`` or
-        ``test``, has a ``frame_ms`` out of its range, has a ``train`` or
-        ``test`` that is not a list, or has a trial entry
-        without one of its keys or with a key of the wrong type, raises
-        ``ValueError`` naming the file and the entry."""
+        """Read a manifest; one that is not JSON or that ``DOCUMENT`` does
+        not admit raises ``ValueError`` naming the file and the key."""
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
         except ValueError as exc:
             raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
-            raise ValueError(f"not a dataset manifest: {path}")
-        if doc.get("version") != MANIFEST_VERSION:
-            raise ValueError(f"{path}: unsupported manifest version "
-                             f"{doc.get('version')!r}")
-        missing = [k for k in ("frame_ms", "train", "test") if k not in doc]
-        if missing:
-            raise ValueError(f"{path}: manifest has no {', '.join(missing)}")
         try:
-            R.check(frame_ms=doc["frame_ms"])
+            R.read(doc, cls.DOCUMENT)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-
-        kinds = {"subject": str, "action": str, "trial": int, "path": str}
-
-        def decode(split):
-            if not isinstance(doc[split], list):
-                raise ValueError(f"{path}: {split} must be a list of trials, "
-                                 f"got {doc[split]!r}")
-            refs = []
-            for i, e in enumerate(doc[split]):
-                missing = [k for k in kinds
-                           if not isinstance(e, dict) or k not in e]
-                if missing:
-                    raise ValueError(f"{path}: {split} trial {i} has no "
-                                     f"{', '.join(missing)}")
-                # JSON gives an exact int or str; a bool is no trial number
-                for key, kind in kinds.items():
-                    if type(e[key]) is not kind:
-                        raise ValueError(
-                            f"{path}: {split} trial {i}: {key} must be "
-                            f"{'an integer' if kind is int else 'a string'}, "
-                            f"got {e[key]!r}")
-                refs.append(TrialRef(**{k: e[k] for k in kinds}))
-            return refs
-
-        return cls(train=decode("train"), test=decode("test"),
+        return cls(train=[TrialRef(**e) for e in doc["train"]],
+                   test=[TrialRef(**e) for e in doc["test"]],
                    frame_ms=float(doc["frame_ms"]), root=path.parent)
 
 

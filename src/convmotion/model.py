@@ -24,7 +24,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -505,12 +505,26 @@ class Checkpoint:
     pose_dim: int
     stats_fingerprint: str
     tensors: dict
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
     def to_params(self) -> ModelParams:
         """The parameters, sharing this checkpoint's arrays (no copy): a
         change to a parameter's values shows in ``tensors``."""
         return params_from_tensors(self.tensors, copy=False)
+
+
+# the header that save_checkpoint writes; the flags are the fields without a range
+CHECKPOINT_HEADER = {
+    "format": ("convmotion-checkpoint",), "version": (CHECKPOINT_VERSION,),
+    "hyper": {f.name: f.name if f.name in R.RANGES else bool
+              for f in fields(HyperParams)},
+    "pose_dim": "pose_dim", "stats_fingerprint": str,
+    "extra": {"iteration?": "iteration", "master_seed?": "master_seed"},
+    # a dtype other than these would read bytes as, say, object pointers
+    "tensors": [{"name": str, "shape": ["extent"],
+                 "dtype": ("float32", "float64"), "offset": "offset",
+                 "nbytes": "nbytes"}],
+}
 
 
 def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str,
@@ -542,6 +556,7 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
         "extra": extra or {},
         "tensors": entries,
     }
+    R.read(header, CHECKPOINT_HEADER)  # write nothing that a load would refuse
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     # written beside the target and renamed over it, so that a failed write
     # leaves any earlier file at ``path`` intact
@@ -559,28 +574,12 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
         raise
 
 
-def _tensor_entry(entry: dict) -> tuple:
-    """One header entry as ``(name, dtype, shape, offset, nbytes)``. A dtype
-    other than float32 or float64 is refused (bytes read into an object
-    array would be taken for pointers), and so is an extent that is not an
-    integer >= 0."""
-    name = str(entry["name"])
-    dtype = np.dtype(str(entry["dtype"]))
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"tensor {name!r} has dtype {dtype.str!r}, "
-                         f"not float32 or float64")
-    try:
-        R.check(offset=entry["offset"], nbytes=entry["nbytes"])
-        for extent in entry["shape"]:
-            R.check(extent=extent)
-    except ValueError as exc:
-        raise ValueError(f"tensor {name!r}: {exc}") from None
-    return name, dtype, tuple(entry["shape"]), entry["offset"], entry["nbytes"]
-
-
-def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpoint:
-    """Read a checkpoint, each tensor straight from the file into its own
-    array; a truncated or corrupt file raises ``ValueError``."""
+def load_checkpoint(path, expected_fingerprint: Optional[str] = None, *,
+                    names=None) -> Checkpoint:
+    """Read a checkpoint, each tensor in ``names`` (all when ``None``)
+    straight from the file into its own array, skipping the others; a
+    truncated or corrupt file, or a header that ``CHECKPOINT_HEADER`` does
+    not admit, raises ``ValueError``."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
@@ -598,22 +597,15 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
                 f"declared, {size - 12} present)")
         try:
             header = json.loads(f.read(header_len).decode("utf-8"))
-            if not isinstance(header, dict):
-                raise TypeError(f"header is a JSON {type(header).__name__}, "
-                                f"not an object")
-            hyper = HyperParams.from_dict(header["hyper"])
-            pose_dim = header["pose_dim"]
-            R.check(pose_dim=pose_dim)
-            fingerprint = str(header["stats_fingerprint"])
-            entries = [_tensor_entry(e) for e in header["tensors"]]
-            extra = header.get("extra", {})
-            if not isinstance(extra, dict):
-                raise TypeError(f"extra is a JSON {type(extra).__name__}, "
-                                f"not an object")
-        except (KeyError, TypeError, ValueError) as exc:
-            # ValueError covers JSONDecodeError and UnicodeDecodeError
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(
                 f"{path}: corrupt checkpoint header: {exc!r}") from None
+        try:
+            R.read(header, CHECKPOINT_HEADER)
+            hyper = HyperParams.from_dict(header["hyper"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        fingerprint = header["stats_fingerprint"]
         if expected_fingerprint is not None and \
                 fingerprint != expected_fingerprint:
             raise ValueError(
@@ -621,19 +613,22 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
                 f"normalization stats (fingerprint {fingerprint[:12]}... != "
                 f"{expected_fingerprint[:12]}...)"
             )
-        tensors = {}
+        tensors, seen = {}, set()
         # save_checkpoint writes the tensors back to back in name order
         end = base
-        for name, dtype, shape, offset, nbytes in entries:
-            if name in tensors:
+        for entry in header["tensors"]:
+            name, shape, nbytes = entry["name"], entry["shape"], entry["nbytes"]
+            if name in seen:
                 raise ValueError(f"{path}: tensor {name!r} is named twice")
-            start = base + offset
+            seen.add(name)
+            start = base + entry["offset"]
             stop = start + nbytes
+            dtype = np.dtype(entry["dtype"])
             need = math.prod(shape) * dtype.itemsize
             if nbytes != need:
                 raise ValueError(
                     f"{path}: tensor {name!r} has {nbytes} bytes, but "
-                    f"shape {list(shape)} of {dtype} needs {need}")
+                    f"shape {shape} of {dtype} needs {need}")
             if start != end:
                 raise ValueError(
                     f"{path}: tensor {name!r} starts at byte {start}, not "
@@ -642,19 +637,22 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None) -> Checkpo
                 raise ValueError(
                     f"{path}: truncated checkpoint: tensor {name!r} spans "
                     f"bytes {start}-{stop} of {size}")
-            tensors[name] = np.empty(shape, dtype)
-            if f.readinto(tensors[name]) != nbytes:
-                # the file shrank after its size was taken
-                raise ValueError(
-                    f"{path}: truncated checkpoint: tensor {name!r} ends "
-                    f"past the end of the file")
+            if names is not None and name not in names:
+                f.seek(stop)
+            else:
+                tensors[name] = np.empty(shape, dtype)
+                if f.readinto(tensors[name]) != nbytes:
+                    # the file shrank after its size was taken
+                    raise ValueError(
+                        f"{path}: truncated checkpoint: tensor {name!r} ends "
+                        f"past the end of the file")
             end = stop
         if end != size:
             raise ValueError(
                 f"{path}: {size - end} unexpected bytes after the last tensor")
-    return Checkpoint(hyper=hyper, pose_dim=pose_dim,
+    return Checkpoint(hyper=hyper, pose_dim=header["pose_dim"],
                       stats_fingerprint=fingerprint, tensors=tensors,
-                      extra=extra)
+                      extra=header["extra"])
 
 
 def tensors_from_params(params: ModelParams) -> dict:

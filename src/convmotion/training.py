@@ -367,7 +367,6 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     pose_dim = sequences[0].pose_dim
     sampler = WindowSampler(sequences, hp.seed_frames, hp.target_frames)
 
-    start_iteration = 0
     if resume_from is not None:
         ckpt = M.load_checkpoint(resume_from, stats.fingerprint())
         theirs = ckpt.hyper.to_dict()
@@ -377,12 +376,7 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
             raise ValueError(f"{resume_from}: checkpoint was trained with other "
                              f"hyperparameters: {', '.join(differ)}")
         params = ckpt.to_params()
-        start_iteration = int(ckpt.extra.get("iteration", 0))
-    if schedule.iterations <= start_iteration:
-        raise ValueError(
-            f"nothing to train: {schedule.iterations} iterations requested, "
-            f"but the run starts after iteration {start_iteration}")
-    if params is None:
+    elif params is None:
         init_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(schedule.master_seed), 0])))
         params = M.init_params(hp, pose_dim, init_rng)
@@ -394,6 +388,11 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     else:
         state = _optimizer_from_tensors(resume_from, ckpt, trained,
                                         schedule.master_seed)
+    start_iteration = state.step
+    if schedule.iterations <= start_iteration:
+        raise ValueError(
+            f"nothing to train: {schedule.iterations} iterations requested, "
+            f"but the run starts after iteration {start_iteration}")
 
     if schedule.out_dir is not None:
         Path(schedule.out_dir).mkdir(parents=True, exist_ok=True)
@@ -485,4 +484,6 @@ def _optimizer_from_tensors(path, ckpt: M.Checkpoint, trained: dict,
     if theirs != master_seed:
         raise ValueError(f"{path}: checkpoint was trained with master seed "
                          f"{theirs!r}, not {master_seed!r}")
-    return AdamState(m=m, v=v, step=int(ckpt.extra.get("iteration", 0)))
+    if "iteration" not in ckpt.extra:
+        raise ValueError(f"{path}: extra.iteration is missing")
+    return AdamState(m=m, v=v, step=ckpt.extra["iteration"])

@@ -703,14 +703,15 @@ ABSENT = object()
 @pytest.mark.parametrize("key, value, named", [
     ("frame_ms", 0, "frame_ms must be finite and > 0, got 0"),
     ("frame_ms", float("nan"), "frame_ms must be finite and > 0, got nan"),
-    ("frame_ms", ABSENT, "manifest has no frame_ms"),
-    ("train", ABSENT, "manifest has no train"),
-    ("test", ABSENT, "manifest has no test"),
-    ("train", 5, "train must be a list of trials, got 5"),
-    ("train", None, "train must be a list of trials, got None"),
-    ("test", "S1", "test must be a list of trials, got 'S1'"),
+    ("frame_ms", ABSENT, "frame_ms is missing"),
+    ("train", ABSENT, "train is missing"),
+    ("test", ABSENT, "test is missing"),
+    ("train", 5, "train must be a list, got 5"),
+    ("train", None, "train must be a list, got None"),
+    ("test", "S1", "test must be a list, got 'S1'"),
+    ("joints", 18, "joints is not a declared key"),
 ], ids=["frame_ms_zero", "frame_ms_nan", "no_frame_ms", "no_train", "no_test",
-        "train_int", "train_null", "test_str"])
+        "train_int", "train_null", "test_str", "undeclared_key"])
 def test_malformed_manifest_is_one_error_line(corpus, tmp_path, capsys, key,
                                               value, named):
     manifest, stats_path = corpus
@@ -747,7 +748,7 @@ def test_stats_file_without_key_is_one_error_line(corpus, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     line = _one_error_line(err)
-    assert str(bad) in line and "stats document has no kept" in line
+    assert f"{bad}: kept is missing" in line
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -770,13 +771,18 @@ def _manifest_text(manifest, case):
 
 
 @pytest.mark.parametrize("case, named", [
-    ("trial_without_path", "train trial 0 has no path"),
-    ("trial_without_subject", "test trial 0 has no subject"),
-    ("version_7", "unsupported manifest version 7"),
-    ("no_version", "unsupported manifest version None"),
-    ("list", "not a dataset manifest"),
+    ("trial_without_path", "train[0].path is missing"),
+    ("trial_without_subject", "test[0].subject is missing"),
+    ("version_7", "version must be 1, got 7"),
+    ("no_version", "version is missing"),
+    ("list", "the document must be an object, got [{"),
     ("not_json", "manifest is not JSON"),
-])
+], ids=[  # stable ids: each names its case and the refusal it had when added
+    "trial_without_path-train trial 0 has no path",
+    "trial_without_subject-test trial 0 has no subject",
+    "version_7-unsupported manifest version 7",
+    "no_version-unsupported manifest version None",
+    "list-not a dataset manifest", "not_json-manifest is not JSON"])
 def test_malformed_manifest_document_is_one_error_line(corpus, tmp_path, capsys,
                                                        case, named):
     manifest, _ = corpus
@@ -804,7 +810,7 @@ def test_stats_file_holding_a_list_is_one_error_line(corpus, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     line = _one_error_line(err)
-    assert str(bad) in line and "stats document is not a JSON object" in line
+    assert f"{bad}: the document must be an object, got [{{" in line
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -876,12 +882,13 @@ def test_ablate_scores_the_horizons_that_fit_longer_frames(corpus, tmp_path):
     ("path", None, "path must be a string, got None"),
     ("subject", ["S1"], "subject must be a string, got ['S1']"),
     ("action", 7, "action must be a string, got 7"),
-    ("trial", "x", "trial must be an integer, got 'x'"),
-    ("trial", 1.7, "trial must be an integer, got 1.7"),
-    ("trial", 2.0, "trial must be an integer, got 2.0"),
-    ("trial", True, "trial must be an integer, got True"),
+    ("trial", "x", "trial must be >= 0, got 'x'"),
+    ("trial", 1.7, "trial must be an integer >= 0, got 1.7"),
+    ("trial", 2.0, "trial must be an integer >= 0, got 2.0"),
+    ("trial", True, "trial must be >= 0, got True"),
+    ("frames", 240, "frames is not a declared key"),
 ], ids=["path-int", "path-null", "subject-list", "action-int", "trial-str",
-        "trial-float", "trial-integral-float", "trial-bool"])
+        "trial-float", "trial-integral-float", "trial-bool", "undeclared-key"])
 def test_a_mistyped_manifest_entry_is_refused_before_any_trial_is_read(
         corpus, tmp_path, capsys, monkeypatch, key, value, named):
     manifest, _ = corpus
@@ -896,7 +903,7 @@ def test_a_mistyped_manifest_entry_is_refused_before_any_trial_is_read(
     assert cli.main(["prep", "--data", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     line = _one_error_line(err)
-    assert line.endswith(f"{bad}: train trial {last}: {named}"), line
+    assert line.endswith(f"{bad}: train[{last}].{named}"), line
     assert "Traceback" not in err
     assert read == [] and not out.exists()
 

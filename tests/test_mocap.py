@@ -229,11 +229,19 @@ STATS_EDITS = {
     "kept-one-long": (lambda d: d["kept"].append(True),
                       "got shapes (11,), (11,), (12,)"),
     "nested-mean": (lambda d: d.update(mean=[d["mean"]]),
-                    "got shapes (1, 11)"),
+                    "mean[0] must be finite, got ["),
     "nan-mean": (lambda d: d["mean"].__setitem__(3, math.nan),
-                 "mean and std must be finite"),
+                 "mean[3] must be finite, got nan"),
     "inf-std": (lambda d: d["std"].__setitem__(8, math.inf),
-                "mean and std must be finite"),
+                "std[8] must be finite, got inf"),
+    "bool-mean": (lambda d: d["mean"].__setitem__(0, True),
+                  "mean[0] must be finite, got True"),
+    "integer-kept": (lambda d: d["kept"].__setitem__(6, 2),
+                     "kept[6] must be true or false, got 2"),
+    "fractional-kept": (lambda d: d["kept"].__setitem__(7, 0.5),
+                        "kept[7] must be true or false, got 0.5"),
+    "undeclared-key": (lambda d: d.update(dims=11),
+                       "dims is not a declared key"),
     "zero-eps": (lambda d: d.update(eps_const=0.0),
                  "eps_const must be finite and > 0, got 0.0"),
     "list-eps": (lambda d: d.update(eps_const=[1]),

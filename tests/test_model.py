@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -664,6 +665,19 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, params,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
+def test_checkpoint_that_a_load_would_refuse_is_not_written(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=re.escape(
+            "extra.step is not a declared key")):
+        M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
+                          M.tensors_from_params(params), {"step": 1})
+    with pytest.raises(ValueError, match=re.escape(
+            "tensors[0].dtype must be 'float32' or 'float64', got 'int64'")):
+        M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
+                          {"a": np.arange(3, dtype=np.int64)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_bytes_deterministic(tmp_path, params):
     hp = tiny_hp()
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -716,17 +730,64 @@ def _edited_header(header: dict, what: str):
         header["pose_dim"] += 0.9
     elif what == "bool pose_dim":
         header["pose_dim"] = True
+    elif what == "string flag":
+        header["hyper"]["adversarial"] = "false"
+    elif what == "integer flag":
+        header["hyper"]["no_long_term"] = 1
+    elif what == "no eta":
+        del header["hyper"]["eta"]
+    elif what == "wrong format":
+        header["format"] = "nope"
+    elif what == "no format":
+        del header["format"]
+    elif what == "json version 2":
+        header["version"] = 2
+    elif what == "numeric fingerprint":
+        header["stats_fingerprint"] = 123
+    elif what == "numeric name":
+        header["tensors"][0]["name"] = 7
+    elif what == "undeclared key":
+        header["saved_at"] = "today"
+    elif what == "undeclared entry key":
+        header["tensors"][0]["order"] = "C"
     return header
 
 
 DTYPE_EDITS = {"object dtype": "|O", "void dtype": "|V8",
                "datetime dtype": "<M8[s]"}
-HEADER_EDITS = ("nbytes vs shape", "no stats_fingerprint", "no tensors",
-                "unknown hyper key", "bad dtype", "header is a list",
-                "extra is a list", "repeated name", "swapped offsets",
-                "overlapping offsets", *DTYPE_EDITS, "fractional extent",
-                "negative extents", "bool extent", "fractional offset",
-                "float nbytes", "fractional pose_dim", "bool pose_dim")
+# each edit with the part of its refusal that follows the file name
+HEADER_EDITS = {
+    "nbytes vs shape": "tensor 'decoder.fc1.bias' has ",
+    "no stats_fingerprint": "stats_fingerprint is missing",
+    "no tensors": "tensors is missing",
+    "unknown hyper key": "hyper.not_a_field is not a declared key",
+    "bad dtype": "tensors[0].dtype must be 'float32' or 'float64', got "
+                 "'float99'",
+    "header is a list": "the document must be an object, got [{",
+    "extra is a list": "extra must be an object, got [1, 2]",
+    "repeated name": "tensor 'decoder.fc1.bias' is named twice",
+    "swapped offsets": "tensor 'decoder.fc1.bias' starts at byte ",
+    "overlapping offsets": "tensor 'decoder.fc1.weight' starts at byte ",
+    **dict.fromkeys(DTYPE_EDITS, "tensors[0].dtype must be 'float32' or "
+                                 "'float64', got "),
+    "fractional extent": "tensors[0].shape[0] must be an integer >= 0, got ",
+    "negative extents": "tensors[1].shape[0] must be >= 0, got -",
+    "bool extent": "tensors[12].shape[0] must be >= 0, got True",
+    "fractional offset": "tensors[0].offset must be an integer >= 0, got ",
+    "float nbytes": "tensors[0].nbytes must be an integer >= 0, got ",
+    "fractional pose_dim": "pose_dim must be an integer >= 1, got ",
+    "bool pose_dim": "pose_dim must be >= 1, got True",
+    "string flag": "hyper.adversarial must be true or false, got 'false'",
+    "integer flag": "hyper.no_long_term must be true or false, got 1",
+    "no eta": "hyper.eta is missing",
+    "wrong format": "format must be 'convmotion-checkpoint', got 'nope'",
+    "no format": "format is missing",
+    "json version 2": "version must be 1, got 2",
+    "numeric fingerprint": "stats_fingerprint must be a string, got 123",
+    "numeric name": "tensors[0].name must be a string, got 7",
+    "undeclared key": "saved_at is not a declared key",
+    "undeclared entry key": "tensors[0].order is not a declared key",
+}
 
 
 def _corrupted(good: bytes, what: str) -> bytes:
@@ -756,7 +817,8 @@ def test_checkpoint_truncated_or_corrupt_rejected(tmp_path, params, what):
                       M.tensors_from_params(params))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_corrupted(path.read_bytes(), what))
-    with pytest.raises(ValueError, match="bad.ckpt"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad.ckpt: {HEADER_EDITS.get(what, '')}")):
         M.load_checkpoint(bad)
 
 
@@ -768,9 +830,9 @@ def test_checkpoint_dtype_refusal_names_the_file_and_tensor(tmp_path, params,
                       M.tensors_from_params(params))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_corrupted(path.read_bytes(), what))
-    first = min(M.PARAM_NAMES)
-    with pytest.raises(ValueError, match=f"bad.ckpt: .*tensor '{first}' has "
-                                         f"dtype .*not float32 or float64"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad.ckpt: tensors[0].dtype must be 'float32' or 'float64', "
+            f"got {DTYPE_EDITS[what]!r}")):
         M.load_checkpoint(bad)
 
 
@@ -807,6 +869,36 @@ def test_checkpoint_load_reads_each_tensor_once(tmp_path):
         np.testing.assert_array_equal(ckpt.tensors[name], arr)
 
 
+def test_checkpoint_load_of_named_tensors_skips_the_others(tmp_path, params):
+    # a training checkpoint loaded for its parameters: the moments are
+    # skipped, not read, so the load peaks near the parameters' size
+    tensors = M.tensors_from_params(params)
+    big = {f"optim.{m}.big": np.ones((1024, 1024)) for m in "mv"}
+    path = tmp_path / "train.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64, {**tensors, **big},
+                      {"iteration": 3, "master_seed": 0})
+    size = sum(arr.nbytes for arr in tensors.values())
+    tracemalloc.start()
+    try:
+        ckpt = M.load_checkpoint(path, names=M.PARAM_NAMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size  # the file is 56 times that size
+    assert sorted(ckpt.tensors) == sorted(M.PARAM_NAMES)
+    for name in M.PARAM_NAMES:
+        np.testing.assert_array_equal(ckpt.tensors[name], tensors[name])
+    # a skipped tensor still passes every layout check
+    good = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for cut, refusal in ((good + b"junk", "4 unexpected bytes"),
+                         (good[:-1], "truncated checkpoint: tensor "
+                                     "'short.fc.weight' spans")):
+        bad.write_bytes(cut)
+        with pytest.raises(ValueError, match=f"bad.ckpt: {refusal}"):
+            M.load_checkpoint(bad, names=["long.fc.bias"])
+
+
 def test_checkpoint_params_share_the_loaded_arrays(tmp_path, params):
     path = tmp_path / "model.ckpt"
     M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
@@ -830,8 +922,7 @@ def test_checkpoint_with_malformed_hyper_rejected(tmp_path, params, name, value)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(good[:8] + struct.pack("<I", len(raw)) + raw
                     + good[12 + header_len:])
-    with pytest.raises(ValueError, match=f"bad.ckpt: corrupt checkpoint "
-                                         f"header: .*{name}"):
+    with pytest.raises(ValueError, match=f"bad.ckpt: hyper.{name} must be "):
         M.load_checkpoint(bad)
 
 

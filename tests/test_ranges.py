@@ -1,4 +1,5 @@
-"""The range table: one declaration per named numeric input, one message."""
+"""The range table and the document reader: one declaration per named
+numeric input or JSON document, one message per case."""
 
 import math
 import re
@@ -16,6 +17,7 @@ BIG = sys.float_info.max
 EDGES = {
     ">= 0": ([-1], [0]),
     ">= 1": ([0], [1]),
+    "finite": ([math.inf, -math.inf, math.nan], [-BIG, BIG]),
     "finite and > 0": ([0.0, math.inf, math.nan], [TINY, BIG]),
     "finite and >= 0": ([-TINY, math.inf, math.nan], [0.0, BIG]),
     "in [0, 1]": ([-TINY, math.nextafter(1.0, 2.0), math.nan], [0.0, 1.0]),
@@ -78,3 +80,76 @@ def test_a_count_refuses_a_float_as_not_an_integer(name):
 def test_a_tuple_count_refuses_a_fractional_entry():
     _refused("channels", (8.5, 16, 16))
     _refused("kernel", (2, 7.0))
+
+
+def _read_refused(doc, decl, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        R.read(doc, decl)
+
+
+def test_read_refuses_a_value_outside_its_range_by_its_path():
+    assert R.read({"a": [{"seed": 3}]}, {"a": [{"seed": "seed"}]}) == {
+        "a": [{"seed": 3}]}
+    _read_refused({"a": [{"seed": 0}, {"seed": 1.5}]}, {"a": [{"seed": "seed"}]},
+                  "a[1].seed must be an integer >= 0, got 1.5")
+    _read_refused({"seed": True}, {"seed": "seed"}, "seed must be >= 0, got True")
+
+
+def test_read_matches_a_string_by_exact_type():
+    R.read("x", str)
+    for value in (7, None, ["x"], b"x"):
+        _read_refused({"t": [{"name": value}]}, {"t": [{"name": str}]},
+                      f"t[0].name must be a string, got {value!r}")
+
+
+def test_read_matches_a_bool_by_exact_type():
+    R.read(False, bool)
+    for value in ("false", 1, 0, 1.0, None):
+        _read_refused({"h": {"flag": value}}, {"h": {"flag": bool}},
+                      f"h.flag must be true or false, got {value!r}")
+
+
+def test_read_matches_a_constant_by_type_and_value():
+    R.read(1, (1,))
+    R.read("float64", ("float32", "float64"))
+    for value in (1.0, True, 2, "1", None):
+        _read_refused({"version": value}, {"version": (1,)},
+                      f"version must be 1, got {value!r}")
+    _read_refused({"tensors": [{"dtype": "float32"}, {"dtype": "<f8"}]},
+                  {"tensors": [{"dtype": ("float32", "float64")}]},
+                  "tensors[1].dtype must be 'float32' or 'float64', got '<f8'")
+
+
+def test_read_refuses_a_list_that_is_not_one():
+    R.read([], [str])
+    for value in ("ab", {"a": 1}, 5, None, (1,)):
+        _read_refused({"train": value}, {"train": [str]},
+                      f"train must be a list, got {value!r}")
+    _read_refused({"kept": [True, 2]}, {"kept": [bool]},
+                  "kept[1] must be true or false, got 2")
+
+
+def test_read_refuses_an_object_that_is_not_one():
+    for value in ([{"a": 1}], "a", 1, None):
+        _read_refused(value, {"a": str},
+                      f"the document must be an object, got {value!r}")
+    _read_refused({"extra": [1, 2]}, {"extra": {"iteration?": "iteration"}},
+                  "extra must be an object, got [1, 2]")
+
+
+def test_read_refuses_a_missing_key_unless_it_is_optional():
+    decl = {"a": str, "b": {"c?": "iteration", "d": bool}}
+    R.read({"a": "x", "b": {"d": True}}, decl)
+    _read_refused({"b": {"d": True}}, decl, "a is missing")
+    _read_refused({"a": "x", "b": {"c": 2}}, decl, "b.d is missing")
+    _read_refused({"a": "x", "b": {"c": 0, "d": True}}, decl,
+                  "b.c must be >= 1, got 0")
+
+
+def test_read_refuses_an_undeclared_key_after_every_declared_one():
+    decl = {"a": str, "t": [{"n": str}]}
+    _read_refused({"z": 1, "a": "x", "t": []}, decl, "z is not a declared key")
+    _read_refused({"a": "x", "t": [{"n": "y", "m": 1}]}, decl,
+                  "t[0].m is not a declared key")
+    # a declared key that is missing is named before an undeclared one
+    _read_refused({"z": 1, "t": []}, decl, "a is missing")

@@ -1,6 +1,9 @@
 """Losses, Adam, samplers, and training-loop behavior."""
 
+import json
 import math
+import re
+import struct
 import weakref
 
 import numpy as np
@@ -746,6 +749,35 @@ def test_resume_with_other_master_seed_rejected(tmp_path):
                 T.TrainSchedule(iterations=4, master_seed=6, out_dir=out,
                                 report_path=out / "report.csv"),
                 resume_from=path)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("iteration, refusal", [
+    (1.5, "extra.iteration must be an integer >= 1, got 1.5"),
+    (True, "extra.iteration must be >= 1, got True"),
+    (-1, "extra.iteration must be >= 1, got -1"),
+    (None, "extra.iteration is missing"),
+], ids=["fractional", "bool", "negative", "absent"])
+def test_resume_refuses_a_malformed_iteration(tmp_path, iteration, refusal):
+    hp = micro_hp()
+    seqs, stats, path = _trained_checkpoint(tmp_path, hp)
+    good = path.read_bytes()
+    size = struct.unpack("<I", good[8:12])[0]
+    header = json.loads(good[12:12 + size])
+    header["extra"] = {"master_seed": 5}
+    if iteration is not None:
+        header["extra"]["iteration"] = iteration
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(good[:8] + struct.pack("<I", len(raw)) + raw
+                    + good[12 + size:])
+    out = tmp_path / "resume"
+    out.mkdir()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{bad}: {refusal}')}$"):
+        T.train(seqs, stats, hp,
+                T.TrainSchedule(iterations=4, master_seed=5, out_dir=out,
+                                report_path=out / "report.csv"),
+                resume_from=bad)
     assert list(out.iterdir()) == []
 
 
