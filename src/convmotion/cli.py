@@ -88,8 +88,11 @@ def _resolve_hyper(args) -> M.HyperParams:
     mapping = dict(args.schedule)
     if args.config:
         parsers = {key: C.parser_for(d) for key, d in defaults.items()}
-        mapping.update(C.parse_config_text(args.config.read_text(), parsers,
-                                           SCHEDULE_KEYS))
+        try:
+            mapping.update(C.parse_config_text(args.config.read_text(),
+                                               parsers, SCHEDULE_KEYS))
+        except ValueError as exc:  # a refused line, or text that is not UTF-8
+            raise ValueError(f"{args.config}: {exc}") from None
     mapping.update(_given(args, defaults))
     schedule = {key: mapping[key] for key in args.schedule}
     vars(args).update(schedule)
@@ -162,7 +165,10 @@ def cmd_predict(args) -> int:
     if trial.num_frames < hp.seed_frames:
         raise ValueError(f"{args.seed_file}: seed file has "
                          f"{trial.num_frames} frames, need {hp.seed_frames}")
-    seq = mocap.normalize(trial, stats)
+    try:
+        seq = mocap.normalize(trial, stats)
+    except ValueError as exc:  # frames of another width than the stats
+        raise ValueError(f"{args.seed_file}: {exc}") from None
     seed = seq.frames[-hp.seed_frames:]
     params = ckpt.to_params()
     pred = M.predict_sequence(seed, params, hp, mode="eval").data

@@ -176,7 +176,7 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, text: str) -> "NormalizationStats":
-        doc = R.read(json.loads(text), cls.DOCUMENT)
+        doc = R.parse(text, cls.DOCUMENT)
         mean, std = (np.asarray(doc[k], dtype=np.float64) for k in ("mean", "std"))
         kept, eps = np.asarray(doc["kept"], dtype=bool), float(doc["eps_const"])
         if not mean.shape == std.shape == kept.shape:
@@ -383,11 +383,7 @@ class DatasetManifest:
         not admit raises ``ValueError`` naming the file and the key."""
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
-        try:
-            R.read(doc, cls.DOCUMENT)
+            doc = R.parse(path.read_text(), cls.DOCUMENT)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return cls(train=[TrialRef(**e) for e in doc["train"]],

@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -35,7 +36,7 @@ from . import ranges as R
 from .autodiff import Tensor
 
 CHECKPOINT_MAGIC = b"CMOT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +163,30 @@ def same_padding(extent: int, kernel: int, stride: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cem_names(prefix: str) -> tuple:
-    return (*(f"{prefix}.conv{i}.{kind}" for i in (1, 2, 3)
-              for kind in ("kernel", "bias")),
-            f"{prefix}.fc.weight", f"{prefix}.fc.bias")
+def _cem_shapes(cfg: CemConfig):
+    for i, (cin, cout) in enumerate(zip((1, *cfg.channels), cfg.channels), 1):
+        yield f"{cfg.prefix}.conv{i}.kernel", (cout, cin, *cfg.kernel)
+        yield f"{cfg.prefix}.conv{i}.bias", (cout,)
+    yield f"{cfg.prefix}.fc.weight", (cfg.fc_out, cfg.flat_dim)
+    yield f"{cfg.prefix}.fc.bias", (cfg.fc_out,)
 
 
-# every model tensor by its checkpoint name, in initialisation (RNG draw) order
-PARAM_NAMES = (*_cem_names("long"), *_cem_names("short"),
-               "decoder.fc1.weight", "decoder.fc1.bias",
-               "decoder.fc2.weight", "decoder.fc2.bias",
-               *_cem_names("disc.cem"), "disc.head.weight", "disc.head.bias")
+def param_shapes(hp: HyperParams, pose_dim: int) -> dict:
+    """The shape of every model tensor by its checkpoint name, in
+    initialisation (RNG draw) order: long encoder, short encoder, decoder,
+    discriminator."""
+    return dict([
+        *_cem_shapes(hp.long_cem(pose_dim)), *_cem_shapes(hp.short_cem(pose_dim)),
+        ("decoder.fc1.weight", (hp.fc_out, 2 * hp.fc_out)),
+        ("decoder.fc1.bias", (hp.fc_out,)),
+        ("decoder.fc2.weight", (pose_dim, hp.fc_out)),
+        ("decoder.fc2.bias", (pose_dim,)),
+        *_cem_shapes(hp.discriminator_cem(pose_dim)),
+        ("disc.head.weight", (1, hp.fc_out)), ("disc.head.bias", (1,))])
+
+
+# every model tensor's checkpoint name; the names are the same for every model
+PARAM_NAMES = tuple(param_shapes(HyperParams(), 1))
 
 
 class ModelParams(dict):
@@ -191,47 +205,22 @@ class ModelParams(dict):
         return dict(self)
 
 
-def _uniform_fan_in(rng, shape, fan_in) -> Tensor:
-    # uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): keeps activation variance
-    # roughly unit through the stacked leaky-ReLU conv layers
-    bound = np.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
 def init_params(hp: HyperParams, pose_dim: int,
                 rng: np.random.Generator) -> ModelParams:
-    """Fan-in uniform weights and zero biases, drawn in ``PARAM_NAMES``
-    order: long encoder, short encoder, decoder, discriminator."""
+    """Zero biases and fan-in uniform weights, drawn in ``PARAM_NAMES``
+    order. The last decoder layer starts at zero too, so the untrained
+    model is the zero-velocity baseline (pure residual identity)."""
     R.check(pose_dim=pose_dim)
     params = ModelParams()
-
-    def zeros(name, shape):
-        params[name] = ad.zeros(shape, requires_grad=True)
-
-    def affine(prefix, fan_out, fan_in):
-        params[f"{prefix}.weight"] = _uniform_fan_in(rng, (fan_out, fan_in),
-                                                     fan_in)
-        zeros(f"{prefix}.bias", fan_out)
-
-    def cem(cfg):
-        cin = 1
-        for i, cout in enumerate(cfg.channels, 1):
-            params[f"{cfg.prefix}.conv{i}.kernel"] = _uniform_fan_in(
-                rng, (cout, cin, *cfg.kernel),
-                cin * cfg.kernel[0] * cfg.kernel[1])
-            zeros(f"{cfg.prefix}.conv{i}.bias", cout)
-            cin = cout
-        affine(f"{cfg.prefix}.fc", cfg.fc_out, cfg.flat_dim)
-
-    cem(hp.long_cem(pose_dim))
-    cem(hp.short_cem(pose_dim))
-    affine("decoder.fc1", hp.fc_out, 2 * hp.fc_out)
-    # final layer starts at zero: the untrained model is the
-    # zero-velocity baseline (pure residual identity)
-    zeros("decoder.fc2.weight", (pose_dim, hp.fc_out))
-    zeros("decoder.fc2.bias", pose_dim)
-    cem(hp.discriminator_cem(pose_dim))
-    affine("disc.head", 1, hp.fc_out)
+    for name, shape in param_shapes(hp, pose_dim).items():
+        if name.endswith(".bias") or name == "decoder.fc2.weight":
+            params[name] = ad.zeros(shape, requires_grad=True)
+            continue
+        # uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)): keeps activation variance
+        # roughly unit through the stacked leaky-ReLU conv layers
+        bound = np.sqrt(6.0 / math.prod(shape[1:]))
+        params[name] = Tensor(rng.uniform(-bound, bound, size=shape),
+                              requires_grad=True)
     return params
 
 
@@ -513,18 +502,34 @@ class Checkpoint:
         return params_from_tensors(self.tensors, copy=False)
 
 
-# the header that save_checkpoint writes; the flags are the fields without a range
+# the header that save_checkpoint writes after the magic, version and header
+# length; the flags are the fields without a range. Each tensor's bytes follow
+# the previous one's, in entry order, so its shape and dtype fix its place
 CHECKPOINT_HEADER = {
-    "format": ("convmotion-checkpoint",), "version": (CHECKPOINT_VERSION,),
     "hyper": {f.name: f.name if f.name in R.RANGES else bool
               for f in fields(HyperParams)},
     "pose_dim": "pose_dim", "stats_fingerprint": str,
     "extra": {"iteration?": "iteration", "master_seed?": "master_seed"},
     # a dtype other than these would read bytes as, say, object pointers
     "tensors": [{"name": str, "shape": ["extent"],
-                 "dtype": ("float32", "float64"), "offset": "offset",
-                 "nbytes": "nbytes"}],
+                 "dtype": ("float32", "float64")}],
 }
+
+
+def _check_entries(hp: HyperParams, pose_dim: int, entries: list) -> None:
+    """Refuse a tensor named twice, and a model tensor or Adam moment whose
+    shape is not the one that ``param_shapes`` gives it; a tensor under any
+    other name is not the model's, and is not checked."""
+    shapes, seen = param_shapes(hp, pose_dim), set()
+    for entry in entries:
+        name, shape = entry["name"], entry["shape"]
+        if name in seen:
+            raise ValueError(f"tensor {name!r} is named twice")
+        seen.add(name)
+        want = shapes.get(re.sub(r"^optim\.[mv]\.", "", name))
+        if want is not None and tuple(shape) != want:
+            raise ValueError(f"tensor {name!r} has shape {shape}, but the "
+                             f"model needs {list(want)}")
 
 
 def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str,
@@ -536,27 +541,18 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
     # a C-contiguous tensor is written from its own buffer, not a copy
     arrays = [(name, np.ascontiguousarray(tensors[name]))
               for name in sorted(tensors)]
-    entries = []
-    offset = 0
-    for name, arr in arrays:
-        entries.append({
-            "name": name,
-            "shape": list(np.shape(tensors[name])),
-            "dtype": str(arr.dtype),
-            "offset": offset,
-            "nbytes": arr.nbytes,
-        })
-        offset += arr.nbytes
     header = {
-        "format": "convmotion-checkpoint",
-        "version": CHECKPOINT_VERSION,
         "hyper": hp.to_dict(),
         "pose_dim": pose_dim,
         "stats_fingerprint": stats_fingerprint,
         "extra": extra or {},
-        "tensors": entries,
+        # np.shape, as ascontiguousarray makes a 0-d tensor 1-d
+        "tensors": [{"name": name, "shape": list(np.shape(tensors[name])),
+                     "dtype": str(arr.dtype)} for name, arr in arrays],
     }
-    R.read(header, CHECKPOINT_HEADER)  # write nothing that a load would refuse
+    # write nothing that a load would refuse
+    R.read(header, CHECKPOINT_HEADER)
+    _check_entries(hp, pose_dim, header["tensors"])
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     # written beside the target and renamed over it, so that a failed write
     # leaves any earlier file at ``path`` intact
@@ -577,9 +573,11 @@ def save_checkpoint(path, hp: HyperParams, pose_dim: int, stats_fingerprint: str
 def load_checkpoint(path, expected_fingerprint: Optional[str] = None, *,
                     names=None) -> Checkpoint:
     """Read a checkpoint, each tensor in ``names`` (all when ``None``)
-    straight from the file into its own array, skipping the others; a
-    truncated or corrupt file, or a header that ``CHECKPOINT_HEADER`` does
-    not admit, raises ``ValueError``."""
+    straight from the file into its own array, skipping the others. A
+    truncated or corrupt file, a header that ``CHECKPOINT_HEADER`` or
+    ``_check_entries`` does not admit, and a name in ``names`` that the
+    file lacks raise ``ValueError``, all but a cut or overlong file before
+    any tensor is read."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
@@ -596,13 +594,10 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None, *,
                 f"{path}: truncated checkpoint header ({header_len} bytes "
                 f"declared, {size - 12} present)")
         try:
-            header = json.loads(f.read(header_len).decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(
-                f"{path}: corrupt checkpoint header: {exc!r}") from None
-        try:
-            R.read(header, CHECKPOINT_HEADER)
+            header = R.parse(f.read(header_len).decode("utf-8"),
+                             CHECKPOINT_HEADER)
             hyper = HyperParams.from_dict(header["hyper"])
+            _check_entries(hyper, header["pose_dim"], header["tensors"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         fingerprint = header["stats_fingerprint"]
@@ -613,40 +608,27 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None, *,
                 f"normalization stats (fingerprint {fingerprint[:12]}... != "
                 f"{expected_fingerprint[:12]}...)"
             )
-        tensors, seen = {}, set()
-        # save_checkpoint writes the tensors back to back in name order
-        end = base
+        in_file = {entry["name"] for entry in header["tensors"]}
+        for name in names or ():
+            if name not in in_file:
+                raise ValueError(f"{path}: tensor {name!r} is not in the file")
+        tensors, end = {}, base
         for entry in header["tensors"]:
-            name, shape, nbytes = entry["name"], entry["shape"], entry["nbytes"]
-            if name in seen:
-                raise ValueError(f"{path}: tensor {name!r} is named twice")
-            seen.add(name)
-            start = base + entry["offset"]
-            stop = start + nbytes
-            dtype = np.dtype(entry["dtype"])
-            need = math.prod(shape) * dtype.itemsize
-            if nbytes != need:
-                raise ValueError(
-                    f"{path}: tensor {name!r} has {nbytes} bytes, but "
-                    f"shape {shape} of {dtype} needs {need}")
-            if start != end:
-                raise ValueError(
-                    f"{path}: tensor {name!r} starts at byte {start}, not "
-                    f"where the previous tensor ended ({end})")
-            if stop > size:
+            name, dtype = entry["name"], np.dtype(entry["dtype"])
+            start, end = end, end + math.prod(entry["shape"]) * dtype.itemsize
+            if end > size:
                 raise ValueError(
                     f"{path}: truncated checkpoint: tensor {name!r} spans "
-                    f"bytes {start}-{stop} of {size}")
+                    f"bytes {start}-{end} of {size}")
             if names is not None and name not in names:
-                f.seek(stop)
+                f.seek(end)
             else:
-                tensors[name] = np.empty(shape, dtype)
-                if f.readinto(tensors[name]) != nbytes:
+                tensors[name] = np.empty(entry["shape"], dtype)
+                if f.readinto(tensors[name]) != end - start:
                     # the file shrank after its size was taken
                     raise ValueError(
                         f"{path}: truncated checkpoint: tensor {name!r} ends "
                         f"past the end of the file")
-            end = stop
         if end != size:
             raise ValueError(
                 f"{path}: {size - end} unexpected bytes after the last tensor")
@@ -662,10 +644,8 @@ def tensors_from_params(params: ModelParams) -> dict:
 def params_from_tensors(tensors: dict, copy: bool = True) -> ModelParams:
     """The ``PARAM_NAMES`` entries of ``tensors`` (optimizer moments and any
     other entries are ignored), copied into fresh tensors, or wrapping the
-    arrays themselves when ``copy`` is false."""
-    for name in PARAM_NAMES:
-        if name not in tensors:
-            raise KeyError(f"checkpoint is missing tensor {name!r}")
+    arrays themselves when ``copy`` is false; a missing name raises
+    ``KeyError``."""
     return ModelParams({
         name: Tensor(tensors[name].copy() if copy else tensors[name],
                      requires_grad=True)

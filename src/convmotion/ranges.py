@@ -3,10 +3,12 @@ document read from outside (manifest, stats file, checkpoint header), each
 declared once. ``check`` refuses a value outside its range, ``{name} must
 be {range}, got {value!r}``, NaN, a bool, a non-number and a count that is
 not an integer included; ``read`` refuses, in the same form and by its path,
-any part of a document that its declaration does not admit. A rule that
+any part of a document that its declaration does not admit, and ``parse``
+refuses text that is not JSON as ``not JSON: {error}``. A rule that
 relates two inputs (``window <= seed_frames``) is checked where both are
 known. This module imports nothing from the package."""
 
+import json
 import math
 import numbers
 import reprlib
@@ -32,7 +34,7 @@ RANGES = {
                      "seeds", "joints", "frames", "train_trials",
                      "step", "iterations", "iteration"), ">= 1"),
     **dict.fromkeys(("master_seed", "seed", "test_trials", "global_dims",
-                     "offset", "nbytes", "extent", "trial"), ">= 0"),
+                     "extent", "trial"), ">= 0"),
     **dict.fromkeys(("learning_rate", "eps_const", "frame_ms", "tol"),
                     "finite and > 0"),
     **dict.fromkeys(("lambda_l2", "lambda_adv"), "finite and >= 0"),
@@ -98,3 +100,12 @@ def read(doc, decl, path: str = ""):
         raise ValueError(f"{path or 'the document'} must be {must}, "
                          f"got {reprlib.repr(doc)}")
     return doc
+
+
+def parse(text, decl):
+    """``read`` the document that the JSON text ``text`` holds against
+    ``decl``."""
+    try:
+        return read(json.loads(text), decl)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON: {exc}") from None

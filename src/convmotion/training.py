@@ -375,7 +375,11 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         if differ:
             raise ValueError(f"{resume_from}: checkpoint was trained with other "
                              f"hyperparameters: {', '.join(differ)}")
-        params = ckpt.to_params()
+        try:
+            params = ckpt.to_params()
+        except KeyError as exc:
+            raise ValueError(f"{resume_from}: tensor {exc.args[0]!r} is not "
+                             f"in the file") from None
     elif params is None:
         init_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(schedule.master_seed), 0])))

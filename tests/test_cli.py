@@ -515,6 +515,18 @@ def test_ablate_refuses_zero_sequences_before_any_work(tmp_path, capsys, via):
     assert "num_sequences must be >= 1, got 0" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("text, refusal", [
+    (b"window=10\nfoo=1\n", "config line 2: unknown key 'foo'"),
+    (b"window=10\n\xff=1\n", "'utf-8' codec can't decode byte 0xff"),
+], ids=["unknown key", "not UTF-8"])
+def test_a_config_file_refusal_names_the_file(tmp_path, capsys, text, refusal):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    assert cli.main(RUN_ARGV["train"] + ["--config", str(cfg)]) == 1
+    assert _error_line(capsys).startswith(
+        f"convmotion: error: {cfg}: {refusal}")
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_zero_iterations_key_is_refused_before_any_work(tmp_path, capsys,
                                                         command):
@@ -697,6 +709,59 @@ def test_short_seed_file_is_one_error_line(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_seed_file_of_another_width_is_named(corpus, tmp_path, capsys):
+    manifest, stats_path = corpus
+    stats = mocap.NormalizationStats.load(stats_path)
+    hp = M.HyperParams(seed_frames=6, target_frames=3, window=4,
+                       channels=(2, 3, 3), fc_out=8)
+    ckpt = tmp_path / "m.ckpt"
+    M.save_checkpoint(ckpt, hp, stats.reduced_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, stats.reduced_dim, np.random.default_rng(0))))
+    seed_file = tmp_path / "narrow.txt"
+    trial = mocap.load_trial(manifest.parent / "S5" / "walk_1.txt")
+    mocap.write_trial(trial.frames[:, :-1], seed_file)
+    out = tmp_path / "pred.txt"
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--stats",
+                   str(stats_path), "--seed-file", str(seed_file),
+                   "--out", str(out)])
+    assert rc == 1
+    assert _error_line(capsys).endswith(
+        f"{seed_file}: frames of width {stats.raw_dim - 1} do not match "
+        f"stats width {stats.raw_dim}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "resume"])
+def test_a_checkpoint_without_a_parameter_is_one_error_line(
+        corpus, tmp_path, capsys, command):
+    manifest, stats_path = corpus
+    out_dir = tmp_path / "run"
+    base = ["train", "--data", str(manifest), "--stats", str(stats_path),
+            "--out", str(out_dir), "--no-adv"] + MICRO_FLAGS
+    assert cli.main(base + ["--iters", "2"]) == 0
+    ckpt = M.load_checkpoint(out_dir / "ckpt_0000002.ckpt")
+    del ckpt.tensors["decoder.fc2.bias"]
+    lacking = tmp_path / "lacking.ckpt"
+    M.save_checkpoint(lacking, ckpt.hyper, ckpt.pose_dim,
+                      ckpt.stats_fingerprint, ckpt.tensors, ckpt.extra)
+    written = {p: p.read_bytes() for p in out_dir.iterdir()}
+    out = tmp_path / "out.txt"
+    argv = {"predict": ["predict", "--seed-file",
+                        str(manifest.parent / "S5" / "walk_1.txt"),
+                        "--stats", str(stats_path), "--out", str(out)],
+            "eval": ["eval", "--data", str(manifest), "--stats",
+                     str(stats_path), "--out", str(out)],
+            "resume": base + ["--iters", "4", "--resume"]}[command]
+    flag = [] if command == "resume" else ["--checkpoint"]
+    capsys.readouterr()
+    assert cli.main(argv + flag + [str(lacking)]) == 1
+    assert _error_line(capsys).endswith(
+        f"{lacking}: tensor 'decoder.fc2.bias' is not in the file")
+    assert {p: p.read_bytes() for p in out_dir.iterdir()} == written
+    assert not out.exists()
+
+
 ABSENT = object()
 
 
@@ -776,7 +841,7 @@ def _manifest_text(manifest, case):
     ("version_7", "version must be 1, got 7"),
     ("no_version", "version is missing"),
     ("list", "the document must be an object, got [{"),
-    ("not_json", "manifest is not JSON"),
+    ("not_json", "manifest.json: not JSON: Unterminated string"),
 ], ids=[  # stable ids: each names its case and the refusal it had when added
     "trial_without_path-train trial 0 has no path",
     "trial_without_subject-test trial 0 has no subject",

@@ -275,6 +275,15 @@ def test_inconsistent_stats_file_is_refused_whole(tmp_path, edit, message):
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
 
 
+def test_stats_file_cut_short_is_not_json(tmp_path):
+    stats = fit_stats([_trial(np.random.default_rng(4).normal(size=(20, 11)))])
+    path = tmp_path / "stats.json"
+    path.write_text(stats.to_json()[:40])
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: not JSON: Unterminated string")):
+        NormalizationStats.load(path)
+
+
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------

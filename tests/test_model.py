@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from convmotion import autodiff as ad
+from convmotion import gradcheck as G
 from convmotion import model as M
 from convmotion.autodiff import GradTape, ShapeError, Tensor, backward
 
@@ -116,6 +117,16 @@ def test_init_params_fills_param_names_in_order():
     p = M.init_params(tiny_hp(), POSE_DIM, np.random.default_rng(0))
     assert list(p) == list(M.PARAM_NAMES)
     assert len(M.PARAM_NAMES) == 8 + 8 + 4 + 8 + 2
+
+
+def test_init_params_draws_are_pinned():
+    # every tensor's name, shape and values, in draw order
+    digest = hashlib.sha256()
+    for name, t in M.init_params(G.tiny_hyperparams(), 12,
+                                 np.random.default_rng(0)).items():
+        digest.update(name.encode() + str(t.shape).encode() + t.data.tobytes())
+    assert digest.hexdigest() == (
+        "3b3daee01f7760b09cd25c3b0e8d13785971a28e87f70d35888ddabbca7a100a")
 
 
 def test_generator_named_can_leave_out_the_long_encoder(params):
@@ -614,9 +625,9 @@ def test_checkpoint_bytes_pinned(tmp_path):
     path = tmp_path / "fixed.ckpt"
     M.save_checkpoint(path, hp, 6, "c" * 64, tensors, {"iteration": 3})
     data = path.read_bytes()
-    assert len(data) == 997
+    assert len(data) == 838
     assert hashlib.sha256(data).hexdigest() == (
-        "3e56dc1f521fbf457cc5042ffa5296737747aa5b6c021b55a4e61dfbd3fe43f1")
+        "5a9af540e5043decc2db63400669add5e4b89dc586cadd0198ac586c9ae98044")
 
 
 def test_checkpoint_keeps_zero_d_shape(tmp_path):
@@ -675,6 +686,11 @@ def test_checkpoint_that_a_load_would_refuse_is_not_written(tmp_path, params):
             "tensors[0].dtype must be 'float32' or 'float64', got 'int64'")):
         M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
                           {"a": np.arange(3, dtype=np.int64)})
+    with pytest.raises(ValueError, match=re.escape(
+            "tensor 'optim.v.long.fc.bias' has shape [63], but the model "
+            "needs [64]")):
+        M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
+                          {"optim.v.long.fc.bias": np.zeros(63)})
     assert list(tmp_path.iterdir()) == []
 
 
@@ -687,9 +703,13 @@ def test_checkpoint_bytes_deterministic(tmp_path, params):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _entry(header: dict, name: str) -> dict:
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
 def _edited_header(header: dict, what: str):
     """A valid-JSON but malformed variant of a checkpoint header."""
-    if what == "nbytes vs shape":
+    if what == "nbytes vs shape":  # named when an entry gave its nbytes
         header["tensors"][0]["shape"][0] += 1
     elif what == "no stats_fingerprint":
         del header["stats_fingerprint"]
@@ -705,27 +725,23 @@ def _edited_header(header: dict, what: str):
         header["extra"] = [1, 2]
     elif what == "repeated name":
         header["tensors"][1]["name"] = header["tensors"][0]["name"]
-    elif what == "swapped offsets":
-        first, second = header["tensors"][:2]
-        first["offset"], second["offset"] = second["offset"], first["offset"]
-    elif what == "overlapping offsets":
-        header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
     elif what in DTYPE_EDITS:
-        # each has the itemsize of float64, so nbytes still fits the shape
         header["tensors"][0]["dtype"] = DTYPE_EDITS[what]
     elif what == "fractional extent":
         header["tensors"][0]["shape"][0] += 0.7
     elif what == "negative extents":
-        # the product is unchanged, so nbytes still fits the shape
+        # the product, and so the size, is unchanged
         entry = next(e for e in header["tensors"] if len(e["shape"]) == 2)
         entry["shape"] = [-n for n in entry["shape"]]
     elif what == "bool extent":
         entry = next(e for e in header["tensors"] if e["shape"] == [1])
         entry["shape"] = [True]
-    elif what == "fractional offset":
-        header["tensors"][0]["offset"] += 0.5
-    elif what == "float nbytes":
-        header["tensors"][0]["nbytes"] = float(header["tensors"][0]["nbytes"])
+    elif what == "misshapen parameter":
+        _entry(header, "decoder.fc1.weight")["shape"][1] -= 2
+    elif what == "misshapen moment":
+        _entry(header, "optim.m.decoder.fc1.bias")["shape"] = [63]
+    elif what == "pose_dim of other tensors":
+        header["pose_dim"] = 15
     elif what == "fractional pose_dim":
         header["pose_dim"] += 0.9
     elif what == "bool pose_dim":
@@ -736,12 +752,6 @@ def _edited_header(header: dict, what: str):
         header["hyper"]["no_long_term"] = 1
     elif what == "no eta":
         del header["hyper"]["eta"]
-    elif what == "wrong format":
-        header["format"] = "nope"
-    elif what == "no format":
-        del header["format"]
-    elif what == "json version 2":
-        header["version"] = 2
     elif what == "numeric fingerprint":
         header["stats_fingerprint"] = 123
     elif what == "numeric name":
@@ -757,7 +767,14 @@ DTYPE_EDITS = {"object dtype": "|O", "void dtype": "|V8",
                "datetime dtype": "<M8[s]"}
 # each edit with the part of its refusal that follows the file name
 HEADER_EDITS = {
-    "nbytes vs shape": "tensor 'decoder.fc1.bias' has ",
+    "nbytes vs shape": "tensor 'decoder.fc1.bias' has shape [65], but the "
+                       "model needs [64]",
+    "misshapen parameter": "tensor 'decoder.fc1.weight' has shape [64, 126], "
+                           "but the model needs [64, 128]",
+    "misshapen moment": "tensor 'optim.m.decoder.fc1.bias' has shape [63], "
+                        "but the model needs [64]",
+    "pose_dim of other tensors": "tensor 'decoder.fc2.bias' has shape [12], "
+                                 "but the model needs [15]",
     "no stats_fingerprint": "stats_fingerprint is missing",
     "no tensors": "tensors is missing",
     "unknown hyper key": "hyper.not_a_field is not a declared key",
@@ -766,23 +783,16 @@ HEADER_EDITS = {
     "header is a list": "the document must be an object, got [{",
     "extra is a list": "extra must be an object, got [1, 2]",
     "repeated name": "tensor 'decoder.fc1.bias' is named twice",
-    "swapped offsets": "tensor 'decoder.fc1.bias' starts at byte ",
-    "overlapping offsets": "tensor 'decoder.fc1.weight' starts at byte ",
     **dict.fromkeys(DTYPE_EDITS, "tensors[0].dtype must be 'float32' or "
                                  "'float64', got "),
     "fractional extent": "tensors[0].shape[0] must be an integer >= 0, got ",
     "negative extents": "tensors[1].shape[0] must be >= 0, got -",
     "bool extent": "tensors[12].shape[0] must be >= 0, got True",
-    "fractional offset": "tensors[0].offset must be an integer >= 0, got ",
-    "float nbytes": "tensors[0].nbytes must be an integer >= 0, got ",
     "fractional pose_dim": "pose_dim must be an integer >= 1, got ",
     "bool pose_dim": "pose_dim must be >= 1, got True",
     "string flag": "hyper.adversarial must be true or false, got 'false'",
     "integer flag": "hyper.no_long_term must be true or false, got 1",
     "no eta": "hyper.eta is missing",
-    "wrong format": "format must be 'convmotion-checkpoint', got 'nope'",
-    "no format": "format is missing",
-    "json version 2": "version must be 1, got 2",
     "numeric fingerprint": "stats_fingerprint must be a string, got 123",
     "numeric name": "tensors[0].name must be a string, got 7",
     "undeclared key": "saved_at is not a declared key",
@@ -801,6 +811,7 @@ def _corrupted(good: bytes, what: str) -> bytes:
         "short file": good[:6],
         "no header length": good[:11],
         "header cut": good[:12 + header_len // 2],
+        "version 1": good[:4] + struct.pack("<I", 1) + good[8:],
         "header not JSON": good[:12] + b"x" + good[13:],
         "first tensor cut": good[:12 + header_len + 5],
         "last tensor cut": good[:-1],
@@ -808,17 +819,25 @@ def _corrupted(good: bytes, what: str) -> bytes:
     }[what]
 
 
+# the refusals of the byte edits that are pinned
+BYTE_EDITS = {"version 1": "unsupported checkpoint version 1",
+              "header not JSON": "not JSON: Expecting value: line 1 column 1"}
+
+
 @pytest.mark.parametrize("what", [
-    "short file", "no header length", "header cut", "header not JSON",
+    "short file", "no header length", "header cut", *BYTE_EDITS,
     "first tensor cut", "last tensor cut", "trailing bytes", *HEADER_EDITS])
 def test_checkpoint_truncated_or_corrupt_rejected(tmp_path, params, what):
+    # a training checkpoint: the parameters and one tensor's Adam moments
+    tensors = M.tensors_from_params(params)
+    for m in "mv":
+        tensors[f"optim.{m}.decoder.fc1.bias"] = np.zeros(64)
     path = tmp_path / "model.ckpt"
-    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64,
-                      M.tensors_from_params(params))
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "f" * 64, tensors)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_corrupted(path.read_bytes(), what))
-    with pytest.raises(ValueError, match=re.escape(
-            f"bad.ckpt: {HEADER_EDITS.get(what, '')}")):
+    refusal = {**BYTE_EDITS, **HEADER_EDITS}.get(what, "")
+    with pytest.raises(ValueError, match=re.escape(f"bad.ckpt: {refusal}")):
         M.load_checkpoint(bad)
 
 
@@ -897,6 +916,26 @@ def test_checkpoint_load_of_named_tensors_skips_the_others(tmp_path, params):
         bad.write_bytes(cut)
         with pytest.raises(ValueError, match=f"bad.ckpt: {refusal}"):
             M.load_checkpoint(bad, names=["long.fc.bias"])
+
+
+def test_checkpoint_load_refuses_what_names_asks_for_and_the_file_lacks(
+        tmp_path, params):
+    tensors = M.tensors_from_params(params)
+    del tensors["decoder.fc2.bias"]
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64, tensors)
+    with pytest.raises(ValueError, match=re.escape(
+            "model.ckpt: tensor 'decoder.fc2.bias' is not in the file")):
+        M.load_checkpoint(path, names=["long.fc.bias", "decoder.fc2.bias"])
+    # a skipped moment is checked against the model too
+    tensors["decoder.fc2.bias"] = params["decoder.fc2.bias"].data
+    tensors["optim.m.decoder.fc1.bias"] = np.zeros(64)
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64, tensors)
+    path.write_bytes(_corrupted(path.read_bytes(), "misshapen moment"))
+    with pytest.raises(ValueError, match=re.escape(
+            "model.ckpt: tensor 'optim.m.decoder.fc1.bias' has shape [63], "
+            "but the model needs [64]")):
+        M.load_checkpoint(path, names=M.PARAM_NAMES)
 
 
 def test_checkpoint_params_share_the_loaded_arrays(tmp_path, params):
