@@ -1,12 +1,12 @@
 """Minimal dense-tensor autodiff core.
 
 Implements exactly the operations the motion predictor needs: strided 2D
-convolution of an unpadded input (optionally with its leaky ReLU in the
-same node), affine maps that flatten their input, leaky ReLU, inverted
+convolution (optionally with its leaky ReLU in the same node) that reads
+its input rows from the tensors holding them, with zero padding that no
+tensor holds, affine maps that flatten their input, leaky ReLU, inverted
 dropout, elementwise arithmetic, reductions, concat/stack/slice plumbing, a
-row gather that joins conv rows and frames from several tensors into one
-zero-padded conv input in one node, and reverse-mode differentiation driven
-by an explicit gradient tape.
+row gather that joins conv rows from several tensors into one tensor in one
+node, and reverse-mode differentiation driven by an explicit gradient tape.
 
 Tensors are immutable values during a taped computation; parameters are
 updated between passes, in place by ``training.adam_step``. A ``GradTape``
@@ -466,61 +466,119 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# 2D convolution (unpadded, per-axis stride)
+# 2D convolution of rows read in place (per-axis stride)
 # ---------------------------------------------------------------------------
 
 
+class Rows(list):
+    """A conv input given in place: its ``(block, r)`` rows, top to bottom,
+    each with ``pad`` zero columns on either side. Row ``r`` is
+    ``block[..., r, :]`` of a ``[B, ch, H, W]`` block or a ``[B, n, W]``
+    frame batch, all of a ``[B, W]`` block when ``r`` is ``None``, and zeros
+    when the block is ``None``. ``shape`` is the padded input's,
+    ``[B, ch, n, W + 2*pad]``."""
+
+    def __init__(self, rows, pad: int = 0):
+        super().__init__(rows)
+        self.pad = pad
+
+    @property
+    def shape(self):
+        B, ch, _, W = _span(next(b for b, _ in self if b is not None).data,
+                            None).shape
+        return B, ch, len(self), W + 2 * self.pad
+
+
+def _span(arr, r, n=1, step=1):
+    """Rows ``r, r + step, ...`` (``n`` of them) of a block's array as a
+    ``[B, ch, n, W]`` view; frames have one channel, and a ``[B, W]`` block
+    is its one row. With ``r`` ``None`` a block gives its first row."""
+    if arr.ndim == 2:
+        return arr[:, None, None]
+    arr = arr if arr.ndim == 4 else arr[:, None]
+    return arr[:, :, :1] if r is None else arr[:, :, r:r + (n - 1) * step + 1:step]
+
+
+def _runs(rows, step=1) -> list:
+    """``[j, block, r, n]`` per run of ``rows``: entries ``j .. j+n-1`` are
+    rows ``r, r + step, ...`` of one block, or all padding."""
+    runs = []
+    for j, (b, r) in enumerate(rows):
+        last = runs[-1] if runs else None
+        if last and last[1] is b and (b is None or (
+                r is not None and last[2] + step * last[3] == r)):
+            last[3] += 1
+        else:
+            runs.append([j, b, r, 1])
+    return runs
+
+
 @functools.lru_cache(maxsize=None)
-def _col_scatter(W: int, kW: int, Wo: int, sW: int) -> np.ndarray:
+def _col_scatter(W: int, kW: int, Wo: int, sW: int, pad: int) -> np.ndarray:
     """The read-only 0/1 matrix ``[kW*Wo, W]`` that sends im2col column
-    ``(j, wo)`` to input column ``j + sW*wo``."""
-    scatter = np.zeros((kW, Wo, W))
+    ``(j, wo)`` to input column ``j + sW*wo - pad``; a column that reads
+    padding is a zero row."""
+    scatter = np.zeros((kW, Wo, W + 2 * pad))
     for j in range(kW):
         for wo in range(Wo):
             scatter[j, wo, j + sW * wo] = 1.0
-    scatter = scatter.reshape(kW * Wo, W)
+    scatter = scatter[:, :, pad:pad + W].reshape(kW * Wo, W)
     scatter.flags.writeable = False
     return scatter
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
+def conv2d(x, kernel: Tensor, bias: Tensor,
            stride=(1, 1), slope: Optional[float] = None) -> Tensor:
-    """Strided 2D cross-correlation of ``x`` as given (a caller pads it, as
-    ``gather_rows`` does), followed by a leaky ReLU of negative-side
-    ``slope`` when one is given.
+    """Strided 2D cross-correlation of ``x``, read in place, followed by a
+    leaky ReLU of negative-side ``slope`` when one is given.
 
-    ``x`` is ``[N, Cin, H, W]``, ``kernel`` is ``[Cout, Cin, kH, kW]``,
-    ``bias`` is ``[Cout]``; output is ``[N, Cout, H', W']`` with
-    ``H' = floor((H - kH)/sH) + 1`` and likewise for ``W'``.
+    ``x`` is a ``Tensor`` ``[N, Cin, H, W]``, convolved as given, or a
+    ``Rows`` value: the input's rows read from the blocks that hold them,
+    with its zero padding, whose ``shape`` is the padded ``[N, Cin, H, W]``.
+    ``kernel`` is ``[Cout, Cin, kH, kW]`` and ``bias`` ``[Cout]``; output
+    is ``[N, Cout, H', W']`` with ``H' = floor((H - kH)/sH) + 1`` and
+    likewise for ``W'``.
 
     Lowered to GEMMs over the im2col matrix ``cols [Cin*kH*kW, N*H'*W']``
-    (Chellapilla et al. 2006). ``cols`` is rebuilt from the input in the
-    backward pass rather than kept on the tape, which would hold one such
-    matrix per layer call until the tape is replayed. For the same reason
-    the kernel gradient is formed in the VJP, not deferred as an ``Outer``
-    pair like ``linear``'s weight gradient.
+    (Chellapilla et al. 2006): the source rows are written into a zeroed
+    padded grid, and ``cols`` is one strided copy of it. The grid lives
+    only while ``cols`` is built; the node's tape inputs are the first
+    distinct block, the kernel, the bias and the other blocks, so the tape
+    holds no padded copy of any input. ``cols`` is rebuilt from the blocks
+    in the backward pass rather than kept on the tape, which would hold one
+    such matrix per layer call until the tape is replayed. For the same
+    reason the kernel gradient is formed in the VJP, not deferred as an
+    ``Outer`` pair like ``linear``'s weight gradient.
 
     The activation is applied in place to the GEMM output and recorded in
     the same tape node; the VJP masks the output gradient by the sign of
     the output, as ``leaky_relu`` does. The input gradient (col2im) is
     formed by BLAS: ``dcols`` is computed with columns ordered
     ``(W', N, H')``, so that one batched product with a 0/1 column-scatter
-    matrix sums every kernel column's terms onto the input columns. Kernel
-    rows that land on disjoint input rows form a group; the first group is
-    copied onto the canvas, and each later one (only when ``kH > sH``) is
-    added.
+    matrix sums every kernel column's terms onto the real input columns;
+    the padding's gradient is never formed. Each kernel row's rows then go
+    into one partial per distinct block that needs a gradient: assigned
+    when the conv reads each row of the block once, else added into zeros.
     """
-    xd, kd = x.data, kernel.data
-    if xd.ndim != 4 or kd.ndim != 4:
-        raise ShapeError(
-            f"conv2d expects 4-D input and kernel, got {xd.shape} and {kd.shape}"
-        )
-    N, Cin, H, W = xd.shape
+    rows, kd = x, kernel.data
+    if isinstance(x, Tensor) and x.ndim == 4:
+        rows = Rows([(x, r) for r in range(x.shape[2])])
+    if not isinstance(rows, Rows) or kd.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-D input and kernel, got "
+                         f"{x.shape} and {kd.shape}")
+    blocks = list(dict.fromkeys(b for b, _ in rows if b is not None))
+    row_shapes = {_span(b.data, None).shape for b in blocks}
+    if len(row_shapes) != 1:
+        raise ShapeError(f"conv2d: rows of shapes {sorted(row_shapes)} "
+                         f"differ")
+    N, Cin, H, Wp = rows.shape
+    W, pad = Wp - 2 * rows.pad, rows.pad
+    dtype = blocks[0].data.dtype
     Cout, kCin, kH, kW = kd.shape
     if kCin != Cin:
         raise ShapeError(
             f"conv2d: input has {Cin} channels but kernel expects {kCin} "
-            f"(input {xd.shape}, kernel {kd.shape})"
+            f"(input {rows.shape}, kernel {kd.shape})"
         )
     if bias.data.shape != (Cout,):
         raise ShapeError(f"conv2d: bias {bias.data.shape} must be ({Cout},)")
@@ -529,18 +587,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     sH, sW = stride
     if sH < 1 or sW < 1:
         raise ValueError(f"conv2d: stride components must be >= 1, got {stride}")
-    if kH > H or kW > W:
+    if kH > H or kW > Wp:
         raise ShapeError(
-            f"conv2d: kernel ({kH}, {kW}) exceeds input ({H}, {W})")
+            f"conv2d: kernel ({kH}, {kW}) exceeds input ({H}, {Wp})")
     Ho = (H - kH) // sH + 1
-    Wo = (W - kW) // sW + 1
-    sN, sC, sh, sw = xd.strides
-    win_shape = (Cin, kH, kW, N, Ho, Wo)
+    Wo = (Wp - kW) // sW + 1
     K, P = Cin * kH * kW, N * Ho * Wo
 
     def im2col():
-        # the reshape of the strided window view is the one copy
-        return as_strided(xd, win_shape,
+        # the one strided copy of a zero-padded grid that lives only while
+        # it is read: no padded input is kept, on the tape or off it
+        grid = np.zeros((N, Cin, H, Wp), dtype=dtype)
+        for j, b, r, n in _runs(rows):
+            if b is not None:
+                grid[:, :, j:j + n, pad:pad + W] = _span(b.data, r, n)
+        sN, sC, sh, sw = grid.strides
+        return as_strided(grid, (Cin, kH, kW, N, Ho, Wo),
                           (sC, sh, sw, sN, sh * sH, sw * sW)).reshape(K, P)
 
     w2 = kd.reshape(Cout, K)
@@ -550,18 +612,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         _leaky(out2, slope, out2)
     out_data = np.ascontiguousarray(
         out2.reshape(Cout, N, Ho, Wo).transpose(1, 0, 2, 3))
-    req = x.requires_grad or kernel.requires_grad or bias.requires_grad
+    req = (any(b.requires_grad for b in blocks) or kernel.requires_grad
+           or bias.requires_grad)
     out = Tensor(out_data, requires_grad=req)
     if not out.requires_grad or _active_tape() is None:
         return out
 
-    need_x, need_k = x.requires_grad, kernel.requires_grad
-    need_b = bias.requires_grad
+    need_k, need_b = kernel.requires_grad, bias.requires_grad
+    # per block that needs a gradient: the runs (kernel row i, first output
+    # row o, r, n) of the rows that kernel row reads from it, and whether
+    # they read each of its rows once
+    reads = {}
+    for i in range(kH):
+        for o, b, r, n in _runs(rows[i:i + (Ho - 1) * sH + 1:sH], sH):
+            if b is not None and b.requires_grad:
+                reads.setdefault(b, []).append((i, o, r, n))
+    once = {b: sorted(r + sH * k if b.ndim > 2 else 0
+                      for _, _, r, n in runs for k in range(n))
+            == list(range(b.shape[-2] if b.ndim > 2 else 1))
+            for b, runs in reads.items()}
 
     def vjp(g):
         # an input that needs no gradient gets None and costs nothing: a
-        # constant kernel skips the gk GEMM, a data input the dcols GEMM
-        # and the col2im
+        # constant kernel skips the gk GEMM, data blocks the dcols GEMM and
+        # the col2im
         if slope is not None:
             g = _leaky_grad(g, out_data, slope)
         gb = g.sum(axis=(0, 2, 3)) if need_b else None
@@ -569,29 +643,31 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         if need_k:
             g2 = g.transpose(1, 0, 2, 3).reshape(Cout, P)
             gk = (g2 @ im2col().T).reshape(kd.shape)
-        if not need_x:
-            return None, gk, gb
-        gw = g.transpose(1, 3, 0, 2).reshape(Cout, Wo * N * Ho)
-        dcols = (w2.T @ gw).reshape(Cin * kH, kW * Wo, N * Ho)
-        # per kernel row and input column, the sum of the kernel columns'
-        # terms: [Cin*kH, N*Ho, W], viewed as [N, Cin, Ho, kH, W]
-        rows = np.matmul(dcols.transpose(0, 2, 1),
-                         _col_scatter(W, kW, Wo, sW))
-        rows = rows.reshape(Cin, kH, N, Ho, W).transpose(2, 0, 3, 1, 4)
-        canvas = np.zeros((N, Cin, H, W), dtype=xd.dtype)
-        cN, cC, ch, cw = canvas.strides
-        for i in range(0, kH, sH):
-            # kernel rows i .. i+m-1 land on disjoint canvas rows
-            m = min(sH, kH - i)
-            dst = as_strided(canvas[:, :, i:], (N, Cin, Ho, m, W),
-                             (cN, cC, ch * sH, ch, cw))
-            if i == 0:
-                dst[...] = rows[:, :, :, :m]
-            else:
-                dst += rows[:, :, :, i:i + m]
-        return canvas, gk, gb
+        partials = {}
+        if reads:
+            dcols = w2.T @ g.transpose(1, 3, 0, 2).reshape(Cout, Wo * N * Ho)
+            # per kernel row and real input column, the sum of the kernel
+            # columns' terms: [Cin*kH, N*Ho, W], viewed as [Cin, kH, N, Ho, W]
+            drows = np.matmul(
+                dcols.reshape(Cin * kH, kW * Wo, N * Ho).transpose(0, 2, 1),
+                _col_scatter(W, kW, Wo, sW, pad)).reshape(Cin, kH, N, Ho, W)
+            del dcols  # freed before the partials are made
+            for b, runs in reads.items():
+                # a block whose every row is read once takes its rows'
+                # gradients by assignment; any other adds them into zeros
+                p = partials[b] = (np.empty_like if once[b] else
+                                   np.zeros_like)(b.data)
+                for i, o, r, n in runs:
+                    dst = _span(p, r, n, sH)
+                    part = drows[:, i, :, o:o + n].transpose(1, 0, 2, 3)
+                    if once[b]:
+                        dst[...] = part
+                    else:
+                        dst += part
+        return (partials.get(blocks[0]), gk, gb,
+                *(partials.get(b) for b in blocks[1:]))
 
-    _record((x, kernel, bias), out, vjp)
+    _record((blocks[0], kernel, bias, *blocks[1:]), out, vjp)
     return out
 
 
@@ -664,42 +740,24 @@ def tslice(x: Tensor, key) -> Tensor:
     return out
 
 
-def gather_rows(rows: list, pad: int = 0) -> Tensor:
-    """Join ``(block, r)`` rows into one ``[B, ch, n, W + 2*pad]`` tensor, a
-    conv input zero padded by ``pad`` columns on either side, along the
-    height axis, as one tape node over the distinct blocks. Row ``r`` is
-    ``block[..., r, :]`` of a ``[B, ch, H, W]`` block or a ``[B, n, W]``
-    frame batch, all of a ``[B, W]`` block when ``r`` is ``None``, and zeros
-    when the block is ``None``. At ``pad`` 0, every row of one 4-D block, in
-    order, is that block. Consecutive rows of one block are copied as one
-    run. The VJP adds each run's gradient into one partial per block that
-    needs a gradient (a row read twice gets both), copies it for a block
-    read whole and once, and gives ``None`` for the rest."""
-    def span(arr, r, n):  # a [B, ch, n, W] view; frames have one channel
-        arr = arr if arr.ndim == 4 else arr[:, None]
-        return arr[:, :, None] if r is None else arr[:, :, r:r + n]
-
+def gather_rows(rows: list) -> Tensor:
+    """Join ``(block, r)`` rows, read as in ``Rows``, into one
+    ``[B, ch, n, W]`` tensor along the height axis, as one tape node over
+    the distinct blocks. Every row of one 4-D block, in order, is that
+    block. Consecutive rows of one block are copied as one run. The VJP
+    adds each run's gradient into one partial per block that needs a
+    gradient (a row read twice gets both), copies it for a block read whole
+    and once, and gives ``None`` for the rest."""
     blocks = list(dict.fromkeys(b for b, _ in rows if b is not None))
     first = blocks[0]
-    if not pad and first.ndim == 4 and rows == [
-            (first, j) for j in range(first.shape[2])]:
+    if first.ndim == 4 and rows == [(first, j) for j in range(first.shape[2])]:
         return first
-    runs = []  # [j, block, r, n]: rows r .. r+n-1 of block land at j ..
-    for j, (b, r) in enumerate(rows):
-        if (runs and b is not None and runs[-1][1] is b and r is not None
-                and runs[-1][2] + runs[-1][3] == r):
-            runs[-1][3] += 1
-        else:
-            runs.append([j, b, r, 1])
-    r0 = next(r for b, r in rows if b is first)
-    zero = np.zeros_like(span(first.data, r0, 1))
-    B, ch, _, W = zero.shape
-    data = np.zeros((B, ch, len(rows), W + 2 * pad), dtype=zero.dtype)
-    # np.concatenate refuses rows of different shapes, where an assignment
-    # would broadcast a one-channel row into a many-channel slot
-    np.concatenate([zero if b is None else span(b.data, r, n)
-                    for _, b, r, n in runs],
-                   axis=2, out=data[:, :, :, pad:pad + W])
+    runs = _runs(rows)
+    B, ch, _, W = _span(first.data, None).shape
+    # np.concatenate refuses rows of different shapes
+    data = np.concatenate([np.zeros((B, ch, n, W), first.dtype) if b is None
+                           else _span(b.data, r, n) for _, b, r, n in runs],
+                          axis=2)
     out = Tensor(data, requires_grad=any(b.requires_grad for b in blocks))
     if out.requires_grad and _active_tape() is not None:
         uses = Counter(b for _, b, _, _ in runs)
@@ -709,15 +767,15 @@ def gather_rows(rows: list, pad: int = 0) -> Tensor:
             for j, b, r, n in runs:
                 if b is None or not b.requires_grad:
                     continue
-                part = g[:, :, j:j + n, pad:pad + W]
+                part = g[:, :, j:j + n]
                 if uses[b] == 1 and part.size == b.size:
-                    # a copy, not a view: the padded gradient ``g`` can go
+                    # a copy, not a view: the joined gradient ``g`` can go
                     # before the VJP of the conv that made ``b`` runs
                     partials[b] = part.reshape(b.shape).copy()
                 else:
                     if b not in partials:
                         partials[b] = np.zeros_like(b.data)
-                    span(partials[b], r, n)[...] += part
+                    _span(partials[b], r, n)[...] += part
             return tuple(partials.get(b) for b in blocks)
 
         _record(tuple(blocks), out, vjp)

@@ -156,10 +156,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path, stats, stats_path) -> M.Checkpoint:
+    """The checkpoint's parameters, refused unless its pose dim is the
+    width that ``stats`` reduce a frame to."""
+    ckpt = M.load_checkpoint(path, stats.fingerprint(), names=M.PARAM_NAMES)
+    if ckpt.pose_dim != stats.reduced_dim:
+        raise ValueError(f"{path}: checkpoint has pose dim {ckpt.pose_dim}, "
+                         f"but {stats_path} reduces frames to "
+                         f"{stats.reduced_dim}")
+    return ckpt
+
+
 def cmd_predict(args) -> int:
     stats = mocap.NormalizationStats.load(args.stats)
-    ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint(),
-                             names=M.PARAM_NAMES)
+    ckpt = _load_model(args.checkpoint, stats, args.stats)
     hp = ckpt.hyper
     trial = mocap.load_trial(args.seed_file)
     if trial.num_frames < hp.seed_frames:
@@ -179,8 +189,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, stats, sequences = _load_dataset(args.data, args.stats, "test")
-    ckpt = M.load_checkpoint(args.checkpoint, stats.fingerprint(),
-                             names=M.PARAM_NAMES)
+    ckpt = _load_model(args.checkpoint, stats, args.stats)
     hp = ckpt.hyper
     horizons = args.horizons
     if horizons is None:

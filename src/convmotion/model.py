@@ -14,7 +14,8 @@ convolutional trunk scores full sequences for the adversarial regularizer.
 The sequences it scores in one training iteration share their t seed frames,
 so a ``RowCache`` with a frame limit lets every pass after the first
 convolve only the conv rows that read a target frame. ``cem_forward`` alone
-pads a conv input: it gathers the rows zero padded.
+pads a conv input: it hands each conv its input rows where they are, with
+padding rows and columns that no tensor holds.
 """
 
 from __future__ import annotations
@@ -251,8 +252,9 @@ class RowCache(dict):
     field, ``first`` being ``None`` when the field holds top padding; such
     a row is shared only by passes that start at frame 0. A row that reads
     bottom padding, or a frame at or past ``limit``, belongs to its own pass
-    and is not cached. The value is ``(block, r)``, for ``ad.gather_rows``:
-    row ``r`` of the leaky-ReLU output of the conv call that made it.
+    and is not cached. The value is ``(block, r)``, a row as ``ad.Rows``
+    reads it: row ``r`` of the leaky-ReLU output of the conv call that made
+    it.
     """
 
     def __init__(self, limit: Optional[int] = None):
@@ -318,20 +320,22 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
                 cache: Optional[RowCache] = None) -> Tensor:
     """Encode a ``[B, n, L]`` batch of frame grids into ``[B, fc_out]`` codes
     with the ``cfg.prefix`` tensors of ``params``; ``frames`` is that tensor
-    or its n frame rows, ``(tensor, r)`` pairs as ``ad.gather_rows`` reads.
+    or its n frame rows, ``(tensor, r)`` pairs as ``ad.Rows`` reads them.
 
     The frames form a one-channel image, time along the height axis and pose
-    dimension along the width axis. Each conv layer convolves its input rows
-    gathered with symmetric "same"-style zero padding (``same_padding``; no
-    other code pads a conv input) at stride 2, then applies a leaky ReLU;
-    dropout sits between the last conv layer and the flattening affine map.
+    dimension along the width axis. Each conv layer convolves its input
+    rows, read where they are with symmetric "same"-style zero padding
+    (``same_padding``; no other code pads a conv input, and no tensor holds
+    a padded input) at stride 2, then applies a leaky ReLU; dropout
+    sits between the last conv layer and the flattening affine map, on the
+    last layer's rows gathered into one tensor.
 
     With a ``cache``, each conv layer computes only the output rows that no
     earlier pass over the same frames produced (dense sliding-window
     evaluation, Sermanet et al. 2014): their ``kH``-row padded input groups
-    are gathered and convolved in one call at height stride ``kH``. A layer
-    with no cached rows is one conv over its whole padded input. The pass
-    stores the rows that later passes may share in the cache.
+    are read in one call at height stride ``kH``. A layer with no cached
+    rows is one conv over its whole padded input. The pass stores the rows
+    that later passes may share in the cache.
     """
     if isinstance(frames, Tensor):
         if frames.ndim != 3:
@@ -361,7 +365,7 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
                 padded = [row for j in missing
                           for row in padded[j * sH:j * sH + kH]]
                 step = kH
-            out = ad.conv2d(ad.gather_rows(padded, pW),
+            out = ad.conv2d(ad.Rows(padded, pW),
                             params[f"{cfg.prefix}.conv{i}.kernel"],
                             params[f"{cfg.prefix}.conv{i}.bias"],
                             stride=(step, sW), slope=cfg.leaky_slope)

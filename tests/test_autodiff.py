@@ -744,8 +744,8 @@ def _gather_oracle(rows, B, ch, W):
     return out
 
 
-def _weighted_gather_loss(rows, weights, pad=0):
-    return lambda: sumsq(mul(ad.gather_rows(rows, pad), Tensor(weights)))
+def _weighted_gather_loss(rows, weights):
+    return lambda: sumsq(mul(ad.gather_rows(rows), Tensor(weights)))
 
 
 @pytest.mark.parametrize("seeds_need_grad", [False, True])
@@ -817,43 +817,64 @@ def test_gather_rows_rejects_mismatched_rows():
 
 
 def test_gather_rows_refuses_a_one_channel_row_after_many_channel_rows():
-    # the padded buffer is [B, 3, n, W]: a frame row would broadcast into
-    # all three channels of its slot
+    # the joined grid is [B, 3, n, W]: a frame row would broadcast into all
+    # three channels of its slot; a conv reading such rows refuses them too
     rng = np.random.default_rng(35)
     frames = Tensor(rng.normal(size=(2, 5, 4)))
     conv = Tensor(rng.normal(size=(2, 3, 4, 4)))
-    for pad in (0, 2):
-        with pytest.raises(ValueError, match="must match exactly, but along "
-                                             "dimension 1"):
-            ad.gather_rows([(conv, 0), (frames, 0)], pad)
+    with pytest.raises(ValueError, match="must match exactly, but along "
+                                         "dimension 1"):
+        ad.gather_rows([(conv, 0), (frames, 0)])
+    k, b = Tensor(np.ones((1, 3, 1, 1))), Tensor(np.zeros(1))
+    with pytest.raises(ShapeError, match=r"rows of shapes .* differ"):
+        conv2d(ad.Rows([(conv, 0), (frames, 0)], 2), k, b)
 
 
-def test_gather_rows_pads_the_width_with_zero_columns():
+def test_conv2d_reads_padding_rows_and_columns_as_zeros():
+    # rows read in place with pad columns give the conv of the padded grid
+    # that the rows make, bit for bit
     rng = np.random.default_rng(36)
     seeds = Tensor(rng.normal(size=(2, 5, 4)))
     frame = Tensor(rng.normal(size=(2, 4)))
-    rows = [PAD, (seeds, 4), (frame, None), PAD, PAD]
-    out = ad.gather_rows(rows, 3)
-    want = pad(_gather_oracle(rows, 2, 1, 4), (0, 3))
-    assert out.shape == (2, 1, 5, 10)
-    np.testing.assert_array_equal(out.data, want)
+    rows = ad.Rows([PAD, (seeds, 4), (frame, None), PAD, PAD], 3)
+    k = Tensor(rng.normal(size=(3, 1, 2, 7)))
+    b = Tensor(rng.normal(size=3))
+    grid = pad(_gather_oracle(rows, 2, 1, 4), (0, 3))
+    assert rows.shape == grid.shape == (2, 1, 5, 10)
+    for stride in ((1, 1), (2, 2), (1, 3)):
+        np.testing.assert_array_equal(
+            conv2d(rows, k, b, stride=stride).data,
+            conv2d(Tensor(grid), k, b, stride=stride).data)
 
 
-def test_gather_rows_with_padding_is_never_the_block_itself():
-    x = Tensor(np.random.default_rng(37).normal(size=(2, 3, 4, 5)),
-               requires_grad=True)
+def test_conv2d_of_rows_records_one_node_over_the_distinct_blocks():
+    # inputs: the first block, the kernel, the bias, the other blocks; the
+    # input partials are the col2im oracle's gradient of the padded grid,
+    # read back at the rows each block gave, and None for a data block
+    rng = np.random.default_rng(33)
+    data = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    param = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    k = Tensor(rng.normal(size=(4, 3, 2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=4))
+    rows = [PAD, (param, 2), (data, 0), (param, 3), (data, 3), (param, 0),
+            PAD]
     with GradTape() as tape:
-        out = ad.gather_rows([(x, r) for r in range(4)], 1)
+        out = conv2d(ad.Rows(rows, 1), k, b, stride=(2, 1))
     (node,) = tape._nodes
-    assert out is not x and node.output is out and node.inputs == (x,)
-    np.testing.assert_array_equal(out.data, pad(x.data, (0, 1)))
-    gx, = node.vjp(np.ones(out.shape))
-    np.testing.assert_array_equal(gx, np.ones(x.shape))
+    assert node.inputs == (param, k, b, data) and node.output is out
+    g = rng.normal(size=out.shape)
+    gp, gk, gb, gd = node.vjp(g)
+    assert gb is None and gd is None and gk.shape == k.shape
+    grid = col2im_input_grad(g, k.data, (2, 3, 7, 7), (2, 1), (0, 0))
+    want = np.zeros(param.shape)
+    for j, r in ((1, 2), (3, 3), (5, 0)):
+        want[:, :, r] = grid[:, :, j, 1:6]
+    np.testing.assert_allclose(gp, want, rtol=0, atol=1e-14)
 
 
 def test_gather_rows_copies_the_gradient_of_a_block_read_whole_once():
     # a block read whole, once, gets a copy of its slice of the output
-    # gradient (a view would keep the padded gradient alive); a block with
+    # gradient (a view would keep the joined gradient alive); a block with
     # a row read again gets one partial with both added
     rng = np.random.default_rng(40)
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
@@ -861,54 +882,61 @@ def test_gather_rows_copies_the_gradient_of_a_block_read_whole_once():
     seeds = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
     with GradTape() as tape:
         ad.gather_rows([PAD, *[(a, r) for r in range(4)], (b, 0), (b, 1),
-                        (b, 1), PAD], 2)
-        ad.gather_rows([(seeds, r) for r in range(4)], 1)
+                        (b, 1), PAD])
+        ad.gather_rows([(seeds, r) for r in range(4)])
     node, frames_node = tape._nodes
     g = rng.normal(size=node.output.shape)
     ga, gb = node.vjp(g)
     assert not np.shares_memory(ga, g) and ga.flags.c_contiguous
-    np.testing.assert_array_equal(ga, g[:, :, 1:5, 2:7])
+    np.testing.assert_array_equal(ga, g[:, :, 1:5])
     np.testing.assert_array_equal(
-        gb, np.stack([g[:, :, 5, 2:7], g[:, :, 6, 2:7] + g[:, :, 7, 2:7]],
-                     axis=2))
+        gb, np.stack([g[:, :, 5], g[:, :, 6] + g[:, :, 7]], axis=2))
     g = rng.normal(size=frames_node.output.shape)
     (gs,) = frames_node.vjp(g)
     assert gs.shape == seeds.shape and not np.shares_memory(gs, g)
-    np.testing.assert_array_equal(gs, g[:, 0, :, 1:6])
+    np.testing.assert_array_equal(gs, g[:, 0])
 
 
 @pytest.mark.parametrize("width_pad", [1, 3])
 def test_padded_gather_matches_finite_differences(width_pad):
-    # padding rows and columns get no gradient: only the rows read do. The
-    # loss is quadratic, so a central difference of step 1e-3 has no
-    # truncation error and 100 times less rounding noise than 1e-5
+    # a conv reading rows in place: padding rows and columns get no
+    # gradient, only the rows read do, and a row read twice gets both;
+    # kH > sH reads each row by two output rows. The loss is quadratic, so
+    # a central difference of step 1e-3 has no truncation error and 100
+    # times less rounding noise than 1e-5
     rng = np.random.default_rng(38)
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3, 2, 5)), requires_grad=True)
-    rows = [PAD, (a, 0), (a, 1), (a, 1), (a, 3), (b, 0), (b, 1), PAD]
-    weights = rng.normal(size=(2, 3, len(rows), 5 + 2 * width_pad))
-    report = grad_check(_weighted_gather_loss(rows, weights, width_pad),
-                        {"a": a, "b": b}, h=1e-3, tol=1e-6)
+    k = Tensor(rng.normal(size=(2, 3, 2, 3)))
+    bias = Tensor(rng.normal(size=2))
+    rows = ad.Rows([PAD, (a, 0), (a, 1), (a, 1), (a, 3), (b, 0), (b, 1), PAD],
+                   width_pad)
+    weights = rng.normal(size=conv2d(rows, k, bias, stride=(1, 2)).shape)
+    report = grad_check(
+        lambda: sumsq(mul(conv2d(rows, k, bias, stride=(1, 2)),
+                          Tensor(weights))),
+        {"a": a, "b": b}, h=1e-3, tol=1e-6)
     assert report.passed, report.summary()
 
 
 def test_conv_of_a_padded_gather_matches_finite_differences():
-    # the model's path: frame rows gathered with padding rows and columns,
-    # then an unpadded strided conv; the loss is quadratic, as above
+    # the model's path: frame rows read in place with padding rows and
+    # columns by a strided conv; the loss is quadratic, as above
     rng = np.random.default_rng(39)
     seeds = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
     frame = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 1, 2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
-    rows = [PAD, *[(seeds, i) for i in range(5)], (frame, None), PAD]
-    out = conv2d(ad.gather_rows(rows, 1), k, b, stride=(2, 2))
+    rows = ad.Rows([PAD, *[(seeds, i) for i in range(5)], (frame, None), PAD],
+                   1)
+    out = conv2d(rows, k, b, stride=(2, 2))
     np.testing.assert_allclose(
         out.data, conv2d_oracle(_gather_oracle(rows, 2, 1, 6), k.data, b.data,
                                 (2, 2), (0, 1)), atol=1e-12, rtol=0)
     weights = rng.normal(size=out.shape)
 
     def loss():
-        out = conv2d(ad.gather_rows(rows, 1), k, b, stride=(2, 2))
+        out = conv2d(rows, k, b, stride=(2, 2))
         return sumsq(mul(out, Tensor(weights)))
 
     report = grad_check(loss, {"seeds": seeds, "frame": frame, "k": k, "b": b},

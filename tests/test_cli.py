@@ -1008,12 +1008,17 @@ def test_width_shape_error_is_one_error_line(corpus, tmp_path, capsys):
     M.save_checkpoint(ckpt, hp, wide, stats.fingerprint(),
                       M.tensors_from_params(M.init_params(
                           hp, wide, np.random.default_rng(0))))
-    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--stats",
-                   str(stats_path), "--seed-file",
-                   str(manifest.parent / "S5" / "walk_1.txt"),
-                   "--out", str(tmp_path / "pred.txt")])
-    assert rc == 1
-    assert "pose dim" in _error_line(capsys)
+    # both commands refuse it right after the load, naming both files
+    for argv in (["predict", "--seed-file",
+                  str(manifest.parent / "S5" / "walk_1.txt"),
+                  "--out", str(tmp_path / "pred.txt")],
+                 ["eval", "--data", str(manifest), "--num-sequences", "1"]):
+        rc = cli.main([*argv, "--checkpoint", str(ckpt), "--stats",
+                       str(stats_path)])
+        assert rc == 1
+        line = _error_line(capsys)
+        assert f"{ckpt}: checkpoint has pose dim {wide}, but {stats_path} " \
+               f"reduces frames to {wide - 1}" in line, line
 
 
 def test_verbose_error_keeps_traceback(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -842,37 +843,28 @@ def test_no_gradient_outlives_its_iteration(monkeypatch, hp):
     assert alive_at_forward == [0, 0, 0]
 
 
-def _assert_freed_before_replay(tape, checked: list) -> None:
-    """Wrap the VJP of the node recorded just before each recorded padded
-    conv input's gather, so that it asserts, as it runs, that the input's
-    array is freed; ``checked`` gets one entry per array so verified."""
-    nodes = tape._nodes
-    made_at = {id(node.output): i for i, node in enumerate(nodes)}
-    refs_at = {}
-    for node in nodes:
-        if node.vjp.__qualname__.split(".")[0] != "conv2d":
-            continue
-        i = made_at.get(id(node.inputs[0]))
-        if i and nodes[i].vjp.__qualname__.startswith("gather_rows"):
-            refs_at.setdefault(i - 1, []).append(
-                weakref.ref(node.inputs[0].data))
-    for i, refs in refs_at.items():
-        def watched(g, vjp=nodes[i].vjp, refs=refs):
-            assert [ref() for ref in refs] == [None] * len(refs)
-            checked.extend(refs)
-            return vjp(g)
-        nodes[i].vjp = watched
-
-
-def test_backward_frees_each_padded_conv_input_during_the_replay(monkeypatch):
+def test_no_conv_node_holds_a_padded_copy_of_its_input(monkeypatch):
+    # each conv reads its input rows in place: the blocks a conv node holds
+    # are conv outputs, frame batches and frames, never a gathered copy,
+    # and none is as wide as a padded input
     seqs, stats = make_dataset(frames=30)
     hp = micro_hp(lambda_adv=0.01, adversarial=True)
+    widths = {w for cfg in (hp.long_cem(seqs[0].pose_dim),
+                            hp.discriminator_cem(seqs[0].pose_dim))
+              for _, w in cfg.grid_trace()}
     checked = []
     real_backward = T.backward
 
     def checking_backward(loss, tape):
-        checked.append([])
-        _assert_freed_before_replay(tape, checked[-1])
+        made_by = {id(node.output): node.vjp.__qualname__.split(".")[0]
+                   for node in tape._nodes}
+        convs = [node for node in tape._nodes
+                 if node.vjp.__qualname__.startswith("conv2d.")]
+        for node in convs:
+            for block in (node.inputs[0], *node.inputs[3:]):
+                assert made_by.get(id(block)) != "gather_rows"
+                assert block.shape[-1] in widths, block.shape
+        checked.append(len(convs))
         return real_backward(loss, tape)
 
     monkeypatch.setattr(T, "backward", checking_backward)
@@ -880,6 +872,38 @@ def test_backward_frees_each_padded_conv_input_during_the_replay(monkeypatch):
     # the generator step, then the discriminator step
     generator, discriminator = checked
     assert generator and discriminator
+
+
+def test_forward_memory_of_a_paper_iteration_is_bounded(monkeypatch):
+    # the tracemalloc peak of one training iteration at the paper
+    # architecture, batch 2, up to the generator step's backward, when the
+    # tape holds the whole forward (the Adam moments included). It read
+    # 210.03e6 bytes with every conv reading its rows in place, and
+    # 222.61e6 when each conv input was a padded copy held on the tape.
+    # The whole iteration's peak (261.8e6 either way) is set later, by the
+    # gradients next to the moments, so it cannot show the tape
+    hp = M.HyperParams(batch_size=2)
+    L = 54
+    rng = np.random.default_rng(0)
+    seqs = [mocap.MotionSequence(
+        rng.normal(size=(hp.seed_frames + hp.target_frames, L)), "walk")]
+    stats = mocap.NormalizationStats(mean=np.zeros(L), std=np.ones(L),
+                                     kept=np.ones(L, dtype=bool))
+    params = M.init_params(hp, L, np.random.default_rng(0))
+    peaks = []
+    real_backward = T.backward
+
+    def measuring_backward(loss, tape):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(T, "backward", measuring_backward)
+    tracemalloc.start()
+    try:
+        T.train(seqs, stats, hp, T.TrainSchedule(iterations=1), params=params)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 214e6, f"{peaks[0] / 1e6:.2f} MB"
 
 
 def test_train_empty_dataset_rejected():
