@@ -1,12 +1,12 @@
 """Minimal dense-tensor autodiff core.
 
 Implements exactly the operations the motion predictor needs: strided 2D
-convolution (optionally with its leaky ReLU in the same node) that reads
-its input rows from the tensors holding them, with zero padding that no
-tensor holds, affine maps that flatten their input, leaky ReLU, inverted
-dropout, elementwise arithmetic, reductions, concat/stack/slice plumbing, a
-row gather that joins conv rows from several tensors into one tensor in one
-node, and reverse-mode differentiation driven by an explicit gradient tape.
+convolution that reads its input rows from the tensors holding them, with
+zero padding that no tensor holds, and affine maps that flatten their input
+(each optionally with its leaky ReLU in the same node), leaky ReLU,
+inverted dropout that can join rows of several tensors in the same node,
+elementwise arithmetic, reductions, concat/stack/slice plumbing, and
+reverse-mode differentiation driven by an explicit gradient tape.
 
 Tensors are immutable values during a taped computation; parameters are
 updated between passes, in place by ``training.adam_step``. A ``GradTape``
@@ -25,7 +25,6 @@ place into an accumulator that ``backward`` allocated itself.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -353,9 +352,9 @@ def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
 def _leaky_grad(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
     """The leaky ReLU's VJP, masked by the sign of its output ``y``: ``g``
     where ``y >= 0``, else ``slope * g``, as ``g`` times a factor of 1.0 or
-    ``slope``. ``leaky_relu`` and the activation of ``conv2d`` share this
-    one rule. A negative subnormal input whose ``slope * x`` rounds to
-    ``-0.0`` therefore passes ``g``."""
+    ``slope``. ``leaky_relu`` and the activations of ``conv2d`` and
+    ``linear`` share this one rule. A negative subnormal input whose
+    ``slope * x`` rounds to ``-0.0`` therefore passes ``g``."""
     factor = np.maximum(y >= 0, slope, dtype=g.dtype)
     return np.multiply(g, factor, out=factor)
 
@@ -398,22 +397,52 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, p: float, mode: str = "train",
+def dropout(x, p: float, mode: str = "train",
             rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: train-time zeroing with 1/(1-p) rescale, eval identity."""
+    """Inverted dropout: train-time zeroing with 1/(1-p) rescale, eval
+    identity. ``x`` is a ``Tensor``, or a ``Rows`` value with pad 0 whose
+    rows this node joins (in either mode) into one ``[B, ch, n, W]`` tensor
+    over the distinct blocks, a run of one block's rows as one slice; the
+    mask scales that buffer in place. Every row of one 4-D block, in order,
+    is that block."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in train mode requires an explicit rng")
-    keep = (rng.random(x.data.shape) >= p)
-    scale = 1.0 / (1.0 - p)
-    factor = keep * scale
-    out = Tensor(x.data * factor, requires_grad=x.requires_grad)
-    _record((x,), out, lambda g: (g * factor,))
+    if isinstance(x, Rows):
+        if x.pad:
+            raise ShapeError(f"dropout joins rows at pad 0, got {x.pad}")
+        blocks = list(dict.fromkeys(b for b, _ in x if b is not None))
+        first = blocks[0]
+        if first.ndim == 4 and x == [(first, r) for r in range(first.shape[2])]:
+            x = first
+    factor = None
+    if mode == "train" and p > 0.0:
+        if rng is None:
+            raise ValueError("dropout in train mode requires an explicit rng")
+        factor = (rng.random(x.shape) >= p) * (1.0 / (1.0 - p))
+    if isinstance(x, Tensor):
+        if factor is None:
+            return x
+        out = Tensor(x.data * factor, requires_grad=x.requires_grad)
+        _record((x,), out, lambda g: (g * factor,))
+        return out
+    runs = _runs(x)
+    B, ch, _, W = x.shape
+    # np.concatenate refuses rows of different shapes
+    data = np.concatenate([np.zeros((B, ch, n, W), first.dtype) if b is None
+                           else _span(b.data, r, n) for _, b, r, n in runs],
+                          axis=2)
+    if factor is not None:
+        data *= factor
+    out = Tensor(data, requires_grad=any(b.requires_grad for b in blocks))
+    if out.requires_grad and _active_tape() is not None:
+        def vjp(g):
+            g = g if factor is None else g * factor
+            partials = _row_partials(runs, 1, lambda j, n: g[:, :, j:j + n])
+            return tuple(partials.get(b) for b in blocks)
+
+        _record(tuple(blocks), out, vjp)
     return out
 
 
@@ -437,12 +466,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor,
+           slope: Optional[float] = None) -> Tensor:
     """Affine map of a ``[B, ...]`` input flattened to ``[B, in]``:
-    ``x @ weight.T + bias`` with weight ``[out, in]``. The VJP returns the
-    input gradient in the input's shape, and the weight partial as the
-    ``Outer`` pair ``(g, x)``; ``backward`` contracts all pairs of one
-    weight in one GEMM."""
+    ``x @ weight.T + bias`` with weight ``[out, in]``, then, given a
+    ``slope``, a leaky ReLU in place in the same node, as in ``conv2d``. The
+    VJP returns the input gradient in the input's shape, and the weight
+    partial as the ``Outer`` pair ``(g, x)``; ``backward`` contracts all
+    pairs of one weight in one GEMM."""
     shape = x.data.shape
     if len(shape) < 2:
         raise ShapeError(f"linear expects a [B, ...] input, got {shape}")
@@ -453,15 +484,22 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (wd.shape[0],):
         raise ShapeError(
             f"linear: bias {bias.data.shape} incompatible with weight {wd.shape}")
+    if slope is not None:
+        _check_slope(slope)
     out_data = xd @ wd.T + bias.data
-    req = x.requires_grad or weight.requires_grad or bias.requires_grad
-    out = Tensor(out_data, requires_grad=req)
-    need_x, need_w = x.requires_grad, weight.requires_grad
-    need_b = bias.requires_grad
-    _record((x, weight, bias), out,
-            lambda g: ((g @ wd).reshape(shape) if need_x else None,
-                       Outer(g, xd) if need_w else None,
-                       g.sum(axis=0) if need_b else None))
+    if slope is not None:
+        _leaky(out_data, slope, out_data)
+    need_x, need_w, need_b = (x.requires_grad, weight.requires_grad,
+                              bias.requires_grad)
+    out = Tensor(out_data, requires_grad=need_x or need_w or need_b)
+
+    def vjp(g):
+        g = g if slope is None else _leaky_grad(g, out_data, slope)
+        return ((g @ wd).reshape(shape) if need_x else None,
+                Outer(g, xd) if need_w else None,
+                g.sum(axis=0) if need_b else None)
+
+    _record((x, weight, bias), out, vjp)
     return out
 
 
@@ -513,6 +551,30 @@ def _runs(rows, step=1) -> list:
     return runs
 
 
+def _row_partials(runs, step: int, part) -> dict:
+    """One gradient partial per block that needs one, from the ``[at, block,
+    r, n]`` runs of rows ``r, r + step, ...`` whose ``[B, ch, n, W]``
+    gradient is ``part(at, n)``: assigned into ``np.empty`` when the runs
+    read every row of the block once, else added into zeros."""
+    reads = {}
+    for at, b, r, n in runs:
+        if b is not None and b.requires_grad:
+            reads.setdefault(b, []).append((at, r, n))
+    partials = {}
+    for b, rs in reads.items():
+        once = (sorted(r + step * k if b.ndim > 2 else 0
+                       for _, r, n in rs for k in range(n))
+                == list(range(b.shape[-2] if b.ndim > 2 else 1)))
+        p = partials[b] = (np.empty_like if once else np.zeros_like)(b.data)
+        for at, r, n in rs:
+            dst = _span(p, r, n, step)
+            if once:
+                dst[...] = part(at, n)
+            else:
+                dst += part(at, n)
+    return partials
+
+
 @functools.lru_cache(maxsize=None)
 def _col_scatter(W: int, kW: int, Wo: int, sW: int, pad: int) -> np.ndarray:
     """The read-only 0/1 matrix ``[kW*Wo, W]`` that sends im2col column
@@ -557,8 +619,8 @@ def conv2d(x, kernel: Tensor, bias: Tensor,
     ``(W', N, H')``, so that one batched product with a 0/1 column-scatter
     matrix sums every kernel column's terms onto the real input columns;
     the padding's gradient is never formed. Each kernel row's rows then go
-    into one partial per distinct block that needs a gradient: assigned
-    when the conv reads each row of the block once, else added into zeros.
+    into one partial per distinct block that needs a gradient
+    (``_row_partials``).
     """
     rows, kd = x, kernel.data
     if isinstance(x, Tensor) and x.ndim == 4:
@@ -612,25 +674,15 @@ def conv2d(x, kernel: Tensor, bias: Tensor,
         _leaky(out2, slope, out2)
     out_data = np.ascontiguousarray(
         out2.reshape(Cout, N, Ho, Wo).transpose(1, 0, 2, 3))
-    req = (any(b.requires_grad for b in blocks) or kernel.requires_grad
-           or bias.requires_grad)
-    out = Tensor(out_data, requires_grad=req)
+    need_x, need_k, need_b = (any(b.requires_grad for b in blocks),
+                              kernel.requires_grad, bias.requires_grad)
+    out = Tensor(out_data, requires_grad=need_x or need_k or need_b)
     if not out.requires_grad or _active_tape() is None:
         return out
 
-    need_k, need_b = kernel.requires_grad, bias.requires_grad
-    # per block that needs a gradient: the runs (kernel row i, first output
-    # row o, r, n) of the rows that kernel row reads from it, and whether
-    # they read each of its rows once
-    reads = {}
-    for i in range(kH):
-        for o, b, r, n in _runs(rows[i:i + (Ho - 1) * sH + 1:sH], sH):
-            if b is not None and b.requires_grad:
-                reads.setdefault(b, []).append((i, o, r, n))
-    once = {b: sorted(r + sH * k if b.ndim > 2 else 0
-                      for _, _, r, n in runs for k in range(n))
-            == list(range(b.shape[-2] if b.ndim > 2 else 1))
-            for b, runs in reads.items()}
+    # the runs [(kernel row i, first output row o), block, r, n] it reads
+    runs = [[(i, o), b, r, n] for i in range(kH) for o, b, r, n
+            in _runs(rows[i:i + (Ho - 1) * sH + 1:sH], sH)]
 
     def vjp(g):
         # an input that needs no gradient gets None and costs nothing: a
@@ -644,7 +696,7 @@ def conv2d(x, kernel: Tensor, bias: Tensor,
             g2 = g.transpose(1, 0, 2, 3).reshape(Cout, P)
             gk = (g2 @ im2col().T).reshape(kd.shape)
         partials = {}
-        if reads:
+        if need_x:
             dcols = w2.T @ g.transpose(1, 3, 0, 2).reshape(Cout, Wo * N * Ho)
             # per kernel row and real input column, the sum of the kernel
             # columns' terms: [Cin*kH, N*Ho, W], viewed as [Cin, kH, N, Ho, W]
@@ -652,18 +704,9 @@ def conv2d(x, kernel: Tensor, bias: Tensor,
                 dcols.reshape(Cin * kH, kW * Wo, N * Ho).transpose(0, 2, 1),
                 _col_scatter(W, kW, Wo, sW, pad)).reshape(Cin, kH, N, Ho, W)
             del dcols  # freed before the partials are made
-            for b, runs in reads.items():
-                # a block whose every row is read once takes its rows'
-                # gradients by assignment; any other adds them into zeros
-                p = partials[b] = (np.empty_like if once[b] else
-                                   np.zeros_like)(b.data)
-                for i, o, r, n in runs:
-                    dst = _span(p, r, n, sH)
-                    part = drows[:, i, :, o:o + n].transpose(1, 0, 2, 3)
-                    if once[b]:
-                        dst[...] = part
-                    else:
-                        dst += part
+            partials = _row_partials(
+                runs, sH, lambda at, n: drows[:, at[0], :, at[1]:at[1] + n]
+                .transpose(1, 0, 2, 3))
         return (partials.get(blocks[0]), gk, gb,
                 *(partials.get(b) for b in blocks[1:]))
 
@@ -737,46 +780,4 @@ def tslice(x: Tensor, key) -> Tensor:
             return (gx,)
 
         _record((x,), out, vjp)
-    return out
-
-
-def gather_rows(rows: list) -> Tensor:
-    """Join ``(block, r)`` rows, read as in ``Rows``, into one
-    ``[B, ch, n, W]`` tensor along the height axis, as one tape node over
-    the distinct blocks. Every row of one 4-D block, in order, is that
-    block. Consecutive rows of one block are copied as one run. The VJP
-    adds each run's gradient into one partial per block that needs a
-    gradient (a row read twice gets both), copies it for a block read whole
-    and once, and gives ``None`` for the rest."""
-    blocks = list(dict.fromkeys(b for b, _ in rows if b is not None))
-    first = blocks[0]
-    if first.ndim == 4 and rows == [(first, j) for j in range(first.shape[2])]:
-        return first
-    runs = _runs(rows)
-    B, ch, _, W = _span(first.data, None).shape
-    # np.concatenate refuses rows of different shapes
-    data = np.concatenate([np.zeros((B, ch, n, W), first.dtype) if b is None
-                           else _span(b.data, r, n) for _, b, r, n in runs],
-                          axis=2)
-    out = Tensor(data, requires_grad=any(b.requires_grad for b in blocks))
-    if out.requires_grad and _active_tape() is not None:
-        uses = Counter(b for _, b, _, _ in runs)
-
-        def vjp(g):
-            partials = {}
-            for j, b, r, n in runs:
-                if b is None or not b.requires_grad:
-                    continue
-                part = g[:, :, j:j + n]
-                if uses[b] == 1 and part.size == b.size:
-                    # a copy, not a view: the joined gradient ``g`` can go
-                    # before the VJP of the conv that made ``b`` runs
-                    partials[b] = part.reshape(b.shape).copy()
-                else:
-                    if b not in partials:
-                        partials[b] = np.zeros_like(b.data)
-                    _span(partials[b], r, n)[...] += part
-            return tuple(partials.get(b) for b in blocks)
-
-        _record(tuple(blocks), out, vjp)
     return out

@@ -327,8 +327,8 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
     rows, read where they are with symmetric "same"-style zero padding
     (``same_padding``; no other code pads a conv input, and no tensor holds
     a padded input) at stride 2, then applies a leaky ReLU; dropout
-    sits between the last conv layer and the flattening affine map, on the
-    last layer's rows gathered into one tensor.
+    sits between the last conv layer and the flattening affine map, and
+    joins the last layer's rows into one tensor in its own node.
 
     With a ``cache``, each conv layer computes only the output rows that no
     earlier pass over the same frames produced (dense sliding-window
@@ -374,7 +374,7 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
                 if keys[j] is not None:
                     cache[keys[j]] = out_rows[j]
         rows = out_rows
-    h = ad.dropout(ad.gather_rows(rows), cfg.dropout, mode=mode, rng=rng)
+    h = ad.dropout(ad.Rows(rows), cfg.dropout, mode=mode, rng=rng)
     return ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
                      params[f"{cfg.prefix}.fc.bias"])
 
@@ -386,8 +386,7 @@ def decode_step(zl: Tensor, zs: Tensor, prev: Tensor, params: ModelParams,
     previous frames: concat codes -> affine -> leaky ReLU -> dropout ->
     affine -> add previous frame."""
     h = ad.linear(ad.concat([zl, zs], axis=-1), params["decoder.fc1.weight"],
-                  params["decoder.fc1.bias"])
-    h = ad.leaky_relu(h, hp.leaky_slope)
+                  params["decoder.fc1.bias"], slope=hp.leaky_slope)
     h = ad.dropout(h, hp.dropout, mode=mode, rng=rng)
     h = ad.linear(h, params["decoder.fc2.weight"], params["decoder.fc2.bias"])
     return ad.add(h, prev)

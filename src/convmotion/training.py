@@ -290,7 +290,7 @@ class TrainSchedule:
     report_path: Optional[Path] = None
 
     def __post_init__(self):
-        R.check(master_seed=self.master_seed,
+        R.check(iterations=self.iterations, master_seed=self.master_seed,
                 checkpoint_every=self.checkpoint_every)
 
 

@@ -255,35 +255,38 @@ def _bits(a):
 
 def test_fused_activation_equals_leaky_relu_of_conv_bit_for_bit():
     # pre-activations of exactly 0.0 and -5e-324, among others: x times a
-    # unit 1x1 kernel plus a bias of 0.0 or -5e-324. The GEMM accumulates
-    # from +0.0, so a conv pre-activation is never -0.0; both ops share
-    # one rule, which the next test checks at -0.0.
+    # unit 1x1 kernel, or a unit [2, 1] weight, plus a bias of 0.0 or
+    # -5e-324. The GEMM accumulates from +0.0, so a pre-activation is never
+    # -0.0; the ops share one rule, which the next test checks at -0.0.
     xs = np.array([0.0, -0.0, -5e-324, 5e-324, 1.5, -2.0, -3e-310, 0.25])
-    x_data = np.tile(xs, 3).reshape(1, 1, 4, 6)
-    k_data = np.ones((2, 1, 1, 1))
     b_data = np.array([0.0, -5e-324])
-    weights = np.random.default_rng(5).normal(size=(1, 2, 4, 6))
+    rng = np.random.default_rng(5)
+    cases = {conv2d: (np.tile(xs, 3).reshape(1, 1, 4, 6), np.ones((2, 1, 1, 1)),
+                      rng.normal(size=(1, 2, 4, 6))),
+             linear: (np.tile(xs, 3).reshape(24, 1), np.ones((2, 1)),
+                      rng.normal(size=(24, 2)))}
     slope = 0.2
 
-    def run(fused):
+    def run(op, fused):
+        x_data, k_data, weights = cases[op]
         x = Tensor(x_data.copy(), requires_grad=True)
         k = Tensor(k_data.copy(), requires_grad=True)
         b = Tensor(b_data.copy(), requires_grad=True)
         with GradTape() as tape:
             if fused:
-                out = conv2d(x, k, b, slope=slope)
+                out = op(x, k, b, slope=slope)
             else:
-                pre = conv2d(x, k, b)
-                out = leaky_relu(pre, slope)
+                out = leaky_relu(op(x, k, b), slope)
             loss = tsum(mul(out, Tensor(weights)))
         grads = backward(loss, tape)
         return out.data, grads[x], grads[k], grads[b]
 
-    pre = conv2d(Tensor(x_data), Tensor(k_data), Tensor(b_data)).data
-    assert np.any(_bits(pre) == _bits(np.array(0.0)))
-    assert np.any(_bits(pre) == _bits(np.array(-5e-324)))
-    for got, want in zip(run(True), run(False)):
-        np.testing.assert_array_equal(_bits(got), _bits(want))
+    for op, (x_data, k_data, _) in cases.items():
+        pre = op(Tensor(x_data), Tensor(k_data), Tensor(b_data)).data
+        assert np.any(_bits(pre) == _bits(np.array(0.0)))
+        assert np.any(_bits(pre) == _bits(np.array(-5e-324)))
+        for got, want in zip(run(op, True), run(op, False)):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_leaky_relu_masks_by_the_sign_of_its_output():
@@ -722,10 +725,11 @@ def test_values_finite_after_forward_backward():
 
 
 # ---------------------------------------------------------------------------
-# row gather
+# row join: dropout of Rows
 # ---------------------------------------------------------------------------
 
 PAD = (None, 0)
+P_TRAIN = 0.4
 
 
 def _gather_oracle(rows, B, ch, W):
@@ -744,8 +748,23 @@ def _gather_oracle(rows, B, ch, W):
     return out
 
 
-def _weighted_gather_loss(rows, weights):
-    return lambda: sumsq(mul(ad.gather_rows(rows), Tensor(weights)))
+def _join(rows, p=0.0):
+    """The dropout that joins ``rows``: at ``p`` 0 the plain join, else a
+    train-mode mask that every call draws alike."""
+    return dropout(ad.Rows(rows), p, "train", np.random.default_rng(7))
+
+
+def _mask(shape, p):
+    """The factor ``_join`` scales by: 1.0 everywhere at ``p`` 0."""
+    if p == 0.0:
+        return np.ones(shape)
+    return (np.random.default_rng(7).random(shape) >= p) * (1.0 / (1.0 - p))
+
+
+def _weighted_gather_loss(rows, weights, p=0.0):
+    # quadratic, so a central difference of step 1e-3 has no truncation
+    # error and 100 times less rounding noise than 1e-5
+    return lambda: sumsq(mul(_join(rows, p), Tensor(weights)))
 
 
 @pytest.mark.parametrize("seeds_need_grad", [False, True])
@@ -757,13 +776,16 @@ def test_gather_rows_of_frames_matches_finite_differences(seeds_need_grad):
     f2 = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     rows = [PAD, (seeds, 3), (seeds, 4), (f1, None), (f2, None), PAD]
     weights = rng.normal(size=(2, 1, 6, 4))
-    out = ad.gather_rows(rows)
-    np.testing.assert_array_equal(out.data, _gather_oracle(rows, 2, 1, 4))
     named = {"f1": f1, "f2": f2}
     if seeds_need_grad:
         named["seeds"] = seeds
-    report = grad_check(_weighted_gather_loss(rows, weights), named, tol=1e-6)
-    assert report.passed, report.summary()
+    for p in (0.0, P_TRAIN):
+        # the mask scales the joined buffer in place: the bits of x * factor
+        want = _gather_oracle(rows, 2, 1, 4) * _mask((2, 1, 6, 4), p)
+        np.testing.assert_array_equal(_bits(_join(rows, p).data), _bits(want))
+        report = grad_check(_weighted_gather_loss(rows, weights, p), named,
+                            h=1e-3, tol=1e-6)
+        assert report.passed, report.summary()
 
 
 def test_gather_rows_of_conv_blocks_matches_finite_differences():
@@ -774,11 +796,12 @@ def test_gather_rows_of_conv_blocks_matches_finite_differences():
     rows = [PAD, (a, 0), (a, 1), (a, 1), (a, 2), (a, 3), (a, 3), (b, 0),
             (b, 1), (b, 1), PAD]
     weights = rng.normal(size=(2, 3, len(rows), 5))
-    out = ad.gather_rows(rows)
-    np.testing.assert_array_equal(out.data, _gather_oracle(rows, 2, 3, 5))
-    report = grad_check(_weighted_gather_loss(rows, weights),
-                        {"a": a, "b": b}, tol=1e-6)
-    assert report.passed, report.summary()
+    for p in (0.0, P_TRAIN):
+        want = _gather_oracle(rows, 2, 3, 5) * _mask(weights.shape, p)
+        np.testing.assert_array_equal(_bits(_join(rows, p).data), _bits(want))
+        report = grad_check(_weighted_gather_loss(rows, weights, p),
+                            {"a": a, "b": b}, h=1e-3, tol=1e-6)
+        assert report.passed, report.summary()
 
 
 def test_gather_rows_records_one_node_over_distinct_blocks():
@@ -786,26 +809,35 @@ def test_gather_rows_records_one_node_over_distinct_blocks():
     data = Tensor(rng.normal(size=(2, 3, 4, 5)))
     param = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     rows = [(param, 2), (data, 0), PAD, (param, 2), (data, 3), (param, 0)]
-    with GradTape() as tape:
-        out = ad.gather_rows(rows)
-    (node,) = tape._nodes
-    assert node.inputs == (param, data) and node.output is out
-    g = rng.normal(size=out.shape)
-    gp, gd = node.vjp(g)
-    assert gd is None
-    want = np.zeros(param.shape)
-    want[:, :, 2] = g[:, :, 0] + g[:, :, 3]
-    want[:, :, 0] = g[:, :, 5]
-    np.testing.assert_array_equal(gp, want)
+    for p in (0.0, P_TRAIN):
+        with GradTape() as tape:
+            out = _join(rows, p)
+        (node,) = tape._nodes
+        assert node.inputs == (param, data) and node.output is out
+        g = rng.normal(size=out.shape)
+        gp, gd = node.vjp(g)
+        assert gd is None
+        g = g * _mask(out.shape, p)
+        want = np.zeros(param.shape)
+        want[:, :, 2] = g[:, :, 0] + g[:, :, 3]
+        want[:, :, 0] = g[:, :, 5]
+        np.testing.assert_array_equal(gp, want)
 
 
 def test_gather_rows_of_a_whole_block_in_order_is_the_block():
     x = Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
+    whole = [(x, r) for r in range(4)]
     with GradTape() as tape:
-        out = ad.gather_rows([(x, r) for r in range(4)])
+        out = _join(whole)
     assert out is x and len(tape) == 0
+    # in train mode the mask is applied to the block itself
+    with GradTape() as tape:
+        out = _join(whole, P_TRAIN)
+    (node,) = tape._nodes
+    assert node.inputs == (x,)
+    np.testing.assert_array_equal(out.data, _mask(x.shape, P_TRAIN))
     # anything else is a copy, even one that starts with the whole block
-    assert ad.gather_rows([(x, r) for r in range(4)] + [PAD]) is not x
+    assert _join(whole + [PAD]) is not x
 
 
 def test_gather_rows_rejects_mismatched_rows():
@@ -813,7 +845,7 @@ def test_gather_rows_rejects_mismatched_rows():
     frames = Tensor(rng.normal(size=(2, 5, 4)))
     conv = Tensor(rng.normal(size=(2, 3, 4, 4)))
     with pytest.raises(ValueError, match="must match exactly"):
-        ad.gather_rows([(frames, 0), (conv, 0)])
+        _join([(frames, 0), (conv, 0)])
 
 
 def test_gather_rows_refuses_a_one_channel_row_after_many_channel_rows():
@@ -824,10 +856,20 @@ def test_gather_rows_refuses_a_one_channel_row_after_many_channel_rows():
     conv = Tensor(rng.normal(size=(2, 3, 4, 4)))
     with pytest.raises(ValueError, match="must match exactly, but along "
                                          "dimension 1"):
-        ad.gather_rows([(conv, 0), (frames, 0)])
+        _join([(conv, 0), (frames, 0)])
     k, b = Tensor(np.ones((1, 3, 1, 1))), Tensor(np.zeros(1))
     with pytest.raises(ShapeError, match=r"rows of shapes .* differ"):
         conv2d(ad.Rows([(conv, 0), (frames, 0)], 2), k, b)
+
+
+def test_dropout_refuses_rows_with_padding():
+    # dropout joins rows as they are; only a conv reads zero columns
+    conv = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
+    for p in (0.0, P_TRAIN):
+        with pytest.raises(ShapeError, match="dropout joins rows at pad 0, "
+                                             "got 1"):
+            dropout(ad.Rows([(conv, 0), PAD], 1), p, "train",
+                    np.random.default_rng(7))
 
 
 def test_conv2d_reads_padding_rows_and_columns_as_zeros():
@@ -873,28 +915,31 @@ def test_conv2d_of_rows_records_one_node_over_the_distinct_blocks():
 
 
 def test_gather_rows_copies_the_gradient_of_a_block_read_whole_once():
-    # a block read whole, once, gets a copy of its slice of the output
-    # gradient (a view would keep the joined gradient alive); a block with
-    # a row read again gets one partial with both added
+    # a block whose rows are each read once gets a new array holding its
+    # slice of the output gradient (a view would keep the joined gradient
+    # alive); a block with a row read again gets one partial with both added
     rng = np.random.default_rng(40)
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3, 2, 5)), requires_grad=True)
     seeds = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
-    with GradTape() as tape:
-        ad.gather_rows([PAD, *[(a, r) for r in range(4)], (b, 0), (b, 1),
-                        (b, 1), PAD])
-        ad.gather_rows([(seeds, r) for r in range(4)])
-    node, frames_node = tape._nodes
-    g = rng.normal(size=node.output.shape)
-    ga, gb = node.vjp(g)
-    assert not np.shares_memory(ga, g) and ga.flags.c_contiguous
-    np.testing.assert_array_equal(ga, g[:, :, 1:5])
-    np.testing.assert_array_equal(
-        gb, np.stack([g[:, :, 5], g[:, :, 6] + g[:, :, 7]], axis=2))
-    g = rng.normal(size=frames_node.output.shape)
-    (gs,) = frames_node.vjp(g)
-    assert gs.shape == seeds.shape and not np.shares_memory(gs, g)
-    np.testing.assert_array_equal(gs, g[:, 0])
+    rows = [PAD, *[(a, r) for r in range(4)], (b, 0), (b, 1), (b, 1), PAD]
+    for p in (0.0, P_TRAIN):
+        with GradTape() as tape:
+            _join(rows, p)
+            _join([(seeds, r) for r in range(4)], p)
+        node, frames_node = tape._nodes
+        g = rng.normal(size=node.output.shape)
+        ga, gb = node.vjp(g)
+        g = g * _mask(g.shape, p)
+        assert not np.shares_memory(ga, g) and ga.flags.c_contiguous
+        np.testing.assert_array_equal(ga, g[:, :, 1:5])
+        np.testing.assert_array_equal(
+            gb, np.stack([g[:, :, 5], g[:, :, 6] + g[:, :, 7]], axis=2))
+        g = rng.normal(size=frames_node.output.shape)
+        (gs,) = frames_node.vjp(g)
+        g = g * _mask(g.shape, p)
+        assert gs.shape == seeds.shape and not np.shares_memory(gs, g)
+        np.testing.assert_array_equal(gs, g[:, 0])
 
 
 @pytest.mark.parametrize("width_pad", [1, 3])

@@ -6,6 +6,7 @@ tracer, and removing the tracer puts every patched attribute back. A name
 the benchmark calls or patches that goes missing fails here.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from convmotion import training as T
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads as W  # noqa: E402
-from tracer import Tracer  # noqa: E402
+from tracer import OPS, Tracer  # noqa: E402
 
 # the evaluation horizons reach 1000 ms, the 25th predicted frame
 TINY_HP = G.tiny_hyperparams(target_frames=25, batch_size=2)
@@ -66,3 +67,13 @@ def test_gradcheck_workload_checks(tmp_path):
     workload = W.GradcheckWorkload()
     state = workload.setup(tmp_path / "work", 0)
     assert workload.check(state) == []
+
+
+def test_tracer_times_every_op_that_records_a_node():
+    # an op that records tape nodes but is missing from OPS would run with
+    # its forward untimed
+    recording = {name for name, fn in vars(ad).items()
+                 if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                 and not name.startswith("_")
+                 and "_record(" in inspect.getsource(fn)}
+    assert recording == set(OPS)

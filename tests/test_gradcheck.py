@@ -118,28 +118,28 @@ def test_no_long_term_gradients_pass():
 
 
 def test_broken_gradient_is_caught(monkeypatch):
-    # corrupt the leaky ReLU backward rule by one-tenth of a percent
-    real = ad.leaky_relu
+    # corrupt the backward of the leaky ReLU that the decoder's hidden
+    # affine map applies to its own output by one-tenth of a percent; its
+    # [B, hidden] outputs are the only 2-D gradients the activation rule
+    # sees, so the convs keep the exact rule
+    real = ad._leaky_grad
 
-    def crooked(x, slope=0.2):
-        xd = x.data
-        out = ad.Tensor(np.where(xd >= 0, xd, slope * xd),
-                        requires_grad=x.requires_grad)
-        if out.requires_grad:
-            ad._record((x,), out,
-                       lambda g: (np.where(xd >= 0, g, slope * g) * 1.001,))
-        return out
+    def crooked(g, y, slope):
+        masked = real(g, y, slope)
+        return masked * 1.001 if g.ndim == 2 else masked
 
-    monkeypatch.setattr(ad, "leaky_relu", crooked)
+    monkeypatch.setattr(ad, "_leaky_grad", crooked)
     report = G.full_model_grad_check(hp=micro_hp(dropout=0.0), pose_dim=POSE,
                                      seed=0, adversarial=False)
     assert not report.passed
+    failed = {e.name for e in report.entries if not e.ok(report.tol)}
+    assert "decoder.fc1.weight" in failed
 
 
 def test_broken_fused_conv_activation_gradient_is_caught(monkeypatch):
     # corrupt the backward of the leaky ReLU that conv2d applies to its own
     # output by one-tenth of a percent; conv outputs are the only 4-D
-    # gradients the activation rule sees, so the decoder's 2-D leaky ReLU
+    # gradients the activation rule sees, so the decoder's hidden layer
     # keeps the exact rule
     real = ad._leaky_grad
 

@@ -16,21 +16,20 @@ from convmotion.mocap import MotionSequence, NormalizationStats
 
 # each pinned tape's nodes by op, the op being the function whose closure
 # is the node's VJP; the totals are ROADMAP aim 2's counter
-# (every conv reads its input rows in place; the only gathers left are the
-# joins before an encoder's dropout whose rows come from several conv
-# calls; the encoders' affine maps flatten their own input)
-GENERATOR_OPS = Counter(  # 319
-    add=27, clip=1, concat=26, conv2d=81, dropout=51, gather_rows=18,
-    leaky_relu=25, linear=78, mul=4, reshape=1, sigmoid=1, stack=1, sub=1,
-    sumsq=2, tlog=1, tmean=1)
+# (every conv reads its input rows in place and applies its own leaky
+# ReLU, as the decoder's hidden affine map does; each encoder's dropout
+# joins the last conv layer's rows in its own node, in eval mode too, so
+# the discriminator's one dropout node is that join; the encoders' affine
+# maps flatten their own input)
+GENERATOR_OPS = Counter(  # 277
+    add=27, clip=1, concat=26, conv2d=81, dropout=52, linear=78, mul=4,
+    reshape=1, sigmoid=1, stack=1, sub=1, sumsq=2, tlog=1, tmean=1)
 DISCRIMINATOR_OPS = Counter(  # 26
-    add=2, clip=2, conv2d=6, gather_rows=1, linear=4, mul=3, reshape=2,
+    add=2, clip=2, conv2d=6, dropout=1, linear=4, mul=3, reshape=2,
     sigmoid=2, tlog=2, tmean=2)
-GRADCHECK_OPS = Counter(  # 93
-    add=8, clip=1, concat=7, conv2d=24, dropout=13, gather_rows=1,
-    leaky_relu=6, linear=21, mul=4, reshape=1, sigmoid=1, stack=1, sub=1,
-    sumsq=2, tlog=1, tmean=1)
-
+GRADCHECK_OPS = Counter(  # 87
+    add=8, clip=1, concat=7, conv2d=24, dropout=14, linear=21, mul=4,
+    reshape=1, sigmoid=1, stack=1, sub=1, sumsq=2, tlog=1, tmean=1)
 
 def _ops(tape, params) -> Counter:
     """The tape's nodes by op. Each conv node must hold a ``*.kernel``

@@ -782,6 +782,18 @@ def test_resume_refuses_a_malformed_iteration(tmp_path, iteration, refusal):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("iterations, refusal", [
+    (True, "iterations must be >= 1, got True"),
+    (2.5, "iterations must be an integer >= 1, got 2.5"),
+    (0, "iterations must be >= 1, got 0"),
+], ids=["bool", "fractional", "zero"])
+def test_train_schedule_refuses_iterations_outside_their_range(iterations,
+                                                               refusal):
+    # refused where the schedule is made, before any file is read
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        T.TrainSchedule(iterations=iterations)
+
+
 @pytest.mark.parametrize("hp, tapes_per_iteration", [
     (micro_hp(lambda_adv=0.01, adversarial=True), 2),
     (micro_hp(no_long_term=True), 1),
@@ -862,7 +874,7 @@ def test_no_conv_node_holds_a_padded_copy_of_its_input(monkeypatch):
                  if node.vjp.__qualname__.startswith("conv2d.")]
         for node in convs:
             for block in (node.inputs[0], *node.inputs[3:]):
-                assert made_by.get(id(block)) != "gather_rows"
+                assert made_by.get(id(block)) != "dropout"
                 assert block.shape[-1] in widths, block.shape
         checked.append(len(convs))
         return real_backward(loss, tape)
