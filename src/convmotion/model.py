@@ -5,22 +5,22 @@ with a rectangular 2x7 kernel, then one affine layer to a 512-dim code): the
 long-term encoder digests the whole seed sequence once, the short-term encoder
 encodes a sliding window of the most recent ``C`` frames at every decoding
 step, reading them in place from the seed batch and the decoded frames.
-Consecutive windows share ``C - 1`` frames, so a per-sequence ``RowCache``
-lets each step convolve only the conv rows that its new frame reaches. A
+Consecutive windows share ``C - 1`` frames, so a per-sequence ``RowCache``,
+which keys each conv row by the rows it reads, lets each step convolve only
+the conv rows that its new frame reaches. A
 two-layer spatial decoder maps the concatenated codes to a pose residual
 added onto the previous frame, so a zeroed decoder reproduces the last seed
 frame forever (the zero-velocity baseline). A discriminator with the same
 convolutional trunk scores full sequences for the adversarial regularizer.
 The sequences it scores in one training iteration share their t seed frames,
-so a ``RowCache`` with a frame limit lets every pass after the first
-convolve only the conv rows that read a target frame. ``cem_forward`` alone
+so a shared ``RowCache`` lets every pass after the first convolve only the
+conv rows that read a frame of its own tail. ``cem_forward`` alone
 pads a conv input: it hands each conv its input rows where they are, with
 padding rows and columns that no tensor holds.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -245,41 +245,19 @@ class RowCache(dict):
     """The conv rows that several passes of one encoder share, for
     ``cem_forward``.
 
-    ``start`` is the global index of the frame the next pass starts at; a
-    caller that encodes sliding windows advances it. A conv row is a
-    function of the frames and the zero padding it covers, so it is keyed by
-    its layer and the global frame span ``(first, end)`` of its receptive
-    field, ``first`` being ``None`` when the field holds top padding; such
-    a row is shared only by passes that start at frame 0. A row that reads
-    bottom padding, or a frame at or past ``limit``, belongs to its own pass
-    and is not cached. The value is ``(block, r)``, a row as ``ad.Rows``
-    reads it: row ``r`` of the leaky-ReLU output of the conv call that made
-    it.
+    A conv row is a function of the ``kH`` padded input rows it reads, so
+    it is keyed by its layer and their keys: a frame row's key is its own
+    ``(tensor, r)`` pair, a padding row's is ``_PAD_ROW`` and a conv row's
+    is its own key. Passes that read the same rows of the same frame
+    tensors share a row; a row that reads another frame tensor has another
+    key. The value is ``(block, r)``, a row as ``ad.Rows`` reads it: row
+    ``r`` of the leaky-ReLU output of the conv call that made it.
     """
-
-    def __init__(self, limit: Optional[int] = None):
-        super().__init__()
-        self.start = 0
-        self.limit = limit
-
-    def key(self, layer: int, span) -> Optional[tuple]:
-        """The key of a row whose window frame span is ``span`` (as
-        ``_row_spans`` gives it) in the next pass, or ``None`` if the row
-        is not shared."""
-        if span is None:
-            return None
-        first, end = span
-        end += self.start
-        if (first is None and self.start) or (
-                self.limit is not None and end > self.limit):
-            return None
-        return layer, None if first is None else first + self.start, end
 
     def detached(self) -> "RowCache":
         """A copy whose rows are data: a pass that reads it propagates no
         gradient into the passes that made them."""
-        out = RowCache(self.limit)
-        out.start = self.start
+        out = RowCache()
         blocks = {}
         for key, (block, r) in self.items():
             if id(block) not in blocks:
@@ -288,30 +266,13 @@ class RowCache(dict):
         return out
 
 
-@functools.lru_cache(maxsize=None)
-def _row_spans(cfg: CemConfig) -> tuple:
-    """Per conv layer, per output row: ``(first, end)``, the window index of
-    the first frame the row covers and one past its last, with ``first``
-    ``None`` when the receptive field holds top padding; ``None`` for a row
-    whose field holds bottom padding."""
-    kH, sH = cfg.kernel[0], cfg.stride[0]
-    spans = [(j, j + 1) for j in range(cfg.input_frames)]
-    layers = []
-    for gh, _ in cfg.grid_trace()[:-1]:
-        pH = same_padding(gh, kH, sH)
-        out = []
-        for a in range(-pH, gh + pH - kH + 1, sH):
-            field = spans[max(a, 0):a + kH]
-            if a + kH > gh or None in field:
-                out.append(None)
-            else:
-                out.append((None if a < 0 else field[0][0], field[-1][1]))
-        spans = out
-        layers.append(tuple(spans))
-    return tuple(layers)
-
-
 _PAD_ROW = (None, 0)
+
+
+def frame_rows(x: Tensor) -> list:
+    """The frame rows of a ``[B, n, L]`` batch, ``(x, j)`` pairs as
+    ``ad.Rows`` reads them."""
+    return [(x, j) for j in range(x.shape[1])]
 
 
 def cem_forward(frames, params: ModelParams, cfg: CemConfig,
@@ -326,23 +287,23 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
     dimension along the width axis. Each conv layer convolves its input
     rows, read where they are with symmetric "same"-style zero padding
     (``same_padding``; no other code pads a conv input, and no tensor holds
-    a padded input) at stride 2, then applies a leaky ReLU; dropout
-    sits between the last conv layer and the flattening affine map, and
-    joins the last layer's rows into one tensor in its own node.
+    a padded input) at stride ``cfg.stride``, then applies a leaky ReLU;
+    dropout sits between the last conv layer and the flattening affine map,
+    and joins the last layer's rows into one tensor in its own node.
 
     With a ``cache``, each conv layer computes only the output rows that no
     earlier pass over the same frames produced (dense sliding-window
     evaluation, Sermanet et al. 2014): their ``kH``-row padded input groups
     are read in one call at height stride ``kH``. A layer with no cached
-    rows is one conv over its whole padded input. The pass stores the rows
-    that later passes may share in the cache.
+    rows is one conv over its whole padded input. The pass stores each row
+    it computes in the cache, keyed by the rows it reads (``RowCache``).
     """
     if isinstance(frames, Tensor):
         if frames.ndim != 3:
             raise ad.ShapeError(
                 f"encoder expects [B, n, L] frames, got {frames.shape}")
-        frames = [(frames, j) for j in range(frames.shape[1])]
-    rows = frames  # the current layer's rows, in order
+        frames = frame_rows(frames)
+    rows = keys = frames  # the current layer's rows and their keys, in order
     if len(rows) != cfg.input_frames:
         raise ad.ShapeError(
             f"encoder expects {cfg.input_frames} frames, got {len(rows)}")
@@ -353,14 +314,16 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
         cache = RowCache()
     kH, kW = cfg.kernel
     sH, sW = cfg.stride
-    layers = zip(cfg.grid_trace(), _row_spans(cfg))
-    for i, ((gh, gw), spans) in enumerate(layers, 1):
+    for i, (gh, gw) in enumerate(cfg.grid_trace()[:-1], 1):
         pH, pW = same_padding(gh, kH, sH), same_padding(gw, kW, sW)
-        keys = [cache.key(i, span) for span in spans]
+        pad = [_PAD_ROW] * pH
+        padded, padded_keys = pad + rows + pad, pad + keys + pad
+        keys = [(i, *padded_keys[a:a + kH])
+                for a in range(0, len(padded) - kH + 1, sH)]
         out_rows = [cache.get(key) for key in keys]
         missing = [j for j, row in enumerate(out_rows) if row is None]
         if missing:
-            padded, step = [_PAD_ROW] * pH + rows + [_PAD_ROW] * pH, sH
+            step = sH
             if len(missing) < len(keys):
                 padded = [row for j in missing
                           for row in padded[j * sH:j * sH + kH]]
@@ -370,9 +333,7 @@ def cem_forward(frames, params: ModelParams, cfg: CemConfig,
                             params[f"{cfg.prefix}.conv{i}.bias"],
                             stride=(step, sW), slope=cfg.leaky_slope)
             for r, j in enumerate(missing):
-                out_rows[j] = (out, r)
-                if keys[j] is not None:
-                    cache[keys[j]] = out_rows[j]
+                out_rows[j] = cache[keys[j]] = (out, r)
         rows = out_rows
     h = ad.dropout(ad.Rows(rows), cfg.dropout, mode=mode, rng=rng)
     return ad.linear(h, params[f"{cfg.prefix}.fc.weight"],
@@ -455,7 +416,6 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     prev = ad.tslice(x, (slice(None), t - 1, slice(None)))
     outputs = []
     for k in range(1, T + 1):
-        cache.start = k - 1
         zs = cem_forward(frames[-C:], params, short_cfg, mode=mode, rng=rng,
                          cache=cache)
         x_hat = decode_step(zl, zs, prev, params, hp, mode=mode, rng=rng)
@@ -470,20 +430,20 @@ def predict_sequence(seed, params: ModelParams, hp: HyperParams,
     return out if batched else ad.reshape(out, (T, L))
 
 
-def discriminate(full: Tensor, params: ModelParams, hp: HyperParams,
+def discriminate(frames, params: ModelParams, hp: HyperParams,
                  cache: Optional[RowCache] = None) -> Tensor:
-    """Score a ``[B, t+T, L]`` batch of full [seed, target] sequences; returns
-    ``[B]`` probabilities in (0, 1). The discriminator has no dropout, so
-    train and eval mode are the same pass.
+    """Score a ``[B, t+T, L]`` batch of full [seed, target] sequences, given
+    as that tensor or its frame rows (as ``cem_forward`` takes them);
+    returns ``[B]`` probabilities in (0, 1). The discriminator has no
+    dropout, so train and eval mode are the same pass.
 
-    Sequences that share their seeds can share a ``RowCache`` whose
-    ``limit`` is t: the first pass convolves every row and stores those
-    whose receptive field lies in the top padding and the seed frames, and
-    each later pass convolves only the rows that read a target frame."""
-    code = cem_forward(full, params, hp.discriminator_cem(full.shape[-1]),
-                       cache=cache)
+    Passes that read the rows of one seed tensor can share a ``RowCache``:
+    the first convolves every row, and each later pass convolves only the
+    rows that read a frame of its own tail."""
+    L = (frames if isinstance(frames, Tensor) else frames[0][0]).shape[-1]
+    code = cem_forward(frames, params, hp.discriminator_cem(L), cache=cache)
     logit = ad.linear(code, params["disc.head.weight"], params["disc.head.bias"])
-    return ad.sigmoid(ad.reshape(logit, (full.shape[0],)))
+    return ad.sigmoid(ad.reshape(logit, (code.shape[0],)))
 
 
 # ---------------------------------------------------------------------------

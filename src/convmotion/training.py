@@ -119,18 +119,20 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
     ``tape``, and ``real = (d_tape, cache, real_prob)``, or ``None`` with
     the adversary off.
 
-    The discriminator's real pass over ``[seeds, targets]`` is recorded
-    first, on ``d_tape``, for the discriminator step to extend, and leaves
-    the seed-prefix conv rows in ``cache``. The generator's fake pass reads
-    them as data and convolves only the rows that read a predicted frame,
-    through detached copies of the ``disc.*`` tensors (same data, no
-    gradient), so its ``backward`` returns no ``disc.*`` gradient and skips
-    the discriminator's kernel and weight products."""
+    The discriminator's real pass over the frame rows of ``seeds`` and
+    ``targets`` is recorded first, on ``d_tape``, for the discriminator
+    step to extend, and leaves its conv rows in ``cache``. The generator's
+    fake pass over the rows of ``seeds`` and ``pred`` reads the rows that
+    read only seed frames as data and convolves only the rows that read a
+    predicted frame, through detached copies of the ``disc.*`` tensors
+    (same data, no gradient), so its ``backward`` returns no ``disc.*``
+    gradient and skips the discriminator's kernel and weight products."""
     real = None
+    seed_rows = M.frame_rows(seeds)
     if hp.effective_lambda_adv > 0.0:
-        cache = M.RowCache(limit=hp.seed_frames)
+        cache = M.RowCache()
         with GradTape() as d_tape:
-            real_prob = M.discriminate(ad.concat([seeds, targets], axis=1),
+            real_prob = M.discriminate(seed_rows + M.frame_rows(targets),
                                        params, hp, cache=cache)
         real = (d_tape, cache, real_prob)
     with GradTape() as tape:
@@ -140,7 +142,7 @@ def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
         if real is not None:
             frozen = M.ModelParams({n: p.detach() for n, p
                                     in params.discriminator_named().items()})
-            fake_prob = M.discriminate(ad.concat([seeds, pred], axis=1),
+            fake_prob = M.discriminate(seed_rows + M.frame_rows(pred),
                                        frozen, hp, cache=cache.detached())
         loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
     return pred, loss, terms, tape, real
@@ -429,9 +431,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         if real is not None:
             d_tape, cache, real_p = real
             with d_tape:
-                fake_p = M.discriminate(ad.concat([seeds_t, pred.detach()],
-                                                  axis=1), params, hp,
-                                        cache=cache)
+                fake_p = M.discriminate(
+                    M.frame_rows(seeds_t) + M.frame_rows(pred.detach()),
+                    params, hp, cache=cache)
                 d_loss = loss_discriminator(real_p, fake_p)
             d_loss_val = d_loss.item()
             if not np.isfinite(d_loss_val):

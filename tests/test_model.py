@@ -497,21 +497,30 @@ def test_row_cache_matches_per_window_encoding(monkeypatch, window, kernel,
 
 def test_short_encoder_conv_macs_per_sequence(monkeypatch):
     """Paper config, one sequence, closed loop: each conv row is computed
-    once per sequence (about 190M MACs), not once per window (about 360M)."""
+    once per sequence (about 190M MACs), not once per window (about 360M).
+    The first window convolves every row; each later one only the rows
+    that its new frame reaches."""
     hp = M.HyperParams()
     p = M.init_params(hp, 54, np.random.default_rng(0))
-    macs = []
+    layer = {id(p[f"{enc}.conv{i}.kernel"].data): (enc, i)
+             for enc in ("long", "short") for i in (1, 2, 3)}
+    macs, rows = [], {}
     real = ad.conv2d
 
     def counting(x, kernel, bias, *args, **kwargs):
         out = real(x, kernel, bias, *args, **kwargs)
         n, cout, ho, wo = out.shape
         macs.append(n * cout * ho * wo * int(np.prod(kernel.shape[1:])))
+        rows.setdefault(layer[id(kernel.data)], []).append(ho)
         return out
 
     monkeypatch.setattr(ad, "conv2d", counting)
     M.predict_sequence(np.random.default_rng(1).normal(size=(50, 54)), p, hp)
     assert sum(macs) <= 210e6
+    assert [rows["long", i] for i in (1, 2, 3)] == [[25], [13], [7]]
+    assert rows["short", 1] == [10, 10] + [1] * 23
+    assert rows["short", 2] == [5] * 4 + [1] * 21
+    assert rows["short", 3] == [3] * 8 + [2] * 17
 
 
 def test_gradient_flows_from_first_seed_frame_to_last_output():

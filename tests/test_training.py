@@ -482,10 +482,15 @@ def test_shared_discriminator_rows_match_unshared_passes(monkeypatch, t,
     seqs, stats = make_dataset(frames=30, joints=3)
     tensors = M.tensors_from_params(
         G.generic_params(hp, seqs[0].pose_dim, np.random.default_rng(t)))
-    cfg = hp.discriminator_cem(seqs[0].pose_dim)
-    cache = M.RowCache(limit=t)
-    assert any(cache.key(1, span) is not None
-               for span in M._row_spans(cfg)[0])
+    # a pass over the same seed rows with a new tail reuses some rows
+    seeds = Tensor(np.zeros((1, t, seqs[0].pose_dim)))
+    cache, sizes = M.RowCache(), []
+    for value in (0.0, 1.0):
+        tail = Tensor(np.full((1, hp.target_frames, seqs[0].pose_dim), value))
+        M.discriminate(M.frame_rows(seeds) + M.frame_rows(tail),
+                       M.params_from_tensors(tensors), hp, cache=cache)
+        sizes.append(len(cache))
+    assert sizes[1] - sizes[0] < sizes[0]
 
     report, grads, returned, params = _iteration_gradients(
         monkeypatch, hp, seqs, stats, tensors)
@@ -510,7 +515,8 @@ def test_shared_discriminator_rows_match_unshared_passes(monkeypatch, t,
 def test_discriminator_conv_macs_per_sequence(monkeypatch):
     """Paper config, one sequence, one iteration: the seed-prefix rows are
     convolved once for the three discriminator passes (83.5M MACs), not
-    three times (142.5M)."""
+    three times (142.5M). The real pass convolves every row of its three
+    layers; each fake pass only the rows that read a predicted frame."""
     hp = M.HyperParams(batch_size=1)
     L = 54
     rng = np.random.default_rng(0)
@@ -521,7 +527,7 @@ def test_discriminator_conv_macs_per_sequence(monkeypatch):
     params = M.init_params(hp, L, rng)
     disc_kernels = {id(t.data) for n, t in params.items()
                     if n.startswith("disc.") and n.endswith(".kernel")}
-    macs = []
+    macs, rows = [], []
     real = ad.conv2d
 
     def counting(x, kernel, bias, *args, **kwargs):
@@ -529,12 +535,14 @@ def test_discriminator_conv_macs_per_sequence(monkeypatch):
         if id(kernel.data) in disc_kernels:
             n, cout, ho, wo = out.shape
             macs.append(n * cout * ho * wo * int(np.prod(kernel.shape[1:])))
+            rows.append(ho)
         return out
 
     monkeypatch.setattr(ad, "conv2d", counting)
     T.train(seqs, stats, hp, T.TrainSchedule(iterations=1), params=params)
     assert len(macs) == 9
     assert sum(macs) <= 90e6
+    assert rows == [38, 19, 10, 13, 7, 4, 13, 7, 4]
 
 
 def _report_rows(path):
