@@ -2,11 +2,11 @@
 
 Implements exactly the operations the motion predictor needs: strided 2D
 convolution that reads its input rows from the tensors holding them, with
-zero padding that no tensor holds, and affine maps that flatten their input
-(each optionally with its leaky ReLU in the same node), leaky ReLU,
-inverted dropout that can join rows of several tensors in the same node,
-elementwise arithmetic, reductions, concat/stack/slice plumbing, and
-reverse-mode differentiation driven by an explicit gradient tape.
+zero padding that no tensor holds; affine maps that read their input
+flattened or in parts and can add a residual (both ops optionally with a
+leaky ReLU in the same node); leaky ReLU; inverted dropout that can join rows
+of several tensors in one node; elementwise arithmetic, reductions,
+concat/stack/slice plumbing, and reverse-mode differentiation on a tape.
 
 Tensors are immutable values during a taped computation; parameters are
 updated between passes, in place by ``training.adam_step``. A ``GradTape``
@@ -174,7 +174,8 @@ def backward(loss: Tensor, tape: GradTape) -> dict:
     adds the sum of its dense partials. The first dense partial is kept as
     the VJP returned it; the second is added into a new array, and every
     later one is added into that array in place, never into an array a VJP
-    returned (``add`` returns one array twice, ``reshape`` a view).
+    returned (``add`` returns one array twice, ``reshape`` a view, and
+    ``linear`` returns ``g`` itself as a residual's partial).
 
     The replay consumes the tape: each node is popped before its VJP runs,
     so its saved operands are freed once used, and each intermediate
@@ -466,40 +467,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor,
-           slope: Optional[float] = None) -> Tensor:
-    """Affine map of a ``[B, ...]`` input flattened to ``[B, in]``:
-    ``x @ weight.T + bias`` with weight ``[out, in]``, then, given a
-    ``slope``, a leaky ReLU in place in the same node, as in ``conv2d``. The
-    VJP returns the input gradient in the input's shape, and the weight
-    partial as the ``Outer`` pair ``(g, x)``; ``backward`` contracts all
-    pairs of one weight in one GEMM."""
-    shape = x.data.shape
-    if len(shape) < 2:
-        raise ShapeError(f"linear expects a [B, ...] input, got {shape}")
-    xd, wd = x.data.reshape(shape[0], -1), weight.data
+def linear(x, weight: Tensor, bias: Tensor, slope: Optional[float] = None,
+           add: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ weight.T + bias`` (weight ``[out, in]``) of a
+    ``[B, ...]`` input flattened to ``[B, in]``, or of a list of ``[B, ...]``
+    parts whose flattened blocks, joined in order, are that input; then a
+    leaky ReLU given a ``slope``, and the ``[B, out]`` residual ``add``, each
+    in place in the same node. The VJP returns each part's gradient in its
+    shape, the weight partial as the ``Outer`` pair ``(g, x)`` (one GEMM per
+    weight in ``backward``) and ``g`` itself as the residual's partial."""
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    shapes = [p.data.shape for p in parts]
+    if not parts or min(map(len, shapes)) < 2:
+        raise ShapeError(f"linear expects a [B, ...] input or parts, got {shapes}")
+    B, wd = shapes[0][0], weight.data
+    if any(s[0] != B for s in shapes):
+        raise ShapeError(f"linear: the parts' batch extents differ, {shapes}")
+    blocks = [p.data.reshape(B, -1) for p in parts]
+    xd = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
     if wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeError(
-            f"linear: input {shape} incompatible with weight {wd.shape}")
+            f"linear: input {shapes} incompatible with weight {wd.shape}")
     if bias.data.shape != (wd.shape[0],):
         raise ShapeError(
             f"linear: bias {bias.data.shape} incompatible with weight {wd.shape}")
+    res = () if add is None else (add,)
+    if res and add.data.shape != (B, wd.shape[0]):
+        raise ShapeError(f"linear: residual {add.data.shape} is not [B, out]")
+    y = xd @ wd.T + bias.data
     if slope is not None:
         _check_slope(slope)
-    out_data = xd @ wd.T + bias.data
-    if slope is not None:
-        _leaky(out_data, slope, out_data)
-    need_x, need_w, need_b = (x.requires_grad, weight.requires_grad,
-                              bias.requires_grad)
-    out = Tensor(out_data, requires_grad=need_x or need_w or need_b)
+        _leaky(y, slope, y)
+    # the activation's VJP reads y, so a residual after one is a new array
+    out_data = np.add(y, add.data, out=y if slope is None else None) if res else y
+    inputs = (*parts, weight, bias, *res)
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
 
-    def vjp(g):
-        g = g if slope is None else _leaky_grad(g, out_data, slope)
-        return ((g @ wd).reshape(shape) if need_x else None,
-                Outer(g, xd) if need_w else None,
-                g.sum(axis=0) if need_b else None)
+    def vjp(g_out):
+        cols = np.cumsum([0] + [b.shape[1] for b in blocks])  # each part's columns
+        g = g_out if slope is None else _leaky_grad(g_out, y, slope)
+        gx = g @ wd if any(p.requires_grad for p in parts) else None
+        return (*(np.ascontiguousarray(gx[:, a:e]).reshape(s) if p.requires_grad
+                  else None for p, s, a, e in zip(parts, shapes, cols, cols[1:])),
+                Outer(g, xd) if weight.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None,
+                *(g_out if t.requires_grad else None for t in res))
 
-    _record((x, weight, bias), out, vjp)
+    _record(inputs, out, vjp)
     return out
 
 

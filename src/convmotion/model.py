@@ -7,10 +7,10 @@ encodes a sliding window of the most recent ``C`` frames at every decoding
 step, reading them in place from the seed batch and the decoded frames.
 Consecutive windows share ``C - 1`` frames, so a per-sequence ``RowCache``,
 which keys each conv row by the rows it reads, lets each step convolve only
-the conv rows that its new frame reaches. A
-two-layer spatial decoder maps the concatenated codes to a pose residual
-added onto the previous frame, so a zeroed decoder reproduces the last seed
-frame forever (the zero-velocity baseline). A discriminator with the same
+the conv rows that its new frame reaches. A two-layer spatial decoder reads
+the two codes as parts of one input, and its last layer adds its output onto
+the previous frame, so a zeroed decoder reproduces the last seed frame
+forever (the zero-velocity baseline). A discriminator with the same
 convolutional trunk scores full sequences for the adversarial regularizer.
 The sequences it scores in one training iteration share their t seed frames,
 so a shared ``RowCache`` lets every pass after the first convolve only the
@@ -344,13 +344,13 @@ def decode_step(zl: Tensor, zs: Tensor, prev: Tensor, params: ModelParams,
                 hp: HyperParams, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> Tensor:
     """One residual decoding step on ``[B, fc_out]`` codes and the ``[B, L]``
-    previous frames: concat codes -> affine -> leaky ReLU -> dropout ->
-    affine -> add previous frame."""
-    h = ad.linear(ad.concat([zl, zs], axis=-1), params["decoder.fc1.weight"],
+    previous frames, one tape node per layer: affine map of the two codes
+    as parts, with leaky ReLU -> dropout -> affine map adding ``prev``."""
+    h = ad.linear([zl, zs], params["decoder.fc1.weight"],
                   params["decoder.fc1.bias"], slope=hp.leaky_slope)
     h = ad.dropout(h, hp.dropout, mode=mode, rng=rng)
-    h = ad.linear(h, params["decoder.fc2.weight"], params["decoder.fc2.bias"])
-    return ad.add(h, prev)
+    return ad.linear(h, params["decoder.fc2.weight"],
+                     params["decoder.fc2.bias"], add=prev)
 
 
 def window_frame_ids(t: int, C: int, k: int) -> list:

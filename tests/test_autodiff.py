@@ -340,30 +340,70 @@ def test_linear_vs_dot_product_oracle():
 
 
 def test_linear_flattens_its_input_like_reshape_then_linear():
+    # it also reads a list of parts like their concat, and adds a residual
+    # like ``add`` after it: values and every gradient bit for bit
     rng = np.random.default_rng(5)
     x_data = rng.normal(size=(3, 2, 4, 5))
     w_data, b_data = rng.normal(size=(6, 40)), rng.normal(size=6)
     weights = rng.normal(size=(3, 6))
+    a_data, c_data = x_data[:, 0], x_data[:, 1].reshape(3, 20)
+    p_data = rng.normal(size=(3, 6))
 
-    def run(flatten_first):
-        x = Tensor(x_data.copy(), requires_grad=True)
-        w = Tensor(w_data.copy(), requires_grad=True)
-        b = Tensor(b_data.copy(), requires_grad=True)
+    def run(build, *arrays):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         with GradTape() as tape:
-            h = reshape(x, (3, -1)) if flatten_first else x
-            out = linear(h, w, b)
+            out = build(*ts)
             loss = sumsq(mul(out, Tensor(weights)))
         grads = backward(loss, tape)
-        return (out.data, *(grads[t] for t in (x, w, b))), (x, w, b)
+        return [out.data, *(grads[t] for t in ts)]
 
-    got, (x, w, b) = run(False)
-    want, _ = run(True)
-    assert got[1].shape == x.shape
-    for g, r in zip(got, want):
-        np.testing.assert_array_equal(_bits(g), _bits(r))
-    report = grad_check(lambda: sumsq(mul(linear(x, w, b), Tensor(weights))),
-                        {"x": x, "w": w, "b": b}, tol=1e-6)
-    assert report.passed, report.summary()
+    def same(got, want):
+        for g, r in zip(got, want, strict=True):
+            assert g.shape == r.shape
+            np.testing.assert_array_equal(_bits(g), _bits(r))
+
+    same(run(linear, x_data, w_data, b_data),
+         run(lambda x, w, b: linear(reshape(x, (3, -1)), w, b),
+             x_data, w_data, b_data))
+    for slope in (None, 0.2):
+        same(run(lambda a, c, w, b: linear([a, c], w, b, slope),
+                 a_data, c_data, w_data, b_data),
+             run(lambda a, c, w, b: linear(
+                 concat([reshape(a, (3, -1)), c], axis=1), w, b, slope),
+                 a_data, c_data, w_data, b_data))
+        same(run(lambda x, w, b, p: linear(x, w, b, slope, add=p),
+                 x_data, w_data, b_data, p_data),
+             run(lambda x, w, b, p: ad.add(linear(x, w, b, slope), p),
+                 x_data, w_data, b_data, p_data))
+
+    # a part or residual without a gradient (the ablation's zero code) gets
+    # no partial
+    c = Tensor(c_data, requires_grad=True)
+    partials = _vjp_partials(lambda: linear(
+        [Tensor(a_data), c], Tensor(w_data), Tensor(b_data),
+        add=Tensor(p_data)))
+    assert [q is not None for q in partials] == [False, True, False, False,
+                                                 False]
+    assert partials[1].shape == c.shape
+
+    x, w, b, p = (Tensor(d.copy(), requires_grad=True)
+                  for d in (x_data, w_data, b_data, p_data))
+    a, c = (Tensor(d.copy(), requires_grad=True) for d in (a_data, c_data))
+    # the loss is piecewise quadratic, so a wide step only shrinks the
+    # rounding that step 1e-5 leaves on p's small entries
+    for f, named, h in [
+            (lambda: linear(x, w, b), {"x": x, "w": w, "b": b}, 1e-5),
+            (lambda: linear([a, c], w, b, 0.2, add=p),
+             {"a": a, "c": c, "w": w, "b": b, "p": p}, 1e-3)]:
+        report = grad_check(lambda: sumsq(mul(f(), Tensor(weights))), named,
+                            h=h, tol=1e-6)
+        assert report.passed, report.summary()
+
+    with pytest.raises(ShapeError, match="batch extents differ"):
+        linear([a, Tensor(np.zeros((2, 20)))], w, b)
+    for shape in [(3, 5), (1, 6), (6,)]:
+        with pytest.raises(ShapeError, match="residual"):
+            linear(x, w, b, add=Tensor(np.zeros(shape)))
 
 
 def test_linear_refuses_an_input_without_a_batch_axis():

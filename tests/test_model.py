@@ -268,6 +268,46 @@ def test_decode_matches_straight_line_oracle():
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
+def _five_node_decode_step(zl, zs, prev, params, hp, mode, rng):
+    """The decoding step as five tape nodes: concat, affine with its
+    activation, dropout, affine, residual add."""
+    h = ad.linear(ad.concat([zl, zs], axis=-1), params["decoder.fc1.weight"],
+                  params["decoder.fc1.bias"], slope=hp.leaky_slope)
+    h = ad.dropout(h, hp.dropout, mode=mode, rng=rng)
+    h = ad.linear(h, params["decoder.fc2.weight"], params["decoder.fc2.bias"])
+    return ad.add(h, prev)
+
+
+def test_decode_step_equals_the_five_node_composition_bit_for_bit():
+    # decode_step reads the codes as parts of fc1's input and adds the
+    # previous frame inside fc2's node; prev's first partial is then the
+    # very array fc2's weight partial holds, and two earlier uses of prev
+    # make backward add the next two into its own accumulator, in place
+    hp = tiny_hp(dropout=0.3)
+    data = np.random.default_rng(6)
+    zl, zs = data.normal(size=(4, 64)), data.normal(size=(4, 64))
+    prev, weights = data.normal(size=(2, 4, POSE_DIM))
+
+    def run(step):
+        p = _rich_params(hp)
+        ins = [Tensor(a.copy(), requires_grad=True) for a in (zl, zs, prev)]
+        with GradTape() as tape:
+            early = [ad.mul(ins[2], 0.5), ad.square(ins[2])]
+            out = step(*ins, p, hp, mode="train",
+                       rng=np.random.default_rng(7))
+            loss = ad.sumsq(ad.mul(out, Tensor(weights)), *early)
+        grads = backward(loss, tape)
+        return [out.data, *(grads[t] for t in ins),
+                *(grads[p[n]] for n in M.PARAM_NAMES
+                  if n.startswith("decoder."))]
+
+    got, want = run(M.decode_step), run(_five_node_decode_step)
+    assert all(np.any(g != 0.0) for g in got)
+    for g, r in zip(got, want, strict=True):
+        assert g.shape == r.shape
+        np.testing.assert_array_equal(g.view(np.int64), r.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # recursive prediction
 # ---------------------------------------------------------------------------
