@@ -349,14 +349,14 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
 def taped_objective(params: M.ModelParams, gen_named: dict, seed: np.ndarray,
                     target: np.ndarray, hp: M.HyperParams, adversarial: bool,
                     mask_seed: int):
-    """``training.train``'s generator step at batch 1, on a single ``[t, L]``
-    seed and ``[T, L]`` target; returns (loss tensor, tape). With the
-    adversary on, ``training.generator_objective`` records the real pass
-    over ``[seed, target]`` itself, and the fake pass reads its seed-prefix
-    conv rows."""
+    """``training.objectives`` at batch 1, on a single ``[t, L]`` seed and
+    ``[T, L]`` target; returns the generator's (loss tensor, tape), and
+    ignores the discriminator's. With the adversary on, the generator's fake
+    pass reads the seed-prefix conv rows of the discriminator's real pass
+    over ``[seed, target]``."""
     hp = replace(hp, adversarial=adversarial)
     rng = np.random.Generator(np.random.PCG64(mask_seed))
-    _pred, loss, _terms, tape, _real = T.generator_objective(
+    loss, _terms, tape, _d_loss, _d_tape = T.objectives(
         params, gen_named, Tensor(seed[None]), Tensor(target[None]), hp, rng)
     return loss, tape
 

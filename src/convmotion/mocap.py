@@ -343,6 +343,16 @@ def rotmat_to_euler(R) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# an action names trial files and the files ``eval --dump`` writes, and fills
+# one cell of a report CSV row
+ACTION = "a non-empty name without '/', '\\', ',' or a line break"
+
+
+def is_action(name: str) -> bool:
+    """Whether ``name`` is an action name, as ``ACTION`` reads."""
+    return name.splitlines() == [name] and not any(c in name for c in "/\\,")
+
+
 @dataclass
 class TrialRef:
     subject: str
@@ -384,6 +394,11 @@ class DatasetManifest:
         path = Path(path)
         try:
             doc = R.parse(path.read_text(), cls.DOCUMENT)
+            for split in ("train", "test"):
+                for i, entry in enumerate(doc[split]):
+                    if not is_action(entry["action"]):
+                        raise ValueError(f"{split}[{i}].action must be "
+                                         f"{ACTION}, got {entry['action']!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return cls(train=[TrialRef(**e) for e in doc["train"]],
@@ -395,7 +410,8 @@ def manifest_from_tree(root) -> DatasetManifest:
     """Scan a ``<root>/<subject>/<action>_<trial>.txt`` tree into a manifest.
 
     Every trial under ``TEST_SUBJECT`` lands in the test split; all other
-    subjects train. One warning names the ``.txt`` files not so named.
+    subjects train. One warning names the ``.txt`` files not so named, or
+    whose action is not ``ACTION``.
     """
     root = Path(root)
     train_refs, test_refs, skipped = [], [], []
@@ -404,7 +420,7 @@ def manifest_from_tree(root) -> DatasetManifest:
         for path in sorted(subject_dir.glob("*.txt")):
             stem = path.stem
             action, _, trial_str = stem.rpartition("_")
-            if not action or not trial_str.isdigit():
+            if not is_action(action) or not trial_str.isdigit():
                 skipped.append(f"{subject}/{path.name}")
                 continue
             ref = TrialRef(subject, action, int(trial_str),
@@ -471,9 +487,10 @@ def generate_corpus(root, actions=("walk", "swing", "wave"), joints: int = 8,
     """Write a synthetic corpus tree plus its manifest; returns the manifest path."""
     R.check(joints=joints, frames=frames, train_trials=train_trials,
             test_trials=test_trials, seed=seed)
-    if not actions or "" in actions or len(set(actions)) < len(actions):
+    if (not actions or len(set(actions)) < len(actions)
+            or not all(map(is_action, actions))):
         raise ValueError(f"actions must be one or more distinct non-empty "
-                         f"names, got {list(actions)}")
+                         f"names, got {list(actions)}; each must be {ACTION}")
     if not 0.0 < freq_lo <= freq_hi < math.inf:
         raise ValueError(f"freq_lo and freq_hi must satisfy 0 < freq_lo <= "
                          f"freq_hi < inf, got {freq_lo} and {freq_hi}")

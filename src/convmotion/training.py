@@ -6,10 +6,11 @@ penalty - adversarial log-score) and, when the adversarial regularizer is
 enabled, the discriminator's real/generated classification loss with the
 generated sequences detached, then takes one Adam step over both players'
 tensors; the gradient sets are disjoint, so this equals a step per player.
-The discriminator's three passes of an iteration share their seed frames:
-``generator_objective`` records the real pass first, and both fake passes
-reuse its seed-prefix conv rows. The gradient check runs that generator
-step at batch 1 (``gradcheck.taped_objective``).
+``objectives`` records an iteration's whole forward: the prediction, the
+discriminator's three passes, which share their seed frames (both fake
+passes reuse the real pass's seed-prefix conv rows), and both losses;
+``train`` only checks the losses, differentiates them and steps. The
+gradient check runs ``objectives`` at batch 1 (``gradcheck.taped_objective``).
 Everything is deterministic under the master seed: iteration ``i`` draws
 from RNG streams derived from ``(master_seed, i)``, so resuming from a
 checkpoint replays the exact trajectory of an uninterrupted run.
@@ -110,42 +111,44 @@ def loss_generator(pred: Tensor, target, gen_params: dict,
     return loss, terms
 
 
-def generator_objective(params: M.ModelParams, gen_named: dict, seeds: Tensor,
-                        targets: Tensor, hp: M.HyperParams,
-                        rng: np.random.Generator):
-    """The generator step of an iteration; ``seeds``/``targets`` are
-    ``[B, t, L]`` and ``[B, T, L]`` batches. Returns ``(pred, loss, terms,
-    tape, real)``: closed-loop prediction and the combined objective on
-    ``tape``, and ``real = (d_tape, cache, real_prob)``, or ``None`` with
-    the adversary off.
+def objectives(params: M.ModelParams, gen_named: dict, seeds: Tensor,
+               targets: Tensor, hp: M.HyperParams, rng: np.random.Generator):
+    """Record an iteration's forward; ``seeds``/``targets`` are ``[B, t, L]``
+    and ``[B, T, L]`` batches. Returns ``(loss, terms, tape, d_loss,
+    d_tape)``: the generator's combined objective on ``tape`` and the
+    discriminator's classification loss on ``d_tape``, or ``None`` for both
+    with the adversary off.
 
-    The discriminator's real pass over the frame rows of ``seeds`` and
-    ``targets`` is recorded first, on ``d_tape``, for the discriminator
-    step to extend, and leaves its conv rows in ``cache``. The generator's
-    fake pass over the rows of ``seeds`` and ``pred`` reads the rows that
-    read only seed frames as data and convolves only the rows that read a
-    predicted frame, through detached copies of the ``disc.*`` tensors
-    (same data, no gradient), so its ``backward`` returns no ``disc.*``
-    gradient and skips the discriminator's kernel and weight products."""
-    real = None
+    After the closed-loop prediction, the discriminator's real pass over the
+    frame rows of ``seeds`` and ``targets`` and its fake pass over those of
+    ``seeds`` and the detached prediction are recorded on ``d_tape``. They
+    share one ``RowCache``, so the fake pass convolves only the rows that
+    read a predicted frame, and its ``backward`` sums the real and fake
+    gradients of the shared rows. The generator's fake pass over the rows
+    of ``seeds`` and the prediction then reads the cached rows as data,
+    through detached copies of the ``disc.*`` tensors (same data, no
+    gradient), so its ``backward`` returns no ``disc.*`` gradient and skips
+    the discriminator's kernel and weight products."""
+    d_loss = d_tape = fake_prob = None
     seed_rows = M.frame_rows(seeds)
-    if hp.effective_lambda_adv > 0.0:
-        cache = M.RowCache()
-        with GradTape() as d_tape:
-            real_prob = M.discriminate(seed_rows + M.frame_rows(targets),
-                                       params, hp, cache=cache)
-        real = (d_tape, cache, real_prob)
     with GradTape() as tape:
         pred = M.predict_sequence(seeds, params, hp, teacher=targets,
                                   mode="train", rng=rng)
-        fake_prob = None
-        if real is not None:
+        if hp.effective_lambda_adv > 0.0:
+            cache = M.RowCache()
+            with GradTape() as d_tape:
+                real_prob = M.discriminate(seed_rows + M.frame_rows(targets),
+                                           params, hp, cache=cache)
+                d_fake_prob = M.discriminate(
+                    seed_rows + M.frame_rows(pred.detach()), params, hp,
+                    cache=cache)
+                d_loss = loss_discriminator(real_prob, d_fake_prob)
             frozen = M.ModelParams({n: p.detach() for n, p
                                     in params.discriminator_named().items()})
             fake_prob = M.discriminate(seed_rows + M.frame_rows(pred),
                                        frozen, hp, cache=cache.detached())
         loss, terms = loss_generator(pred, targets, gen_named, fake_prob, hp)
-    return pred, loss, terms, tape, real
+    return loss, terms, tape, d_loss, d_tape
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     uninterrupted trajectory exactly. The checkpoint must hold optimizer
     moments and have been trained with ``hp`` and ``schedule.master_seed``,
     and ``schedule.iterations`` must exceed its iteration (0 for a fresh
-    run), or ``ValueError`` is raised before anything is written.
+    run), or ``ValueError`` is raised before anything is written. A resumed
+    run takes its parameters from the checkpoint, so ``params`` must then
+    be ``None``.
 
     With ``schedule.report_path``, each iteration's row is appended (and
     the file closed) as the iteration finishes, before its checkpoint, so a
@@ -366,6 +371,9 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
     sequences = list(sequences)
     if not sequences:
         raise ValueError("training requires a non-empty dataset")
+    if params is not None and resume_from is not None:
+        raise ValueError(f"{resume_from}: params must be None, as a resumed "
+                         f"run takes the checkpoint's parameters")
     pose_dim = sequences[0].pose_dim
     sampler = WindowSampler(sequences, hp.seed_frames, hp.target_frames)
 
@@ -414,34 +422,24 @@ def train(sequences: Sequence[MotionSequence], stats: NormalizationStats,
         seeds_t = Tensor(batch.seeds)
         targets_t = Tensor(batch.targets)
 
-        # each backward consumes its tape, freeing every saved activation
-        # once its node is replayed
-        pred, loss, terms, tape, real = generator_objective(
+        loss, terms, tape, d_loss, d_tape = objectives(
             params, gen_named, seeds_t, targets_t, hp, gen_rng)
         if not np.isfinite(terms.total):
             raise FloatingPointError(
                 f"non-finite generator loss at iteration {it}: {terms}"
             )
+        d_loss_val = None if d_loss is None else d_loss.item()
+        if d_loss_val is not None and not np.isfinite(d_loss_val):
+            raise FloatingPointError(
+                f"non-finite discriminator loss at iteration {it}"
+            )
+        # each backward consumes its tape, freeing every saved activation
+        # once its node is replayed; the gradient sets are disjoint
         grads = backward(loss, tape)
         del tape
-
-        # discriminator gradients of the classification loss, fake detached;
-        # backward sums the real and fake gradients of the shared rows
-        d_loss_val = None
-        if real is not None:
-            d_tape, cache, real_p = real
-            with d_tape:
-                fake_p = M.discriminate(
-                    M.frame_rows(seeds_t) + M.frame_rows(pred.detach()),
-                    params, hp, cache=cache)
-                d_loss = loss_discriminator(real_p, fake_p)
-            d_loss_val = d_loss.item()
-            if not np.isfinite(d_loss_val):
-                raise FloatingPointError(
-                    f"non-finite discriminator loss at iteration {it}"
-                )
+        if d_tape is not None:
             grads.update(backward(d_loss, d_tape))
-            del real, d_tape, cache
+            del d_tape
 
         adam_step(trained, grads_by_name(trained, grads), state,
                   hp.learning_rate)

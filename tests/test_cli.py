@@ -973,6 +973,45 @@ def test_a_mistyped_manifest_entry_is_refused_before_any_trial_is_read(
     assert read == [] and not out.exists()
 
 
+@pytest.mark.parametrize("action", ["../../escaped", "a\\b", "a,b", "a\nb", ""],
+                         ids=["parent-path", "backslash", "comma", "newline",
+                              "empty"])
+def test_eval_dump_refuses_an_action_that_escapes_or_splits_a_cell(
+        corpus, tmp_path, capsys, monkeypatch, action):
+    # an action names the files --dump writes and fills one cell of the
+    # report CSV: a manifest that names another is refused by its key path,
+    # before any trial is read or any file is written
+    manifest, stats_path = corpus
+    stats = mocap.NormalizationStats.load(stats_path)
+    doc = json.loads(manifest.read_text())
+    doc["test"][0]["action"] = action
+    work = tmp_path / "work"
+    work.mkdir()
+    bad = work / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    hp = M.HyperParams(seed_frames=6, target_frames=6, window=4,
+                       channels=(2, 3, 3), fc_out=8, dropout=0.0)
+    ckpt = work / "model.ckpt"
+    M.save_checkpoint(ckpt, hp, stats.reduced_dim, stats.fingerprint(),
+                      M.tensors_from_params(M.init_params(
+                          hp, stats.reduced_dim, np.random.default_rng(0))))
+    before = sorted(tmp_path.rglob("*"))
+    read = []
+    monkeypatch.setattr(mocap, "load_trial", lambda *a, **k: read.append(a))
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(bad),
+                   "--stats", str(stats_path), "--num-sequences", "1",
+                   "--dump", str(work / "out" / "dump"),
+                   "--out", str(work / "eval.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = _one_error_line(err)
+    assert line.endswith(
+        f"{bad}: test[0].action must be a non-empty name without '/', "
+        f"'\\', ',' or a line break, got {action!r}"), line
+    assert "Traceback" not in err
+    assert read == [] and sorted(tmp_path.rglob("*")) == before
+
+
 def test_eval_scores_the_horizons_the_checkpoint_predicts(corpus, tmp_path,
                                                           capsys):
     # 6 target frames of 40 ms reach 240 ms: of the default horizons, 80

@@ -478,6 +478,36 @@ def test_generate_corpus_refuses_what_it_cannot_honour(tmp_path, kwargs,
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("action", ["../../escaped", "a\\b", "a,b", "a\nb",
+                                    "a\u2028b"],
+                         ids=["parent-path", "backslash", "comma", "newline",
+                              "line-separator"])
+def test_generate_corpus_refuses_an_action_that_escapes_or_splits_a_cell(
+        tmp_path, action):
+    # an action names files and fills one cell of a report CSV row
+    with pytest.raises(ValueError, match=re.escape(
+            f"actions must be one or more distinct non-empty names, got "
+            f"{['walk', action]}; each must be a non-empty name without "
+            f"'/', '\\', ',' or a line break")):
+        generate_corpus(tmp_path / "d", actions=("walk", action))
+    assert not (tmp_path / "d").exists()
+
+
+def test_manifest_from_tree_skips_actions_that_split_a_cell(tmp_path, caplog):
+    # a file name holds no '/', but it may hold the other refused characters
+    rels = ["S1/walk_1.txt", "S1/a,b_1.txt", "S1/a\\b_1.txt", "S1/a\nb_1.txt",
+            "S5/walk_1.txt"]
+    for rel in rels:
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text("")
+    with caplog.at_level("WARNING", logger="convmotion.mocap"):
+        manifest = mocap.manifest_from_tree(tmp_path)
+    assert [r.path for r in manifest.train] == ["S1/walk_1.txt"]
+    assert [r.path for r in manifest.test] == ["S5/walk_1.txt"]
+    (record,) = caplog.records
+    assert "skipped 3 .txt file(s)" in record.getMessage()
+
+
 def test_generate_corpus_without_test_trials(tmp_path):
     manifest = DatasetManifest.load(generate_corpus(
         tmp_path / "d", actions=("a",), joints=1, frames=10, test_trials=0))

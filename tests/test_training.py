@@ -175,8 +175,8 @@ def test_generator_objective_tape_one_penalty_node_no_blend_at_eta_one():
         rng = np.random.default_rng(1)
         seeds = Tensor(rng.normal(size=(1, hp.seed_frames, TINY_POSE_DIM)))
         targets = Tensor(rng.normal(size=(1, hp.target_frames, TINY_POSE_DIM)))
-        tape = T.generator_objective(params, params.generator_named(), seeds,
-                                     targets, hp, np.random.default_rng(2))[3]
+        tape = T.objectives(params, params.generator_named(), seeds, targets,
+                            hp, np.random.default_rng(2))[2]
         return [(node.vjp.__qualname__.split(".")[0], len(node.inputs))
                 for node in tape._nodes]
 
@@ -417,8 +417,8 @@ def test_generator_backward_returns_generator_gradients_only():
     rng = np.random.default_rng(1)
     seeds = Tensor(rng.normal(size=(2, hp.seed_frames, TINY_POSE_DIM)))
     targets = Tensor(rng.normal(size=(2, hp.target_frames, TINY_POSE_DIM)))
-    _, loss, terms, tape, _ = T.generator_objective(params, gen_named, seeds,
-                                                    targets, hp, rng)
+    loss, terms, tape, _, _ = T.objectives(params, gen_named, seeds, targets,
+                                           hp, rng)
     assert terms.adv > 0.0
     grads = backward(loss, tape)
     # every returned gradient is used by the generator step, and no disc.*
@@ -498,6 +498,10 @@ def test_shared_discriminator_rows_match_unshared_passes(monkeypatch, t,
     # the fake pass reads the shared rows as data
     assert set(map(id, returned[0])) == set(
         map(id, params.generator_named().values()))
+    # and the discriminator's backward returns exactly the disc.* tensors:
+    # its fake pass reads the prediction as data
+    assert set(map(id, returned[1])) == set(
+        map(id, params.discriminator_named().values()))
     monkeypatch.undo()
     _unshared_discriminator(monkeypatch)
     want, want_grads, _, _ = _iteration_gradients(monkeypatch, hp, seqs,
@@ -717,6 +721,25 @@ def _trained_checkpoint(tmp_path, hp):
     return seqs, stats, run / "ckpt_0000002.ckpt"
 
 
+def test_train_refuses_params_with_resume_from(tmp_path, monkeypatch):
+    # refused before the checkpoint is read or any file is written
+    hp = micro_hp()
+    seqs, stats, path = _trained_checkpoint(tmp_path, hp)
+    params = M.init_params(hp, seqs[0].pose_dim, np.random.default_rng(0))
+    read = []
+    monkeypatch.setattr(M, "load_checkpoint", lambda *a: read.append(a))
+    out = tmp_path / "resume"
+    out.mkdir()
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: params must be None, as a resumed run takes the "
+            f"checkpoint's parameters")):
+        T.train(seqs, stats, hp,
+                T.TrainSchedule(iterations=4, master_seed=5, out_dir=out,
+                                report_path=out / "report.csv"),
+                params=params, resume_from=path)
+    assert read == [] and list(out.iterdir()) == []
+
+
 def test_resume_without_optimizer_moments_rejected(tmp_path):
     hp = micro_hp()
     seqs, stats, path = _trained_checkpoint(tmp_path, hp)
@@ -846,7 +869,7 @@ def test_one_adam_step_per_iteration_after_every_tape_is_freed(
 def test_no_gradient_outlives_its_iteration(monkeypatch, hp):
     seqs, stats = make_dataset(frames=30)
     grads, alive_at_forward = [], []
-    real_objective, real_adam_step = T.generator_objective, T.adam_step
+    real_objective, real_adam_step = T.objectives, T.adam_step
 
     def tracking_objective(*args, **kwargs):
         alive_at_forward.append(sum(ref() is not None for ref in grads))
@@ -856,7 +879,7 @@ def test_no_gradient_outlives_its_iteration(monkeypatch, hp):
         grads.extend(weakref.ref(g) for g in by_name.values())
         return real_adam_step(params, by_name, state, lr)
 
-    monkeypatch.setattr(T, "generator_objective", tracking_objective)
+    monkeypatch.setattr(T, "objectives", tracking_objective)
     monkeypatch.setattr(T, "adam_step", tracking_adam_step)
     T.train(seqs, stats, hp, T.TrainSchedule(iterations=3, master_seed=2))
     assert grads
@@ -950,17 +973,26 @@ def test_train_refuses_non_finite_discriminator_loss(monkeypatch):
     seqs, stats = make_dataset(frames=30)
     hp = micro_hp(lambda_adv=0.01, adversarial=True)
     real_loss, calls = T.loss_discriminator, []
+    real_backward, backward_at = T.backward, []
 
     def nan_on_second_call(real_prob, fake_prob):
         calls.append(None)
         loss = real_loss(real_prob, fake_prob)
         return ad.mul(loss, np.nan) if len(calls) == 2 else loss
 
+    def counting_backward(loss, tape):
+        backward_at.append(len(calls))
+        return real_backward(loss, tape)
+
     monkeypatch.setattr(T, "loss_discriminator", nan_on_second_call)
+    monkeypatch.setattr(T, "backward", counting_backward)
     with pytest.raises(FloatingPointError,
                        match="non-finite discriminator loss at iteration 2$"):
         T.train(seqs, stats, hp, T.TrainSchedule(iterations=3))
     assert len(calls) == 2
+    # both losses are checked before either tape is replayed: iteration 2
+    # calls backward zero times
+    assert backward_at == [1, 1]
 
 
 def test_report_csv_round_trip(tmp_path):
