@@ -16,6 +16,16 @@ and frames ``[features, P]``), so a conv's im2col columns, gathered one
 kernel tap at a time from its unpadded input, move contiguous variant runs,
 and GEMMs write the next layer's layout.
 
+An encoder's input comes as two row blocks: ``[h_s, L, 1]`` leading rows
+that every variant shares, and ``[h_v, L, P']`` rows that vary. A conv
+computes the output rows that read only shared rows (or padding) once, and
+convolves the rest from the varying rows and the shared rows they overlap,
+widened; a layer with deltas, or a varying block of width 1, makes every row
+varying. The discriminator passes the seed as its shared block beside the
+predictions, and the long-term encoder passes the seed alone. The short-term
+window passes every row as varying: sharing its seed rows would change the
+last bits of its GEMMs, and with them the check's reports.
+
 Dropout is exercised under a fixed mask: both routes draw identical masks
 from the same seeded stream, re-drawn per evaluation, so the objective stays
 deterministic.
@@ -47,6 +57,13 @@ FD_STEP = 1e-5
 FD_CHUNK = 1024
 # steps at which elements failing at FD_STEP are re-differenced
 RETRY_STEPS = (1e-4, 1e-3, 4e-3, 2e-6, 1e-7)
+# entries per pass of the reference leaky ReLU
+LRELU_CHUNK = 1 << 15
+# the width at which the reference convolves rows that every variant shares
+# beside rows that vary: OpenBLAS computes a GEMM's last 1-4 columns past a
+# multiple of 8 with another kernel, whose last bits differ, so whole
+# 8-column blocks give the bits a pass over every variant gives those rows
+SHARED_WIDTH = 8
 
 
 def tiny_hyperparams(**overrides) -> M.HyperParams:
@@ -68,12 +85,11 @@ def _same_pad(n, k, s):
 
 
 @lru_cache
-def _conv_taps(H, W, kh, kw, sH, sW, pH, pW):
-    """The gather plan of one conv geometry: per kernel tap (i, j), the
-    output block whose windows read the input and the strided input slice
-    they read; then the blocks of each tap row and tap column that read
-    padding."""
-    Ho = (H + 2 * pH - kh) // sH + 1
+def _conv_taps(H, W, kh, kw, sH, sW, pH, pW, Ho):
+    """The gather plan of one conv geometry with Ho output rows: per kernel
+    tap (i, j), the output block whose windows read the input and the
+    strided input slice they read; then the blocks of each tap row and tap
+    column that read padding."""
     Wo = (W + 2 * pW - kw) // sW + 1
 
     def spans(n, k, s, p, no):
@@ -101,22 +117,25 @@ def _conv_taps(H, W, kh, kw, sH, sW, pH, pW):
                   for i, (_, _, pad) in enumerate(rows) for z in pad)
     zeros += tuple((every, every, j, every, z)
                    for j, (_, _, pad) in enumerate(cols) for z in pad)
-    return Ho, Wo, copies, zeros
+    return Wo, copies, zeros
 
 
-def _conv_p(x, k, b, stride, dk, db, P):
+def _conv_p(x, k, b, stride, dk, db, P, rows=None):
     """Conv with the variant axis last: x [C,H,W,Px], base kernel
     k [Co,C,kh,kw] and bias b [Co], deltas dk and db -> [Co,Ho,Wo,P'].
-    The im2col buffer is filled one kernel tap at a time, each tap's block
-    copied from a strided slice of the unpadded x, so every copy moves
-    contiguous variant runs; only the entries that read padding are zeroed.
-    One GEMM follows."""
+    ``rows`` = (top padding, Ho) replaces the same padding of x's height,
+    so that x can be the input rows that a band of a taller conv's output
+    rows reads. The im2col buffer is filled one kernel tap at a time, each
+    tap's block copied from a strided slice of the unpadded x, so every copy
+    moves contiguous variant runs; only the entries that read padding are
+    zeroed. One GEMM follows."""
     sH, sW = stride
     Co, C, kh, kw = k.shape
     _, H, W, Px = x.shape
-    Ho, Wo, copies, zeros = _conv_taps(H, W, kh, kw, sH, sW,
-                                       _same_pad(H, kh, sH),
-                                       _same_pad(W, kw, sW))
+    pH = _same_pad(H, kh, sH)
+    pH, Ho = rows or (pH, (H + 2 * pH - kh) // sH + 1)
+    Wo, copies, zeros = _conv_taps(H, W, kh, kw, sH, sW, pH,
+                                   _same_pad(W, kw, sW), Ho)
     cols = np.empty((C, kh, kw, Ho, Wo, Px))
     for dst, src in copies:
         cols[dst] = x[src]
@@ -126,6 +145,15 @@ def _conv_p(x, k, b, stride, dk, db, P):
     out = (k.reshape(Co, -1) @ cols.reshape(len(cols), -1)).reshape(Co, -1, Px)
     out += b[:, None, None]
     return _add_deltas(out, cols, dk, db, P).reshape(Co, Ho, Wo, -1)
+
+
+def _split_rows(hs, hv, kh, s):
+    """A same-padded conv over hs shared input rows, then hv varying ones:
+    its top padding, its output rows, and how many leading output rows read
+    only shared rows or padding."""
+    pH = _same_pad(hs + hv, kh, s)
+    Ho = (hs + hv + 2 * pH - kh) // s + 1
+    return pH, Ho, min(Ho, max(0, (hs + pH - kh) // s + 1))
 
 
 def _linear_p(x, w, b, dw, db, P):
@@ -257,34 +285,78 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
                          f"{sorted(set(sizes.values()))} ({sizes})")
     P = max(sizes.values(), default=1)
 
-    def layer(x, fn, name, weight, *args):
+    def layer(x, fn, name, weight, *args, **kwargs):
         w, b = f"{name}.{weight}", f"{name}.bias"
         return fn(x, arrays[w], arrays[b], *args, deltas.get(w),
-                  deltas.get(b), P)
+                  deltas.get(b), P, **kwargs)
 
     t, Tn, C = hp.seed_frames, hp.target_frames, hp.window
     L = seed.shape[1]
     slope = hp.leaky_slope
+    scratch = np.empty(LRELU_CHUNK)
 
     def lrelu(x):
-        # in place on a fresh layer output; equals
+        # in place on a fresh (C-contiguous) layer output, one chunk at a
+        # time through one scratch buffer; equals
         # np.where(x >= 0, x, slope * x) bit for bit: 0 < slope < 1
-        return np.maximum(x, slope * x, out=x)
+        flat = x.reshape(-1)
+        for at in range(0, flat.size, LRELU_CHUNK):
+            part = flat[at:at + LRELU_CHUNK]
+            np.maximum(part, np.multiply(part, slope, out=scratch[:part.size]),
+                       out=part)
+        return x
 
-    def cem(prefix, frames, mask_factor):
-        x = frames[None]  # [1, n, L, P']
+    def join(xs, xv):
+        # the rows of both blocks, the shared ones widened to the varying
+        # block's width
+        if not xs.shape[1]:
+            return xv
+        return np.concatenate(
+            [np.broadcast_to(xs, xs.shape[:-1] + xv.shape[-1:]), xv], axis=1)
+
+    def conv(xs, xv, name):
+        # the output rows that read only shared rows or padding are computed
+        # once, the rest from the rows they read; while no row varies (the
+        # varying block is width 1), and in a layer with deltas, every row
+        # is in the varying block
+        if (xv.shape[-1] == 1 or f"{name}.kernel" in deltas
+                or f"{name}.bias" in deltas):
+            xs, xv = xs[:, :0], join(xs, xv)
+        hs, sH = xs.shape[1], hp.stride[0]
+        pH, Ho, ns = _split_rows(hs, xv.shape[1],
+                                 arrays[f"{name}.kernel"].shape[2], sH)
+        ys = yv = None
+        if ns:
+            ys = lrelu(layer(
+                np.broadcast_to(xs, xs.shape[:-1] + (SHARED_WIDTH,)), _conv_p,
+                name, "kernel", hp.stride, rows=(pH, ns)))[..., :1]
+        if ns < Ho:
+            a = max(0, ns * sH - pH)  # the first input row that row ns reads
+            yv = lrelu(layer(join(xs[:, a:], xv[:, max(0, a - hs):]), _conv_p,
+                             name, "kernel", hp.stride,
+                             rows=(max(0, pH - ns * sH), Ho - ns)))
+        if ys is None:
+            return yv[:, :0, :, :1], yv
+        return ys, ys[:, :0] if yv is None else yv
+
+    def cem(prefix, shared, varying, mask_factor):
+        # shared [h_s, L, 1] leading rows, varying [h_v, L, P'] rows; the
+        # affine map reads both joined
+        xs, xv = shared[None], varying[None]
         for i in (1, 2, 3):
-            x = lrelu(layer(x, _conv_p, f"{prefix}.conv{i}", "kernel",
-                            hp.stride))
+            xs, xv = conv(xs, xv, f"{prefix}.conv{i}")
+        x = join(xs, xv)
         if mask_factor is not None:
             x = x * mask_factor[0, ..., None]
         return layer(x.reshape(-1, x.shape[-1]), _linear_p, f"{prefix}.fc",
                      "weight")
 
+    no_rows = np.empty((0, L, 1))
     if hp.no_long_term:
         zl = np.zeros((hp.fc_out, 1))
     else:
-        zl = cem("long", seed[..., None], masks.long_enc if masks else None)
+        zl = cem("long", seed[..., None], no_rows,
+                 masks.long_enc if masks else None)
 
     seed_rows = [seed[i, :, None] for i in range(t - C, t)]  # each [L, 1]
     blended: list = []
@@ -294,7 +366,7 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
         ids = M.window_frame_ids(t, C, k)
         rows = [seed_rows[idx - (t - C)] if kind == "seed" else blended[idx - 1]
                 for kind, idx in ids]
-        zs = cem("short", _stack_rows(rows),
+        zs = cem("short", no_rows, _stack_rows(rows),
                  masks.short_enc[k - 1] if masks else None)
         h = np.concatenate(np.broadcast_arrays(zl, zs))
         h = lrelu(layer(h, _linear_p, "decoder.fc1", "weight"))
@@ -311,7 +383,6 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
         prev = x_hat
 
     pred_stack = _stack_rows(preds)
-    pw = pred_stack.shape[2]
     # contiguous variant rows: numpy sums each pairwise (lower FD noise)
     sq = np.square(pred_stack - target[..., None]).reshape(Tn * L, -1)
     mse = np.ascontiguousarray(sq.T).sum(axis=1) / Tn
@@ -330,9 +401,7 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
     loss = mse + hp.lambda_l2 * l2
 
     if adversarial:
-        full = np.concatenate(
-            [np.broadcast_to(seed[..., None], (t, L, pw)), pred_stack])
-        code = cem("disc.cem", full, None)
+        code = cem("disc.cem", seed[..., None], pred_stack, None)
         logit = layer(code, _linear_p, "disc.head", "weight")
         prob = 1.0 / (1.0 + np.exp(-logit[0]))
         prob = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)

@@ -195,6 +195,9 @@ def test_reference_chunk_consistency():
     ("long.fc.bias", 1.0),        # encoder affine bias, shared input
     ("decoder.fc2.weight", 1.0),  # output layer
     ("decoder.fc2.bias", 0.5),    # output bias, blended windows
+    ("disc.cem.conv1.kernel", 1.0),  # deltas on a layer with shared rows
+    ("disc.cem.conv3.bias", 1.0),    # shared rows up to a perturbed layer
+    ("disc.cem.fc.weight", 1.0),     # every conv split, perturbed affine
 ])
 def test_reference_stacked_variants_match_single_evaluations(name, eta):
     # each layer kind of the stacked evaluator, with dropout masks and the
@@ -244,9 +247,8 @@ def test_reference_zero_delta_stack_is_the_base_evaluation():
     np.testing.assert_array_equal(stacked, np.repeat(base_loss, 6))
 
 
-def test_fd_chunk_peaks_below_a_dense_stack():
-    # one full chunk of the largest tiny-config parameter: a dense
-    # [2 * FD_CHUNK, 64, 128] perturbed stack alone would be 128 MiB
+def _tiny_problem():
+    """The tiny config's parameters, seed, target and dropout masks."""
     hp = G.tiny_hyperparams()
     rng = np.random.Generator(np.random.PCG64(0))
     params = G.generic_params(hp, G.TINY_POSE_DIM, rng)
@@ -254,6 +256,21 @@ def test_fd_chunk_peaks_below_a_dense_stack():
     frames = 0.5 * rng.normal(size=(hp.seed_frames, G.TINY_POSE_DIM))
     target = 0.5 * rng.normal(size=(hp.target_frames, G.TINY_POSE_DIM))
     masks = G.draw_mask_factors(hp, G.TINY_POSE_DIM, rng)
+    return hp, arrays, frames, target, masks
+
+
+def _fd_chunk(size):
+    """The first finite-difference chunk of a parameter with ``size``
+    entries: +FD_STEP and -FD_STEP at each of its first FD_CHUNK entries."""
+    n = min(G.FD_CHUNK, size)
+    return G.Deltas(np.arange(2 * n), np.repeat(np.arange(n), 2),
+                    np.tile([G.FD_STEP, -G.FD_STEP], n), 2 * n)
+
+
+def test_fd_chunk_peaks_below_a_dense_stack():
+    # one full chunk of the largest tiny-config parameter: a dense
+    # [2 * FD_CHUNK, 64, 128] perturbed stack alone would be 128 MiB
+    hp, arrays, frames, target, masks = _tiny_problem()
     name = "decoder.fc1.weight"
     dense_bytes = 2 * G.FD_CHUNK * arrays[name].nbytes
     assert dense_bytes == 128 * 2**20
@@ -271,25 +288,116 @@ def test_fd_chunk_reference_peak_memory():
     # one full finite-difference chunk of short.conv2.kernel (2 * FD_CHUNK
     # variants): with the input copied into a zero-padded canvas before its
     # im2col copy, the tracemalloc peak was 83.45e6 bytes; gathering the
-    # columns from the unpadded input peaks at 56.66e6 bytes
-    hp = G.tiny_hyperparams()
-    rng = np.random.Generator(np.random.PCG64(0))
-    params = G.generic_params(hp, G.TINY_POSE_DIM, rng)
-    arrays = {n: t.data for n, t in params.all_named().items()}
-    frames = 0.5 * rng.normal(size=(hp.seed_frames, G.TINY_POSE_DIM))
-    target = 0.5 * rng.normal(size=(hp.target_frames, G.TINY_POSE_DIM))
-    masks = G.draw_mask_factors(hp, G.TINY_POSE_DIM, rng)
-    P = 2 * G.FD_CHUNK
-    deltas = G.Deltas(np.arange(P), np.repeat(np.arange(G.FD_CHUNK), 2),
-                      np.tile([G.FD_STEP, -G.FD_STEP], G.FD_CHUNK), P)
+    # columns from the unpadded input, 56.64e6 bytes, most of it the
+    # discriminator's seed rows widened to every variant; convolving those
+    # rows once per call and the activation's chunked pass peak at 24.27e6
+    hp, arrays, frames, target, masks = _tiny_problem()
+    name = "short.conv2.kernel"
     tracemalloc.start()
     try:
         G.reference_objective(arrays, frames, target, masks, hp, True,
-                              override={"short.conv2.kernel": deltas})
+                              override={name: _fd_chunk(arrays[name].size)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 70 * 10**6, f"{peak:,} bytes"
+    assert peak < 40 * 10**6, f"{peak:,} bytes"
+
+
+@pytest.mark.parametrize("name", ["long.conv1.kernel", "short.conv2.kernel",
+                                  "decoder.fc1.weight",
+                                  "disc.cem.conv2.kernel"])
+def test_shared_seed_rows_match_every_row_varying(monkeypatch, name):
+    # one finite-difference chunk with masks and the adversary on: the
+    # discriminator given its seed rows once, as the shared block, and the
+    # same pass with every row varying (the seed rows widened to every
+    # variant and convolved per variant) give the same losses bit for bit
+    hp, arrays, frames, target, masks = _tiny_problem()
+    chunk = _fd_chunk(arrays[name].size)
+
+    def losses():
+        return G.reference_objective(arrays, frames, target, masks, hp, True,
+                                     override={name: chunk})
+
+    shared = losses()
+    split = G._split_rows
+    monkeypatch.setattr(G, "_split_rows",
+                        lambda *rows: split(*rows)[:2] + (0,))
+    np.testing.assert_array_equal(shared, losses())
+
+
+def test_discriminator_convolves_its_seed_rows_once_per_call(monkeypatch):
+    # (output rows, width) of each discriminator conv call in one chunk: at
+    # t = 16, T = 6 the rows that read only seed frames are 8 of 11, 4 of 6
+    # and 2 of 3, computed once at SHARED_WIDTH; a layer with deltas varies
+    # in every row, and so does every layer after it
+    hp, arrays, frames, target, masks = _tiny_problem()
+    kernels = [arrays[f"disc.cem.conv{i}.kernel"] for i in (1, 2, 3)]
+    calls = [[], [], []]
+    conv_p = G._conv_p
+
+    def spy(x, k, *args, **kwargs):
+        out = conv_p(x, k, *args, **kwargs)
+        for layer, kernel in zip(calls, kernels):
+            if k is kernel:
+                layer.append((out.shape[1], out.shape[3]))
+        return out
+
+    monkeypatch.setattr(G, "_conv_p", spy)
+
+    def chunk_calls(*names):
+        for layer in calls:
+            layer.clear()
+        G.reference_objective(
+            arrays, frames, target, masks, hp, True,
+            override={n: _fd_chunk(arrays[n].size) for n in names})
+        return calls
+
+    P, S = 2 * G.FD_CHUNK, G.SHARED_WIDTH
+    assert chunk_calls("decoder.fc1.weight") == [[(8, S), (3, P)],
+                                                 [(4, S), (2, P)],
+                                                 [(2, S), (1, P)]]
+    assert chunk_calls("decoder.fc1.weight", "disc.cem.conv2.kernel") == [
+        [(8, S), (3, P)], [(6, P)], [(3, P)]]
+    # no prediction varies: conv1 is one pass at width 1
+    assert chunk_calls("disc.cem.conv2.kernel") == [[(11, 1)], [(6, P)],
+                                                    [(3, P)]]
+
+
+@pytest.mark.parametrize("name", ["disc.cem.conv1.kernel",
+                                  "disc.cem.fc.weight"])
+def test_reference_deltas_beside_shared_rows_match_single_evaluations(name):
+    # the predictions vary too (decoder.fc2.bias), so the discriminator's
+    # seed rows are a shared block beside varying rows: a perturbed conv
+    # over them, and an affine map over split conv rows, against one
+    # evaluation per variant
+    hp = micro_hp()
+    arrays, frames, target, rng = _micro_problem(hp)
+    masks = G.draw_mask_factors(hp, POSE,
+                                np.random.Generator(np.random.PCG64(7)))
+    stacks = {n: arrays[n][None] + rng.normal(scale=1e-2,
+                                              size=(5, *arrays[n].shape))
+              for n in ("decoder.fc2.bias", name)}
+    batched = G.reference_objective(arrays, frames, target, masks, hp, True,
+                                    override=stacks)
+    singles = [
+        G.reference_objective({**arrays, **{n: v[i] for n, v in
+                                            stacks.items()}},
+                              frames, target, masks, hp, True)[0]
+        for i in range(5)
+    ]
+    assert np.unique(batched).size == 5
+    np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=0)
+
+
+def test_split_rows_at_the_paper_geometry():
+    # t = 50 seed rows, T = 25 predicted: 25 of 38, 12 of 19 and 6 of 10
+    # discriminator rows read only seed frames (2x7 kernel, 2x2 stride)
+    hs, hv, split = 50, 25, []
+    for _ in range(3):
+        _, Ho, ns = G._split_rows(hs, hv, 2, 2)
+        split.append((ns, Ho))
+        hs, hv = ns, Ho - ns
+    assert split == [(25, 38), (12, 19), (6, 10)]
 
 
 @pytest.mark.parametrize("C,H,W,kernel,stride", [
