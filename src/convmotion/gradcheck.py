@@ -16,15 +16,14 @@ and frames ``[features, P]``), so a conv's im2col columns, gathered one
 kernel tap at a time from its unpadded input, move contiguous variant runs,
 and GEMMs write the next layer's layout.
 
-An encoder's input comes as two row blocks: ``[h_s, L, 1]`` leading rows
-that every variant shares, and ``[h_v, L, P']`` rows that vary. A conv
+Every encoder reads seed rows first, which every variant shares, then the
+predicted rows that it reads, which vary: the long-term encoder the whole
+seed and no prediction, the short-term window its last seed rows and the
+newest predictions, the discriminator the seed and every prediction. A conv
 computes the output rows that read only shared rows (or padding) once, and
 convolves the rest from the varying rows and the shared rows they overlap,
 widened; a layer with deltas, or a varying block of width 1, makes every row
-varying. The discriminator passes the seed as its shared block beside the
-predictions, and the long-term encoder passes the seed alone. The short-term
-window passes every row as varying: sharing its seed rows would change the
-last bits of its GEMMs, and with them the check's reports.
+varying.
 
 Dropout is exercised under a fixed mask: both routes draw identical masks
 from the same seeded stream, re-drawn per evaluation, so the objective stays
@@ -45,8 +44,6 @@ from . import model as M
 from . import ranges as R
 from . import training as T
 from .autodiff import Tensor, backward
-
-PROB_EPS = T.PROB_EPS
 
 # desk-scale configuration used by the verification suite
 TINY_POSE_DIM = 12
@@ -187,15 +184,6 @@ def _add_deltas(out, src, dw, db, P):
     return out
 
 
-def _stack_rows(rows):
-    """Stack [L, 1] and [L, P] frames into one [n, L, P] array, widening
-    the variant-shared ones."""
-    out = np.empty((len(rows), len(rows[0]), max(r.shape[1] for r in rows)))
-    for n, r in enumerate(rows):
-        out[n] = r
-    return out
-
-
 @dataclass
 class MaskFactors:
     """Pre-drawn inverted-dropout factors, in model execution order."""
@@ -291,7 +279,6 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
                   deltas.get(b), P, **kwargs)
 
     t, Tn, C = hp.seed_frames, hp.target_frames, hp.window
-    L = seed.shape[1]
     slope = hp.leaky_slope
     scratch = np.empty(LRELU_CHUNK)
 
@@ -339,10 +326,13 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
             return yv[:, :0, :, :1], yv
         return ys, ys[:, :0] if yv is None else yv
 
-    def cem(prefix, shared, varying, mask_factor):
-        # shared [h_s, L, 1] leading rows, varying [h_v, L, P'] rows; the
-        # affine map reads both joined
-        xs, xv = shared[None], varying[None]
+    def cem(prefix, seed_rows, tail, mask_factor):
+        # the [h_s, L] seed rows that every variant shares, then the [L, P']
+        # predictions in tail (an empty tail is a width-1 block of no rows);
+        # the affine map reads both joined
+        xs = seed_rows[None, ..., None]
+        # one width: any generator delta varies step 1, and step k reads k - 1
+        xv = np.stack(tail)[None] if tail else xs[:, :0]
         for i in (1, 2, 3):
             xs, xv = conv(xs, xv, f"{prefix}.conv{i}")
         x = join(xs, xv)
@@ -351,22 +341,17 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
         return layer(x.reshape(-1, x.shape[-1]), _linear_p, f"{prefix}.fc",
                      "weight")
 
-    no_rows = np.empty((0, L, 1))
     if hp.no_long_term:
         zl = np.zeros((hp.fc_out, 1))
     else:
-        zl = cem("long", seed[..., None], no_rows,
-                 masks.long_enc if masks else None)
+        zl = cem("long", seed, [], masks.long_enc if masks else None)
 
-    seed_rows = [seed[i, :, None] for i in range(t - C, t)]  # each [L, 1]
     blended: list = []
     preds: list = []
-    prev = seed_rows[-1]
+    prev = seed[-1, :, None]
     for k in range(1, Tn + 1):
-        ids = M.window_frame_ids(t, C, k)
-        rows = [seed_rows[idx - (t - C)] if kind == "seed" else blended[idx - 1]
-                for kind, idx in ids]
-        zs = cem("short", no_rows, _stack_rows(rows),
+        tail = blended[-C:]
+        zs = cem("short", seed[t - C + len(tail):], tail,
                  masks.short_enc[k - 1] if masks else None)
         h = np.concatenate(np.broadcast_arrays(zl, zs))
         h = lrelu(layer(h, _linear_p, "decoder.fc1", "weight"))
@@ -382,9 +367,9 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
                            + target[k - 1, :, None] * (1.0 - hp.eta))
         prev = x_hat
 
-    pred_stack = _stack_rows(preds)
+    pred_stack = np.stack(preds)
     # contiguous variant rows: numpy sums each pairwise (lower FD noise)
-    sq = np.square(pred_stack - target[..., None]).reshape(Tn * L, -1)
+    sq = np.square(pred_stack - target[..., None]).reshape(target.size, -1)
     mse = np.ascontiguousarray(sq.T).sum(axis=1) / Tn
 
     # a variant's penalty is the base one plus (2w + delta) * delta over
@@ -401,10 +386,10 @@ def reference_objective(arrays: dict, seed: np.ndarray, target: np.ndarray,
     loss = mse + hp.lambda_l2 * l2
 
     if adversarial:
-        code = cem("disc.cem", seed[..., None], pred_stack, None)
+        code = cem("disc.cem", seed, preds, None)
         logit = layer(code, _linear_p, "disc.head", "weight")
         prob = 1.0 / (1.0 + np.exp(-logit[0]))
-        prob = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
+        prob = np.clip(prob, T.PROB_EPS, 1.0 - T.PROB_EPS)
         loss = loss + hp.lambda_adv * (-np.log(prob))
 
     return np.broadcast_to(loss, (P,)).copy()

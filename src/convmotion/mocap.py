@@ -93,7 +93,12 @@ def parse_trial(text: str, action="unknown", subject="unknown",
         raise ParseError("empty file")
     frames = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(frames)):
-        raise ParseError("file contains non-finite values")
+        row, col = np.argwhere(~np.isfinite(frames))[0]
+        lineno, line = [(n, line) for n, line in
+                        enumerate(text.splitlines(), start=1)
+                        if line.strip()][row]
+        raise ParseError(f"line {lineno}: non-finite value "
+                         f"{line.split(',')[col].strip()!r}")
     return RawTrial(frames, action=action, subject=subject, trial_id=trial_id)
 
 

@@ -572,7 +572,9 @@ def load_checkpoint(path, expected_fingerprint: Optional[str] = None, *,
                 f"{expected_fingerprint[:12]}...)"
             )
         in_file = {entry["name"] for entry in header["tensors"]}
-        for name in names or ():
+        # taken once, as the check and the reads below both need every name
+        names = None if names is None else frozenset(names)
+        for name in sorted(names or ()):
             if name not in in_file:
                 raise ValueError(f"{path}: tensor {name!r} is not in the file")
         tensors, end = {}, base

@@ -307,10 +307,10 @@ def test_fd_chunk_reference_peak_memory():
                                   "decoder.fc1.weight",
                                   "disc.cem.conv2.kernel"])
 def test_shared_seed_rows_match_every_row_varying(monkeypatch, name):
-    # one finite-difference chunk with masks and the adversary on: the
-    # discriminator given its seed rows once, as the shared block, and the
-    # same pass with every row varying (the seed rows widened to every
-    # variant and convolved per variant) give the same losses bit for bit
+    # one finite-difference chunk with masks and the adversary on: every
+    # encoder given its seed rows once, as the shared block, and the same
+    # pass with every row varying (the seed rows widened to every variant
+    # and convolved per variant) give the same losses bit for bit
     hp, arrays, frames, target, masks = _tiny_problem()
     chunk = _fd_chunk(arrays[name].size)
 
@@ -361,6 +361,41 @@ def test_discriminator_convolves_its_seed_rows_once_per_call(monkeypatch):
     # no prediction varies: conv1 is one pass at width 1
     assert chunk_calls("disc.cem.conv2.kernel") == [[(11, 1)], [(6, P)],
                                                     [(3, P)]]
+
+
+def test_short_window_convolves_its_seed_rows_once_per_call(monkeypatch):
+    # (output rows, width) of each short-term conv1 call in one chunk: at
+    # C = 8 the window of step k holds 9 - k seed rows, and its output rows
+    # that read only those are computed once at SHARED_WIDTH; step 1 reads
+    # no prediction, so nothing varies there
+    hp, arrays, frames, target, masks = _tiny_problem()
+    kernel = arrays["short.conv1.kernel"]
+    calls = []
+    conv_p = G._conv_p
+
+    def spy(x, k, *args, **kwargs):
+        out = conv_p(x, k, *args, **kwargs)
+        if k is kernel:
+            calls.append((out.shape[1], out.shape[3]))
+        return out
+
+    monkeypatch.setattr(G, "_conv_p", spy)
+
+    def chunk_calls(name):
+        calls.clear()
+        G.reference_objective(arrays, frames, target, masks, hp, True,
+                              override={name: _fd_chunk(arrays[name].size)})
+        return calls
+
+    P, S = 2 * G.FD_CHUNK, G.SHARED_WIDTH
+    assert chunk_calls("decoder.fc1.weight") == [
+        (4, 1), (3, S), (1, P), (3, S), (1, P), (2, S), (2, P),
+        (2, S), (2, P), (1, S), (3, P)]
+    # a layer with deltas varies in every row
+    assert 2 * kernel.size == 224
+    assert chunk_calls("short.conv1.kernel") == [(4, 224)] * 6
+    # no prediction varies
+    assert chunk_calls("disc.cem.conv1.kernel") == [(4, 1)] * 6
 
 
 @pytest.mark.parametrize("name", ["disc.cem.conv1.kernel",

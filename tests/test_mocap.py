@@ -52,6 +52,15 @@ def test_parse_non_numeric_token_named():
         parse_trial("1,2\n1,abc\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e999", " -inf"])
+def test_parse_non_finite_value_named(token):
+    # the vectorised check maps its first bad row back to the line,
+    # counting the blank lines it skipped
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 4: non-finite value {token.strip()!r}")):
+        parse_trial(f"1,2\n\n3,4\n5,{token}\n{token},6\n")
+
+
 def test_parse_empty_file():
     with pytest.raises(ParseError, match="empty file"):
         parse_trial("")

@@ -987,6 +987,23 @@ def test_checkpoint_load_refuses_what_names_asks_for_and_the_file_lacks(
         M.load_checkpoint(path, names=M.PARAM_NAMES)
 
 
+def test_checkpoint_load_takes_names_from_a_generator(tmp_path, params):
+    # names are taken once: a generator reads the tensors the same names as
+    # a tuple read, and a name the file lacks is still refused
+    tensors = M.tensors_from_params(params)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64, tensors)
+    by_tuple = M.load_checkpoint(path, names=tuple(M.PARAM_NAMES)).tensors
+    by_gen = M.load_checkpoint(path, names=(n for n in M.PARAM_NAMES)).tensors
+    assert sorted(by_gen) == sorted(by_tuple) == sorted(M.PARAM_NAMES)
+    for name in M.PARAM_NAMES:
+        np.testing.assert_array_equal(by_gen[name], by_tuple[name])
+    with pytest.raises(ValueError, match=re.escape(
+            "model.ckpt: tensor 'decoder.fc3.bias' is not in the file")):
+        M.load_checkpoint(path, names=(n for n in ("long.fc.bias",
+                                                  "decoder.fc3.bias")))
+
+
 def test_checkpoint_params_share_the_loaded_arrays(tmp_path, params):
     path = tmp_path / "model.ckpt"
     M.save_checkpoint(path, tiny_hp(), POSE_DIM, "0" * 64,
